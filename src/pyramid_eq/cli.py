@@ -1,9 +1,11 @@
 """Command line interface: scenario configs, solve/analyze pipelines,
 artifact persistence, and static SVG plots.
 
-Configs are flat TOML-style sections of key = value lines (numbers,
-strings, booleans, arrays of numbers).  A tiny dedicated reader keeps
-line numbers so validation errors can point at the offending line.
+Configs are TOML files read with the standard library's tomllib.  Only
+the sections and keys listed in _CONFIG_KEYS are accepted; anything else,
+like a TOML syntax error, is a ConfigError.  A scan of the section and
+key lines recovers line numbers so validation errors can point at the
+offending line; a key the scan cannot place is rejected as well.
 Artifacts are deterministic: repeated runs of the same config and seed
 produce bit-identical files (sorted JSON keys, repr-round-trip floats,
 no timestamps).
@@ -13,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+import tomllib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -27,6 +31,7 @@ from .model import (
     UtilityCurve,
     discretize_density,
     doubling_check,
+    pushforward_z,
     validate_utility,
 )
 from .wages import SolverConfig, WageOperator, WageProfile, delta_continuation, solve_wages, stability_residuals
@@ -46,7 +51,6 @@ from .pyramid import (
     guru_census,
     phase_fit,
     render_hierarchy,
-    top_slopes,
 )
 from . import svgplot
 
@@ -61,63 +65,57 @@ class ConfigError(ValueError):
 # config reading
 # ---------------------------------------------------------------------------
 
-def _parse_scalar(tok: str, where: str):
-    t = tok.strip()
-    if t.startswith('"') and t.endswith('"') and len(t) >= 2:
-        return t[1:-1]
-    if t in ("true", "false"):
-        return t == "true"
-    try:
-        if any(ch in t for ch in ".eE") and not t.lstrip("+-").isdigit():
-            return float(t)
-        return int(t)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {tok!r}")
+_CURVE_KEYS = frozenset({"kind", "coeffs", "file"})
+_CONFIG_KEYS = {
+    "params": frozenset({"theta", "theta_prime", "N", "N_prime", "c", "k_top"}),
+    "bE": _CURVE_KEYS,
+    "bL": _CURVE_KEYS,
+    "grid": frozenset({"n"}),
+    "alpha": frozenset({"density", "file"}),
+    "solver": frozenset({"delta", "c_delta", "tol", "max_iter", "damping",
+                         "delta_factor", "delta_floor", "lp_max_n"}),
+    "outputs": frozenset({"directory"}),
+    "run": frozenset({"seed", "probe_uniqueness"}),
+    "gurus": frozenset({"population", "N", "N_prime"}),
+    "sweep": frozenset({"N", "theta"}),
+}
+_SECTION_LINE = re.compile(r"\s*\[\s*([\w.-]+)\s*\]\s*(#.*)?$")
+_KEY_LINE = re.compile(r'\s*"?([\w-]+)"?\s*=')
 
 
-def read_config(path: str) -> dict:
-    """Read a flat sectioned config into {section: {key: (value, line)}}."""
-    sections: dict = {}
-    current = None
+def _read_sections(path: str) -> dict:
+    """Read a TOML scenario into {section: {key: (value, line)}}, rejecting
+    sections and keys outside _CONFIG_KEYS.  tomllib keeps no positions, so
+    the [section] and `key =` lines are scanned for the line numbers."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
+            text = fh.read()
+        data = tomllib.loads(text)
+    except (OSError, tomllib.TOMLDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if '"' in line:
-            # strip comments outside quotes only
-            out, inq = [], False
-            for ch in line:
-                if ch == '"':
-                    inq = not inq
-                if ch == "#" and not inq:
-                    break
-                out.append(ch)
-            line = "".join(out).strip()
-        else:
-            line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line or current is None:
-            raise ConfigError(f"{where}: expected 'key = value' inside a [section]")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if val.startswith("[") and val.endswith("]"):
-            inner = val[1:-1].strip()
-            parsed = [
-                _parse_scalar(t, where) for t in inner.split(",") if t.strip()
-            ] if inner else []
-        else:
-            parsed = _parse_scalar(val, where)
-        sections[current][key] = (parsed, lineno)
+    lines, sec = {}, None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if m := _SECTION_LINE.match(raw):
+            sec = m.group(1)
+            lines.setdefault((sec, None), lineno)
+        elif m := _KEY_LINE.match(raw):
+            lines.setdefault((sec, m.group(1)), lineno)
+
+    def where(sec, key=None):
+        return f"{path}:{lines[sec, key]}" if (sec, key) in lines else path
+
+    sections = {}
+    for sec, table in data.items():
+        if not isinstance(table, dict):
+            raise ConfigError(f"{where(None, sec)}: expected 'key = value' inside a [section]")
+        if sec not in _CONFIG_KEYS:
+            raise ConfigError(f"{where(sec)}: unknown section [{sec}]")
+        for key in table:
+            if key not in _CONFIG_KEYS[sec]:
+                raise ConfigError(f"{where(sec, key)}: unknown key '{key}' in [{sec}]")
+            if (sec, key) not in lines:
+                raise ConfigError(f"{where(sec)}: write {key} as a 'key = value' line under [{sec}]")
+        sections[sec] = {key: (val, lines[sec, key]) for key, val in table.items()}
     return sections
 
 
@@ -177,7 +175,7 @@ def _curve_from_config(sections, sec, k_top, path, base_dir) -> UtilityCurve:
 
 def load_scenario(path: str, *, out_override=None, grid_n_override=None,
                   delta_override=None) -> ScenarioConfig:
-    sections = read_config(path)
+    sections = _read_sections(path)
     base_dir = os.path.dirname(os.path.abspath(path))
 
     def need(sec, key, caster=float):
@@ -234,8 +232,6 @@ def load_scenario(path: str, *, out_override=None, grid_n_override=None,
             raise ConfigError(f"{path}:{l_d}: unknown density {dens!r}")
     except ValueError as exc:
         raise ConfigError(f"{path}:{l_d}: {exc}")
-
-    sv = sections.get("solver", {})
 
     def sget(key, default, caster=float):
         val, _ = _get(sections, "solver", key, default=default, path=path)
@@ -339,7 +335,6 @@ def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
             "feasibility_residual": sol.feasibility_residual,
         }
     else:
-        from .model import pushforward_z
         eps = coupling_from_profile(profile, cfg.alpha, cfg.grid).support().canonical()
         kappa = pushforward_z(eps, cfg.params, cfg.grid)
         lam = labor_coupling_from_profile(profile, kappa, cfg.params, cfg.grid)
@@ -384,8 +379,7 @@ def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
         "consistent": bool(split.consistent),
         "assortative": {"eps": bool(ok_eps), "lam": bool(ok_lam)},
         "violations": {"eps": viol_eps[:32], "lam": viol_lam[:32]},
-        "supports": {k: _span(v) for k, v in
-                     specialization_report(profile, split, cfg.params, cfg.grid, eps=eps).supports.items()},
+        "supports": {k: _span(v) for k, v in special.supports.items()},
     }
     if cfg.probe_uniqueness and cfg.grid.n <= cfg.lp_max_n:
         occupations["uniqueness_probe"] = uniqueness_probe(
@@ -429,15 +423,7 @@ def _profile_from_wages_csv(cfg: ScenarioConfig) -> WageProfile:
         c_used = dj.get("c_used", c_used)
         delta = dj.get("delta", 0.0)
     op = WageOperator(cfg.params, cfg.grid, c_used)
-    comp = op.components(v)
-    return WageProfile(
-        v=v, u=comp.u, v_w=comp.v_w, v_m=comp.v_m, v_t=comp.v_t,
-        best_teacher=comp.best_teacher, best_student=comp.best_student,
-        occupation=comp.occupation, converged=True, iterations=0,
-        objective=op.objective(comp.u, v, cfg.alpha, delta),
-        envelope_residual=float(np.abs(v - op.envelope(comp)).max()),
-        delta=delta, c_used=c_used,
-    )
+    return op.profile(v, cfg.alpha, delta, converged=True, iterations=0)
 
 
 def _phase_plots(cfg: ScenarioConfig, profile, report):
@@ -464,7 +450,6 @@ def _phase_plots(cfg: ScenarioConfig, profile, report):
         logx=True, logy=True,
     )
     eps = coupling_from_profile(profile, cfg.alpha, cfg.grid)
-    from .model import pushforward_z
     kappa = pushforward_z(eps, cfg.params, cfg.grid)
     svgplot.line_chart(
         os.path.join(cfg.out_dir, "density.svg"),
@@ -531,8 +516,7 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
             params = TechnologyParams(theta, cfg.params.theta_prime, N,
                                       cfg.params.N_prime, cfg.params.c,
                                       cfg.params.bE, cfg.params.bL, cfg.params.k_top)
-            sub = replace(cfg.solver)
-            prof = solve_wages(params, cfg.alpha, cfg.grid, sub)
+            prof = solve_wages(params, cfg.alpha, cfg.grid, cfg.solver)
             rep = phase_fit(prof, params, cfg.grid, alpha=cfg.alpha)
             return combo, prof, rep
 

@@ -272,14 +272,11 @@ def duality_report(solution: LPSolution, profile, params: TechnologyParams,
     op = WageOperator(params, grid, profile.c_used)
     v, u = profile.v, profile.u
 
-    F = u[:, None] + v[None, :] / params.N - op.c * op.BEz - op.interp_at_z(v)
-    G = v[:, None] + v[None, :] / params.N_prime - op.BL
+    F, G = op.slacks(u, v)
     eps_f = float(np.sum(solution.eps.weights * F[solution.eps.rows, solution.eps.cols]))
     lam_g = float(np.sum(solution.lam.weights * G[solution.lam.rows, solution.lam.cols]))
 
-    Fd = solution.u[:, None] + solution.v[None, :] / params.N \
-        - op.c * op.BEz - op.interp_at_z(solution.v)
-    Gd = solution.v[:, None] + solution.v[None, :] / params.N_prime - op.BL
+    Fd, Gd = op.slacks(solution.u, solution.v)
     own = float(
         np.sum(solution.eps.weights * Fd[solution.eps.rows, solution.eps.cols])
         + np.sum(solution.lam.weights * Gd[solution.lam.rows, solution.lam.cols])

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import GridMeasure, SkillGrid, TechnologyParams
+from .model import GridMeasure, SkillGrid, TechnologyParams, split_positions
 
 __all__ = [
     "SolverConfig",
@@ -176,23 +176,13 @@ class WageOperator:
         self.grid = grid
         self.c = params.c if c is None else float(c)
         x = grid.nodes
-        n = grid.n
         tp = params.theta_prime
         # labor production over (worker i, manager j) pairs
         self.BL = np.asarray(params.bL.value(x[:, None] + tp * (x[None, :] - x[:, None])))
         # acquired skill over (student i, teacher j) pairs, with interp weights
         Z = x[:, None] + params.theta * (x[None, :] - x[:, None])
-        self.BEz = np.asarray(params.bE.value(Z))
-        self.E = self.c * self.BEz
-        pos = Z / grid.h
-        if n == 1:
-            self._idx = np.zeros_like(pos, dtype=int)
-            self._frac = np.zeros_like(pos)
-        else:
-            idx = np.floor(pos).astype(int)
-            np.clip(idx, 0, n - 2, out=idx)
-            self._idx = idx
-            self._frac = pos - idx
+        self.E = self.c * np.asarray(params.bE.value(Z))
+        self._idx, self._frac = split_positions(Z, grid)
 
     def interp_at_z(self, v: np.ndarray) -> np.ndarray:
         if self.grid.n == 1:
@@ -244,6 +234,30 @@ class WageOperator:
             val += delta * float(u.mean() + v.mean())
         return val
 
+    def slacks(self, u: np.ndarray | None, v: np.ndarray):
+        """Stability slacks over all grid pairs, (F, G) with
+        F[a, k] = u(a) + v(k)/N - c b_E(z(a,k)) - v(z(a,k)) and
+        G[k', k] = v(k') + v(k)/N' - b_L((1-t')k' + t'k); F is None when u is."""
+        p = self.params
+        G = v[:, None] + v[None, :] / p.N_prime - self.BL
+        if u is None:
+            return None, G
+        return u[:, None] + v[None, :] / p.N - self.E - self.interp_at_z(v), G
+
+    def profile(self, v: np.ndarray, alpha: GridMeasure, delta: float,
+                converged: bool, iterations: int) -> WageProfile:
+        """The wage profile at v: its envelope components, objective and
+        sup-norm envelope residual."""
+        comp = self.components(v)
+        return WageProfile(
+            v=v, u=comp.u, v_w=comp.v_w, v_m=comp.v_m, v_t=comp.v_t,
+            best_teacher=comp.best_teacher, best_student=comp.best_student,
+            occupation=comp.occupation, converged=converged, iterations=iterations,
+            objective=self.objective(comp.u, v, alpha, delta),
+            envelope_residual=float(np.abs(v - self.envelope(comp)).max()),
+            delta=delta, c_used=self.c,
+        )
+
 
 # ---------------------------------------------------------------------------
 # smoothed dual: softmax envelopes + Newton in v, annealed in temperature
@@ -273,7 +287,7 @@ class _SmoothedDual:
         rs = P.sum(axis=1)
         u = Smax + eta * (np.log(rs) - self.logm)
         eps = (self.m / rs)[:, None] * P
-        G = v[:, None] + v[None, :] / p.N_prime - op.BL
+        _, G = op.slacks(None, v)
         lam = np.exp(np.minimum(-G / eta, _EXP_CAP))
         return u, eps, lam
 
@@ -384,20 +398,23 @@ def wage_components(v, params: TechnologyParams, grid: SkillGrid, c: float | Non
     return WageOperator(params, grid, c).components(v)
 
 
+def _damped_step(op: WageOperator, v: np.ndarray, damping: float) -> np.ndarray:
+    vbar = op.envelope(op.components(v))
+    if not np.all(np.isfinite(vbar)):
+        raise IterationDiverged("wage component overflowed; iteration diverged")
+    return (1.0 - damping) * v + damping * convexify(vbar, op.grid.nodes)
+
+
 def bellman_step(v, params: TechnologyParams, grid: SkillGrid, config: SolverConfig,
                  operator: WageOperator | None = None) -> np.ndarray:
     """One damped, convexified application of the exact envelope map."""
     v = np.asarray(v, dtype=float)
     _require_monotone(v)
     op = operator if operator is not None else WageOperator(params, grid)
-    comp = op.components(v)
-    vbar = op.envelope(comp)
-    if not np.all(np.isfinite(vbar)):
-        raise IterationDiverged("wage component overflowed; iteration diverged")
-    return (1.0 - config.damping) * v + config.damping * convexify(vbar, grid.nodes)
+    return _damped_step(op, v, config.damping)
 
 
-def _bellman_polish(op: WageOperator, grid: SkillGrid, config: SolverConfig, v_start: np.ndarray):
+def _bellman_polish(op: WageOperator, config: SolverConfig, v_start: np.ndarray):
     """Damped envelope iteration until the sup-norm change drops below tol.
 
     Stalls (no 2% decay over a 250-step lookback) halve the damping and
@@ -413,11 +430,7 @@ def _bellman_polish(op: WageOperator, grid: SkillGrid, config: SolverConfig, v_s
     lookback = 250
     marker = np.inf
     while True:
-        comp = op.components(v)
-        vbar = op.envelope(comp)
-        if not np.all(np.isfinite(vbar)):
-            raise IterationDiverged("wage component overflowed; iteration diverged")
-        v_next = (1.0 - damping) * v + damping * convexify(vbar, grid.nodes)
+        v_next = _damped_step(op, v, damping)
         change = float(np.abs(v_next - v).max())
         v = v_next
         iterations += 1
@@ -464,18 +477,8 @@ def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
 
     v_anneal = _anneal(op, m, d, v_init, config.eta_floor)
     v_anneal = convexify(v_anneal, grid.nodes)
-    v, converged, iterations = _bellman_polish(op, grid, config, v_anneal)
-
-    comp = op.components(v)
-    residual = float(np.abs(v - op.envelope(comp)).max())
-    objective = op.objective(comp.u, v, alpha, config.delta)
-    return WageProfile(
-        v=v, u=comp.u, v_w=comp.v_w, v_m=comp.v_m, v_t=comp.v_t,
-        best_teacher=comp.best_teacher, best_student=comp.best_student,
-        occupation=comp.occupation, converged=converged, iterations=iterations,
-        objective=objective, envelope_residual=residual,
-        delta=config.delta, c_used=c_eff,
-    )
+    v, converged, iterations = _bellman_polish(op, config, v_anneal)
+    return op.profile(v, alpha, config.delta, converged, iterations)
 
 
 @dataclass(eq=False)
@@ -529,17 +532,8 @@ def delta_continuation(params: TechnologyParams, alpha: GridMeasure, grid: Skill
         da, db = used[-2], used[-1]
         t = db / (da - db)
         vex = convexify(pb.v + t * (pb.v - pa.v), grid.nodes)
-        c0 = 0.0 if couple_c else params.c
-        op = WageOperator(params, grid, c0)
-        comp = op.components(vex)
-        extrapolated = WageProfile(
-            v=vex, u=comp.u, v_w=comp.v_w, v_m=comp.v_m, v_t=comp.v_t,
-            best_teacher=comp.best_teacher, best_student=comp.best_student,
-            occupation=comp.occupation, converged=True, iterations=0,
-            objective=float(alpha.weights @ comp.u),
-            envelope_residual=float(np.abs(vex - op.envelope(comp)).max()),
-            delta=0.0, c_used=c0,
-        )
+        op = WageOperator(params, grid, 0.0 if couple_c else params.c)
+        extrapolated = op.profile(vex, alpha, 0.0, converged=True, iterations=0)
     else:
         extrapolated = profiles[-1]
 
@@ -570,12 +564,11 @@ def stability_residuals(profile: WageProfile, params: TechnologyParams, grid: Sk
     v, u = profile.v, profile.u
     p = params
 
-    F = u[:, None] + v[None, :] / p.N - op.E - op.interp_at_z(v)
+    F, G = op.slacks(u, v)
     i, j = np.unravel_index(int(F.argmin()), F.shape)
     min_f = float(F[i, j])
     argmin_f = (int(i), int(j))
 
-    G = v[:, None] + v[None, :] / p.N_prime - op.BL
     gi, gj = np.unravel_index(int(G.argmin()), G.shape)
     min_g = float(G[gi, gj])
     argmin_g = (int(gi), int(gj))

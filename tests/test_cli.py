@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from pyramid_eq import cli
 from pyramid_eq.cli import ConfigError, load_scenario, main
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pyramid_eq", "schemas")
@@ -194,6 +195,30 @@ def test_config_rejects_unknown_density(tmp_path):
     cfg_path = write_config(tmp_path, BASE.replace('"uniform"', '"gaussianish"'))
     with pytest.raises(ConfigError, match="unknown density"):
         load_scenario(cfg_path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[solver]\n", "[solver]\ntolerance = 1e-9\n", r":23: unknown key 'tolerance' in \[solver\]"),
+    ("[solver]\n", "[solver]\neta_floor = 1e-5\n", r":23: unknown key 'eta_floor' in \[solver\]"),
+    ("[outputs]", "[output]", r":25: unknown section \[output\]"),
+    ("n = 12", "n.x = 12", r":16: write n as a 'key = value' line under \[grid\]"),
+    ("theta = 0.5\n", "theta = 0.5 0.5\n", r"at line 3"),
+])
+def test_config_rejects_unknown_keys_and_bad_syntax(tmp_path, old, new, message):
+    cfg_path = write_config(tmp_path, BASE.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(cfg_path)
+
+
+def test_phase_rebuilds_the_solved_profile(tmp_path):
+    cfg = load_scenario(write_config(tmp_path))
+    solved = cli._solve_profile(cfg)
+    assert cli.run_solve(cfg, quiet=True) == 0
+    rebuilt = cli._profile_from_wages_csv(cfg)
+    for name in ("u", "v_w", "v_m", "v_t", "occupation"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(solved, name)), name
+    assert rebuilt.objective == solved.objective
+    assert rebuilt.envelope_residual == solved.envelope_residual
 
 
 def test_nonconverged_solve_exits_two_with_artifacts(tmp_path):

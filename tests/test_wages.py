@@ -16,6 +16,7 @@ from pyramid_eq import (
     stability_residuals,
     wage_components,
 )
+from pyramid_eq.model import split_positions
 from pyramid_eq.wages import WageOperator
 from conftest import make_params, uniform_alpha
 
@@ -278,6 +279,18 @@ def test_supermodularity_of_converged_v():
             lhs = vz[a, k] + vz[a + 1, k + 1]
             rhs = vz[a, k + 1] + vz[a + 1, k]
             assert lhs >= rhs - 1e-9
+
+
+def test_operator_split_matches_lp_split():
+    # the wage solver and the LP rows discretize z(a, k) with one routine,
+    # including its snapping of fractions within 1e-12 of a node
+    params = make_params(theta=0.7)
+    grid = SkillGrid(50, 1.0)
+    op = WageOperator(params, grid)
+    x = grid.nodes
+    idx, frac = split_positions(x[:, None] + params.theta * (x[None, :] - x[:, None]), grid)
+    assert np.array_equal(op._idx, idx)
+    assert np.array_equal(op._frac, frac)
 
 
 def test_stability_residuals_flag_lowered_wage():
