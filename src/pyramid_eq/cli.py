@@ -19,7 +19,7 @@ import re
 import sys
 import tomllib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -359,6 +359,7 @@ def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
         "delta": profile.delta,
         "c_used": profile.c_used,
         "couplings_source": source,
+        "anneal": None if profile.anneal is None else asdict(profile.anneal),
         "stability": {
             "min_f": sr.min_f,
             "min_g": sr.min_g,

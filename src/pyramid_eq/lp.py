@@ -267,9 +267,9 @@ def duality_report(solution: LPSolution, profile, params: TechnologyParams,
     """
     if len(profile.v) != grid.n:
         raise ValueError("profile and LP were built on different grids")
-    from .wages import WageOperator
+    from .wages import profile_operator
 
-    op = WageOperator(params, grid, profile.c_used)
+    op = profile_operator(profile, params, grid)
     v, u = profile.v, profile.u
 
     F, G = op.slacks(u, v)

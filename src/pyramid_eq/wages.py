@@ -25,10 +25,18 @@ dual functional
 slacks) whose gradient in v is exactly the excess adult supply.  u has a
 closed-form softmax elimination; v is driven by damped Newton steps with
 the temperature eta annealed down a geometric ladder, and the eta -> 0
-limit is recovered by Richardson extrapolation.  A final damped pass of
-the exact envelope map (bellman_step) restores the hard-max identity and
-the convex non-decreasing shape; its sup-norm change criterion decides
-the converged flag.  Optimality is certified externally against the LP.
+limit is recovered by Richardson extrapolation.  Near a stage's minimum
+the decrease a Newton step promises can fall below the round-off of the
+dual value (the teacher-block invariance leaves the Hessian nearly
+singular), and Armijo backtracking then cannot decide.  When
+-slope <= 4 eps_machine max(1, |value|) the full step is tried once and
+kept only if it lowers |grad|_inf; otherwise v is stationary to machine
+precision and the stage ends.  Every other step keeps the Armijo search.
+
+A final damped pass of the exact envelope map (bellman_step) restores the
+hard-max identity and the convex non-decreasing shape; its sup-norm
+change criterion decides the converged flag.  Optimality is certified
+externally against the LP.
 
 Off-grid values v(z) use linear interpolation, which preserves convexity
 of the samples.  All maxima run in fixed index order with first-index
@@ -36,7 +44,7 @@ tie-breaking, so repeated runs are bitwise identical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from .model import GridMeasure, SkillGrid, TechnologyParams, split_positions
 __all__ = [
     "SolverConfig",
     "WageProfile",
+    "AnnealWork",
     "WageComponents",
     "WageOperator",
     "StabilityReport",
@@ -59,6 +68,7 @@ __all__ = [
 ]
 
 _EXP_CAP = 45.0  # exponent clamp: keeps line-search probes finite
+_ULP = float(np.finfo(float).eps)
 
 
 class IterationDiverged(RuntimeError):
@@ -100,9 +110,30 @@ class WageComponents:
     occupation: np.ndarray    # per node argmax of (v_w, v_m, v_t); 0/1/2, lowest wins ties
 
 
+@dataclass
+class AnnealWork:
+    """Work counts of the smoothed-dual anneal.  newton_steps counts Newton
+    systems solved and dual_evals evaluations of the dual; a stage ends on
+    a gradient below tolerance, a stationary stop (the full step no longer
+    lowers |grad|_inf where the dual value cannot resolve the decrease), a
+    line-search failure (50 halvings without Armijo decrease) or the
+    Newton-step limit."""
+
+    newton_steps: int = 0
+    dual_evals: int = 0
+    line_search_failures: int = 0
+    stationary_stops: int = 0
+    newton_limit_stops: int = 0
+
+    def __add__(self, other: AnnealWork) -> AnnealWork:
+        return AnnealWork(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
+
 @dataclass(eq=False)
 class WageProfile:
-    """Converged (or best-effort) wage schedule on the grid."""
+    """Converged (or best-effort) wage schedule on the grid.  operator is
+    the WageOperator it was evaluated with; anneal is the anneal work that
+    produced v, None when v did not come from a solve."""
 
     v: np.ndarray
     u: np.ndarray
@@ -118,6 +149,8 @@ class WageProfile:
     envelope_residual: float
     delta: float
     c_used: float
+    operator: WageOperator | None = None
+    anneal: AnnealWork | None = None
 
     @property
     def components(self) -> WageComponents:
@@ -168,6 +201,16 @@ def convexify(values, nodes=None) -> np.ndarray:
     return out
 
 
+def _deposit(flat: np.ndarray, frac: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """Deposit pair weights w into an array of the given size: w (1-frac)
+    at flat and w frac at flat + 1.  np.bincount adds into each bin in the
+    pairs' row-major order, so repeated runs agree bitwise."""
+    flat = flat.ravel()
+    out = np.bincount(flat, (w * (1.0 - frac)).ravel(), minlength=size)
+    out[1:] += np.bincount(flat, (w * frac).ravel(), minlength=size)[:-1]
+    return out
+
+
 class WageOperator:
     """Precomputed envelope machinery for one (params, grid, c) triple."""
 
@@ -191,11 +234,7 @@ class WageOperator:
 
     def splat_from_z(self, w: np.ndarray) -> np.ndarray:
         """Adjoint of interp_at_z: deposit pair weights w onto the nodes."""
-        out = np.zeros(self.grid.n)
-        np.add.at(out, self._idx.ravel(), (w * (1.0 - self._frac)).ravel())
-        if self.grid.n > 1:
-            np.add.at(out, (self._idx + 1).ravel(), (w * self._frac).ravel())
-        return out
+        return _deposit(self._idx, self._frac, w, self.grid.n)
 
     def components(self, v: np.ndarray) -> WageComponents:
         p = self.params
@@ -245,7 +284,7 @@ class WageOperator:
         return u[:, None] + v[None, :] / p.N - self.E - self.interp_at_z(v), G
 
     def profile(self, v: np.ndarray, alpha: GridMeasure, delta: float,
-                converged: bool, iterations: int) -> WageProfile:
+                converged: bool, iterations: int, anneal: AnnealWork | None = None) -> WageProfile:
         """The wage profile at v: its envelope components, objective and
         sup-norm envelope residual."""
         comp = self.components(v)
@@ -255,7 +294,7 @@ class WageOperator:
             occupation=comp.occupation, converged=converged, iterations=iterations,
             objective=self.objective(comp.u, v, alpha, delta),
             envelope_residual=float(np.abs(v - self.envelope(comp)).max()),
-            delta=delta, c_used=self.c,
+            delta=delta, c_used=self.c, operator=self, anneal=anneal,
         )
 
 
@@ -278,6 +317,7 @@ class _SmoothedDual:
         self.d = d
         self.live = m > 0.0
         self.logm = np.where(self.live, np.log(np.where(self.live, m, 1.0)), 0.0)
+        self.work = AnnealWork()
 
     def state(self, v: np.ndarray, eta: float):
         op, p = self.op, self.op.params
@@ -305,31 +345,33 @@ class _SmoothedDual:
     def hessian(self, v: np.ndarray, eta: float, eps: np.ndarray, lam: np.ndarray) -> np.ndarray:
         op, p = self.op, self.op.params
         n = op.grid.n
-        H = np.diag(lam.sum(axis=1) + lam.sum(axis=0) / p.N_prime ** 2)
-        H += (lam + lam.T) / p.N_prime
+        idx, frac = op._idx, op._frac
+        H = (lam + lam.T) / p.N_prime
+        diag = lam.sum(axis=1) + lam.sum(axis=0) / p.N_prime ** 2
 
-        # education block: sum_aj eps * w w^T - row-mean correction, where the
-        # pair vector w has entries (1-frac) at idx, frac at idx+1, -1/N at j
-        i0 = op._idx.ravel()
-        i1 = (op._idx + (1 if n > 1 else 0)).ravel()
-        jj = np.tile(np.arange(n), n)
-        w0 = (1.0 - op._frac).ravel()
-        w1 = op._frac.ravel()
-        wj = np.full(n * n, -1.0 / p.N)
-        e = eps.ravel()
-        comps = ((i0, w0), (i1, w1), (jj, wj))
-        for ia, wa in comps:
-            for ib, wb in comps:
-                np.add.at(H, (ia, ib), e * wa * wb)
+        # education block sum_aj eps w w^T - row-mean correction, where the
+        # pair vector w has entries w0 = 1-frac at idx, w1 = frac at idx+1
+        # and -1/N at j.  The (idx, idx+1) part is tridiagonal, the j-j part
+        # diagonal; the (node, j) cross part is C + C^T with
+        # C[j, k] = sum_a eps[a, j] w_k, a row-wise deposit of eps.
+        e0 = eps * (1.0 - frac)
+        e1 = eps * frac
+        flat = idx.ravel()
+        diag += np.bincount(flat, (e0 * (1.0 - frac)).ravel(), minlength=n)
+        diag[1:] += np.bincount(flat, (e1 * frac).ravel(), minlength=n)[:-1]
+        diag += eps.sum(axis=0) / p.N ** 2
+        off = np.bincount(flat, (e0 * frac).ravel(), minlength=n)[:-1]
+        H.flat[::n + 1] += diag
+        H.flat[1::n + 1] += off
+        H.flat[n::n + 1] += off
+        C = _deposit(idx + n * np.arange(n), frac, eps, n * n).reshape(n, n)
+        H -= (C + C.T) / p.N
 
         live = self.live
         if np.any(live):
-            Wbar = np.zeros((n, n))
-            rows = np.repeat(np.arange(n), n)
             prob = eps / np.where(self.m > 0, self.m, 1.0)[:, None]
-            pr = prob.ravel()
-            for ia, wa in comps:
-                np.add.at(Wbar, (rows, ia), pr * wa)
+            Wbar = _deposit(idx + n * np.arange(n)[:, None], frac, prob, n * n).reshape(n, n)
+            Wbar -= prob / p.N
             H -= Wbar[live].T @ (self.m[live, None] * Wbar[live])
 
         H /= eta
@@ -337,12 +379,18 @@ class _SmoothedDual:
         return H
 
     def minimize(self, v: np.ndarray, eta: float, gtol: float = 1e-12, max_newton: int = 80) -> np.ndarray:
+        """Damped Newton on the smoothed dual at temperature eta, with the
+        step acceptance of the module docstring; counts go to self.work."""
+        work = self.work
         v = v.copy()
         val, grad, (u, eps, lam) = self.value_grad(v, eta)
+        work.dual_evals += 1
         for _ in range(max_newton):
-            if np.abs(grad).max() <= gtol:
+            gmax = float(np.abs(grad).max())
+            if gmax <= gtol:
                 break
             H = self.hessian(v, eta, eps, lam)
+            work.newton_steps += 1
             try:
                 step = -np.linalg.solve(H, grad)
             except np.linalg.LinAlgError:
@@ -351,24 +399,37 @@ class _SmoothedDual:
             if slope >= 0:
                 step = -grad
                 slope = float(grad @ step)
-            t = 1.0
-            for _ in range(50):
-                v_new = v + t * step
+            if -slope <= 4.0 * _ULP * max(1.0, abs(val)):
+                v_new = v + step
                 val_new, grad_new, st_new = self.value_grad(v_new, eta)
-                if val_new <= val + 1e-4 * t * slope:
+                work.dual_evals += 1
+                if not float(np.abs(grad_new).max()) < gmax:
+                    work.stationary_stops += 1
                     break
-                t *= 0.5
             else:
-                break
+                t = 1.0
+                for _ in range(50):
+                    v_new = v + t * step
+                    val_new, grad_new, st_new = self.value_grad(v_new, eta)
+                    work.dual_evals += 1
+                    if val_new <= val + 1e-4 * t * slope:
+                        break
+                    t *= 0.5
+                else:
+                    work.line_search_failures += 1
+                    break
             v, val, grad, (u, eps, lam) = v_new, val_new, grad_new, st_new
+        else:
+            if float(np.abs(grad).max()) > gtol:
+                work.newton_limit_stops += 1
         return v
 
 
 def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray,
-            eta_floor_rel: float) -> np.ndarray:
+            eta_floor_rel: float):
     """Anneal the smoothed dual down a geometric temperature ladder and
     Richardson-extrapolate the zero-temperature wage vector from the last
-    three stages (error O(eta^3))."""
+    three stages (error O(eta^3)).  Returns it with the anneal's work."""
     sd = _SmoothedDual(op, m, d)
     scale = max(1.0, float(np.abs(op.E).max()), float(np.abs(op.BL).max()))
     eta = 0.25 * scale
@@ -380,7 +441,7 @@ def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray,
     f0 = sd.minimize(v, eta)
     f1 = sd.minimize(f0, eta / 2.0)
     f2 = sd.minimize(f1, eta / 4.0)
-    return (8.0 * f2 - 6.0 * f1 + f0) / 3.0
+    return (8.0 * f2 - 6.0 * f1 + f0) / 3.0, sd.work
 
 
 def _require_monotone(v: np.ndarray):
@@ -475,10 +536,10 @@ def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
     d = np.full(grid.n, config.delta / grid.n)
     v_init = op.lower_bound() if v0 is None else np.asarray(v0, dtype=float).copy()
 
-    v_anneal = _anneal(op, m, d, v_init, config.eta_floor)
+    v_anneal, work = _anneal(op, m, d, v_init, config.eta_floor)
     v_anneal = convexify(v_anneal, grid.nodes)
     v, converged, iterations = _bellman_polish(op, config, v_anneal)
-    return op.profile(v, alpha, config.delta, converged, iterations)
+    return op.profile(v, alpha, config.delta, converged, iterations, anneal=work)
 
 
 @dataclass(eq=False)
@@ -499,7 +560,8 @@ def delta_continuation(params: TechnologyParams, alpha: GridMeasure, grid: Skill
     With c = 0 the continuation couples c_delta = delta, which keeps every
     member problem strictly convex; the limit profile is recovered by
     linear Richardson extrapolation from the last two members.  Any
-    non-converged member truncates the sequence.
+    non-converged member truncates the sequence.  The extrapolated profile
+    carries the anneal work summed over the members.
     """
     if config.delta <= 0:
         raise ValueError("delta continuation needs a positive starting delta")
@@ -517,6 +579,7 @@ def delta_continuation(params: TechnologyParams, alpha: GridMeasure, grid: Skill
     for dlt in deltas:
         cfg = replace(config, delta=dlt, c_delta=(dlt if couple_c else config.c_delta))
         prof = solve_wages(params, alpha, grid, cfg, v0=v_start)
+        prof.operator = None  # else every member keeps its own n x n operator alive
         profiles.append(prof)
         if not prof.converged:
             truncated = True
@@ -527,15 +590,16 @@ def delta_continuation(params: TechnologyParams, alpha: GridMeasure, grid: Skill
     objectives = [p.objective for p in profiles]
     monotone = all(objectives[i + 1] <= objectives[i] + 1e-10 for i in range(len(objectives) - 1))
 
+    work = sum((p.anneal for p in profiles), AnnealWork())
     if len(profiles) >= 2 and not truncated:
         pa, pb = profiles[-2], profiles[-1]
         da, db = used[-2], used[-1]
         t = db / (da - db)
         vex = convexify(pb.v + t * (pb.v - pa.v), grid.nodes)
         op = WageOperator(params, grid, 0.0 if couple_c else params.c)
-        extrapolated = op.profile(vex, alpha, 0.0, converged=True, iterations=0)
+        extrapolated = op.profile(vex, alpha, 0.0, converged=True, iterations=0, anneal=work)
     else:
-        extrapolated = profiles[-1]
+        extrapolated = replace(profiles[-1], anneal=work)
 
     return ContinuationResult(used, profiles, extrapolated, objectives, monotone, truncated)
 
@@ -552,6 +616,15 @@ class StabilityReport:
     upper_bound_worst: float
 
 
+def profile_operator(profile: WageProfile, params: TechnologyParams, grid: SkillGrid) -> WageOperator:
+    """The operator the profile was evaluated with when it was built for
+    (params, grid, profile.c_used), else a new one for that triple."""
+    op = profile.operator
+    if op is not None and op.params is params and op.grid == grid and op.c == profile.c_used:
+        return op
+    return WageOperator(params, grid, profile.c_used)
+
+
 def stability_residuals(profile: WageProfile, params: TechnologyParams, grid: SkillGrid) -> StabilityReport:
     """Exhaustive stability check over all grid pairs.
 
@@ -560,7 +633,7 @@ def stability_residuals(profile: WageProfile, params: TechnologyParams, grid: Sk
     must both be nonnegative (up to tolerance) at equilibrium, alongside
     the node-wise wage bounds N/(N-1) (u - c b_E) >= v >= N'/(N'+1) b_L.
     """
-    op = WageOperator(params, grid, profile.c_used)
+    op = profile_operator(profile, params, grid)
     v, u = profile.v, profile.u
     p = params
 

@@ -71,6 +71,7 @@ def test_solve_writes_artifacts_and_validates_schemas(tmp_path):
     jsonschema.validate(duality, load_schema("duality.schema.json"))
     assert duality["converged"] is True
     assert duality["lp"]["gap"] <= 1e-6
+    assert duality["anneal"]["newton_steps"] > 0
     occ = json.loads((out / "occupations.json").read_text())
     jsonschema.validate(occ, load_schema("occupations.schema.json"))
     spec = json.loads((out / "specialization.json").read_text())
@@ -219,6 +220,21 @@ def test_phase_rebuilds_the_solved_profile(tmp_path):
         assert np.array_equal(getattr(rebuilt, name), getattr(solved, name)), name
     assert rebuilt.objective == solved.objective
     assert rebuilt.envelope_residual == solved.envelope_residual
+    assert solved.anneal is not None and rebuilt.anneal is None
+
+
+def test_solve_builds_one_wage_operator(tmp_path, monkeypatch):
+    # the stability check and the LP certificate reuse the solve's operator
+    builds = []
+    init = cli.WageOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.WageOperator, "__init__", counting_init)
+    assert cli.run_solve(load_scenario(write_config(tmp_path)), quiet=True) == 0
+    assert len(builds) == 1
 
 
 def test_nonconverged_solve_exits_two_with_artifacts(tmp_path):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +18,12 @@ from pyramid_eq import (
     stability_residuals,
     wage_components,
 )
+from pyramid_eq.cli import load_scenario
 from pyramid_eq.model import split_positions
-from pyramid_eq.wages import WageOperator
+from pyramid_eq.wages import WageOperator, _SmoothedDual
 from conftest import make_params, uniform_alpha
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +296,69 @@ def test_operator_split_matches_lp_split():
     idx, frac = split_positions(x[:, None] + params.theta * (x[None, :] - x[:, None]), grid)
     assert np.array_equal(op._idx, idx)
     assert np.array_equal(op._frac, frac)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_splat_is_adjoint_of_interp(n, theta):
+    op = WageOperator(make_params(theta=theta), SkillGrid(n, 1.0))
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=n)
+    w = rng.normal(size=(n, n))
+    assert float(np.sum(op.interp_at_z(v) * w)) == pytest.approx(
+        float(v @ op.splat_from_z(w)), abs=1e-13)
+
+
+def _dense_hessian(sd, eps, lam, eta):
+    """W^T diag(eps) W - Wbar^T diag(m) Wbar + L^T diag(lam) L over explicit
+    pair vectors: education pair (a, j) has (1-frac) at idx, frac at idx+1
+    and -1/N at j; labor pair (i, j) has 1 at i and 1/N' at j."""
+    op, p = sd.op, sd.op.params
+    n = op.grid.n
+    W = np.zeros((n, n, n))
+    L = np.zeros((n, n, n))
+    for a in range(n):
+        for j in range(n):
+            k = op._idx[a, j]
+            W[a, j, k] += 1.0 - op._frac[a, j]
+            W[a, j, min(k + 1, n - 1)] += op._frac[a, j]
+            W[a, j, j] -= 1.0 / p.N
+            L[a, j, a] += 1.0
+            L[a, j, j] += 1.0 / p.N_prime
+    H = np.einsum("aj,ajk,ajl->kl", eps, W, W) + np.einsum("aj,ajk,ajl->kl", lam, L, L)
+    for a in np.flatnonzero(sd.m > 0):
+        wbar = (eps[a] / sd.m[a]) @ W[a]
+        H -= sd.m[a] * np.outer(wbar, wbar)
+    H /= eta
+    return H + 1e-12 * max(1.0, float(np.abs(H).max())) * np.eye(n)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_smoothed_dual_hessian_matches_dense_reference(n, theta):
+    params = make_params(theta=theta, N=4.0, N_prime=2.0)
+    grid = SkillGrid(n, 1.0)
+    op = WageOperator(params, grid)
+    m = uniform_alpha(grid).weights.copy()
+    if n > 2:
+        m[1] = 0.0  # a student node without mass drops out of the row-mean term
+    sd = _SmoothedDual(op, m, np.full(n, 0.01))
+    eta = 0.05
+    v = op.lower_bound() + 0.1 * grid.nodes ** 2
+    _, _, (_, eps, lam) = sd.value_grad(v, eta)
+    H = sd.hessian(v, eta, eps, lam)
+    ref = _dense_hessian(sd, eps, lam, eta)
+    assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_anneal_never_stalls_on_supercritical_config():
+    # at n = 200 the last-digit noise in the dual value used to defeat the
+    # Armijo test in the second stage, which then ran to the Newton limit
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=200)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    assert prof.converged
+    assert prof.anneal.newton_limit_stops == 0
+    assert prof.anneal.line_search_failures == 0
 
 
 def test_stability_residuals_flag_lowered_wage():
