@@ -6,10 +6,11 @@ All functions are pure report generators over immutable inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .lp import DiscreteLP, LPSolution, solve_lp
 from .model import (
     GridCoupling,
     GridMeasure,
@@ -134,10 +135,8 @@ def teacher_map_extract(eps: GridCoupling, params: TechnologyParams, grid: Skill
         )
     n = grid.n
     x = grid.nodes
-    mass = np.zeros(n)
-    wsum = np.zeros(n)
-    np.add.at(mass, eps.rows, eps.weights)
-    np.add.at(wsum, eps.rows, eps.weights * x[eps.cols])
+    mass = eps.left_marginal(n).weights
+    wsum = np.bincount(eps.rows, eps.weights * x[eps.cols], minlength=n)
     filled = mass > SUPPORT_FLOOR
     k_t = np.empty(n)
     if not np.any(filled):
@@ -351,25 +350,22 @@ def labor_coupling_from_profile(profile, kappa: GridMeasure, params: TechnologyP
     return GridCoupling(rows, cols, weights)
 
 
-def uniqueness_probe(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
-                     delta: float = 0.0, seed: int = 0, magnitude: float = 1e-7):
-    """Empirical uniqueness check: re-solve the LP under a random objective
-    perturbation of the given magnitude and report the total-variation
-    distances between the two coupling pairs."""
-    from .lp import assemble_primal, solve_lp
+def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0, magnitude: float = 1e-7):
+    """Empirical uniqueness check of a certified LP solution.
 
-    lp = assemble_primal(params, alpha, grid, delta)
-    base = solve_lp(lp)
+    Solves a copy of lp whose objective carries a uniform random
+    perturbation in [-magnitude, magnitude] (A is shared, lp is left
+    unchanged) and reports the total-variation distances between base's
+    coupling pair and the perturbed one, and the shift of the optimal value.
+    """
     rng = np.random.default_rng(seed)
-    lp.objective = lp.objective + rng.uniform(-magnitude, magnitude, lp.objective.shape)
-    pert = solve_lp(lp)
+    noise = rng.uniform(-magnitude, magnitude, lp.objective.shape)
+    pert = solve_lp(replace(lp, objective=lp.objective + noise))
+    nn = lp.n * lp.n
 
     def tv(a: GridCoupling, b: GridCoupling) -> float:
-        n = grid.n
-        da = np.zeros(n * n)
-        db = np.zeros(n * n)
-        np.add.at(da, a.rows * n + a.cols, a.weights)
-        np.add.at(db, b.rows * n + b.cols, b.weights)
+        da = np.bincount(a.rows * lp.n + a.cols, a.weights, minlength=nn)
+        db = np.bincount(b.rows * lp.n + b.cols, b.weights, minlength=nn)
         return 0.5 * float(np.abs(da - db).sum())
 
     return {

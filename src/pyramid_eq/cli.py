@@ -382,10 +382,8 @@ def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
         "violations": {"eps": viol_eps[:32], "lam": viol_lam[:32]},
         "supports": {k: _span(v) for k, v in special.supports.items()},
     }
-    if cfg.probe_uniqueness and cfg.grid.n <= cfg.lp_max_n:
-        occupations["uniqueness_probe"] = uniqueness_probe(
-            cfg.params, cfg.alpha, cfg.grid, delta=profile.delta, seed=cfg.seed
-        )
+    if cfg.probe_uniqueness and lp_block is not None:
+        occupations["uniqueness_probe"] = uniqueness_probe(lp, sol, seed=cfg.seed)
     _write_json(os.path.join(cfg.out_dir, "occupations.json"), occupations)
 
     specialization = {

@@ -49,12 +49,6 @@ class DiscreteLP:
     delta: float
     c_used: float
 
-    def eps_col(self, i: int, j: int) -> int:
-        return i * self.n + j
-
-    def lam_col(self, i: int, j: int) -> int:
-        return self.n * self.n + i * self.n + j
-
 
 @dataclass(eq=False)
 class LPSolution:
@@ -106,9 +100,9 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
 
     A[n + cols_j, eps_cols] += 1.0 / params.N  # teacher supply term
     idx, frac = split_positions(Z.ravel(), grid)
-    np.subtract.at(A, (n + idx, eps_cols), 1.0 - frac)
+    A[n + idx, eps_cols] -= 1.0 - frac    # each (row, column) pair occurs once
     if n > 1:
-        np.subtract.at(A, (n + idx + 1, eps_cols), frac)
+        A[n + idx + 1, eps_cols] -= frac
 
     # labor block: objective b_L((1-t')k' + t'k), steady rows only
     ZL = x[:, None] + params.theta_prime * (x[None, :] - x[:, None])

@@ -404,6 +404,17 @@ def split_positions(z: np.ndarray, grid: SkillGrid):
     return idx, frac
 
 
+def _deposit(flat: np.ndarray, frac: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """Deposit pair weights w into an array of the given size: w (1-frac)
+    at flat and w frac at flat + 1, the split of split_positions.
+    np.bincount adds into each bin in the pairs' row-major order, so
+    repeated runs agree bitwise."""
+    flat = flat.ravel()
+    out = np.bincount(flat, (w * (1.0 - frac)).ravel(), minlength=size)
+    out[1:] += np.bincount(flat, (w * frac).ravel(), minlength=size)[:-1]
+    return out
+
+
 def pushforward_z(eps: GridCoupling, params: TechnologyParams, grid: SkillGrid) -> GridMeasure:
     """Push the education coupling through the skill technology: every
     entry (a, k, w) deposits w at z(a, k), split linearly between the two
@@ -411,11 +422,7 @@ def pushforward_z(eps: GridCoupling, params: TechnologyParams, grid: SkillGrid) 
     x = grid.nodes
     z = x[eps.rows] + params.theta * (x[eps.cols] - x[eps.rows])
     idx, frac = split_positions(z, grid)
-    out = np.zeros(grid.n)
-    np.add.at(out, idx, eps.weights * (1.0 - frac))
-    if grid.n > 1:
-        np.add.at(out, idx + 1, eps.weights * frac)
-    return GridMeasure.from_weights(out)
+    return GridMeasure.from_weights(_deposit(idx, frac, eps.weights, grid.n))
 
 
 def write_measure_csv(measure: GridMeasure, grid: SkillGrid, path) -> None:

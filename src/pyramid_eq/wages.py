@@ -48,7 +48,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .model import GridMeasure, SkillGrid, TechnologyParams, split_positions
+from .model import GridMeasure, SkillGrid, TechnologyParams, _deposit, split_positions
 
 __all__ = [
     "SolverConfig",
@@ -198,16 +198,6 @@ def convexify(values, nodes=None) -> np.ndarray:
 
     lo = int(np.argmin(out))
     out[:lo] = out[lo]
-    return out
-
-
-def _deposit(flat: np.ndarray, frac: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
-    """Deposit pair weights w into an array of the given size: w (1-frac)
-    at flat and w frac at flat + 1.  np.bincount adds into each bin in the
-    pairs' row-major order, so repeated runs agree bitwise."""
-    flat = flat.ravel()
-    out = np.bincount(flat, (w * (1.0 - frac)).ravel(), minlength=size)
-    out[1:] += np.bincount(flat, (w * frac).ravel(), minlength=size)[:-1]
     return out
 
 

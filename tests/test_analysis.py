@@ -242,7 +242,8 @@ def test_uniqueness_probe_small_tv_distance():
     params = make_params(N=10.0, N_prime=10.0, c=0.5)
     grid = SkillGrid(12, 1.0)
     alpha = uniform_alpha(grid)
-    probe = uniqueness_probe(params, alpha, grid, seed=11)
+    lp = assemble_primal(params, alpha, grid)
+    probe = uniqueness_probe(lp, solve_lp(lp), seed=11)
     assert probe["tv_eps"] <= 1e-4
     assert probe["tv_lam"] <= 1e-4
     assert probe["value_shift"] <= 1e-6

@@ -237,6 +237,44 @@ def test_solve_builds_one_wage_operator(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+PROBED = BASE.replace("seed = 3", "seed = 3\nprobe_uniqueness = true")
+
+
+@pytest.mark.parametrize("text, c_used", [
+    (PROBED, 0.5),
+    (PROBED.replace("c = 0.5", "c = 0.0").replace("delta = 0.0", "delta = 0.0\nc_delta = 0.1"), 0.1),
+], ids=["c", "c_delta"])
+def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c_used):
+    # one assembled LP; the probe solves only its perturbed copy
+    from pyramid_eq import analysis, lp as lp_mod
+    assembled, solved = [], []
+    assemble, solve = lp_mod.assemble_primal, lp_mod.solve_lp
+
+    def recording_assemble(*args, **kwargs):
+        lp = assemble(*args, **kwargs)
+        assembled.append((lp, lp.objective.copy()))
+        return lp
+
+    def recording_solve(lp):
+        solved.append(lp)
+        return solve(lp)
+
+    for mod in (lp_mod, cli):
+        monkeypatch.setattr(mod, "assemble_primal", recording_assemble)
+    for mod in (lp_mod, cli, analysis):
+        monkeypatch.setattr(mod, "solve_lp", recording_solve)
+    assert cli.run_solve(load_scenario(write_config(tmp_path, text)), quiet=True) == 0
+    assert len(assembled) == 1 and len(solved) == 2
+    cert, objective = assembled[0]
+    assert solved[0] is cert
+    assert np.array_equal(cert.objective, objective)
+    probed = solved[1]
+    assert probed.A is cert.A
+    assert probed.c_used == cert.c_used == c_used
+    occ = json.loads((tmp_path / "out" / "occupations.json").read_text())
+    assert occ["uniqueness_probe"]["value_shift"] <= 1e-6
+
+
 def test_nonconverged_solve_exits_two_with_artifacts(tmp_path):
     text = BASE.replace("[solver]\ndelta = 0.0",
                         "[solver]\ndelta = 0.0\ntol = 1e-15\nmax_iter = 1")
