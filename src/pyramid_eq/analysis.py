@@ -355,12 +355,17 @@ def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0, magnitude:
 
     Solves a copy of lp whose objective carries a uniform random
     perturbation in [-magnitude, magnitude] (A is shared, lp is left
-    unchanged) and reports the total-variation distances between base's
-    coupling pair and the perturbed one, and the shift of the optimal value.
+    unchanged), starting from base's optimal basis, which is feasible for
+    the copy.  A generic perturbation makes the perturbed optimum unique;
+    if base's optimum is not, some column with zero reduced cost gets a
+    positive one and the solve pivots away from base.  Reports the
+    total-variation distances between base's coupling pair and the
+    perturbed one, the shift of the optimal value, and the perturbed
+    solve's pivots and status.
     """
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-magnitude, magnitude, lp.objective.shape)
-    pert = solve_lp(replace(lp, objective=lp.objective + noise))
+    pert = solve_lp(replace(lp, objective=lp.objective + noise), basis=base.basis)
     nn = lp.n * lp.n
 
     def tv(a: GridCoupling, b: GridCoupling) -> float:
@@ -372,4 +377,6 @@ def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0, magnitude:
         "tv_eps": tv(base.eps, pert.eps),
         "tv_lam": tv(base.lam, pert.lam),
         "value_shift": abs(base.value - pert.value),
+        "pivots": int(pert.iterations),
+        "status": pert.status,
     }

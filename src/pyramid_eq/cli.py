@@ -382,8 +382,10 @@ def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
         "violations": {"eps": viol_eps[:32], "lam": viol_lam[:32]},
         "supports": {k: _span(v) for k, v in special.supports.items()},
     }
+    probe = None
     if cfg.probe_uniqueness and lp_block is not None:
-        occupations["uniqueness_probe"] = uniqueness_probe(lp, sol, seed=cfg.seed)
+        probe = uniqueness_probe(lp, sol, seed=cfg.seed)
+        occupations["uniqueness_probe"] = probe
     _write_json(os.path.join(cfg.out_dir, "occupations.json"), occupations)
 
     specialization = {
@@ -404,7 +406,8 @@ def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
         print(f"solve: converged={profile.converged} objective={profile.objective:.9g} "
               f"gap={gap} -> {cfg.out_dir}")
     lp_ok = lp_block is None or lp_block["status"] == "optimal"
-    return 0 if profile.converged and lp_ok else 2
+    probe_ok = probe is None or probe["status"] == "optimal"
+    return 0 if profile.converged and lp_ok and probe_ok else 2
 
 
 def _profile_from_wages_csv(cfg: ScenarioConfig) -> WageProfile:
@@ -488,6 +491,7 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
 
     if which == "phase":
         wages_path = os.path.join(cfg.out_dir, "wages.csv")
+        status = 0
         if not os.path.exists(wages_path):
             if not solve_on_demand:
                 print(f"{wages_path} not found; run solve first or pass --solve", file=sys.stderr)
@@ -502,7 +506,7 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
         if not quiet:
             print(f"phase: regime={report.regime} fitted_exponent={report.fitted_exponent} "
                   f"predicted={report.predicted_exponent} declined={report.declined}")
-        return 0
+        return status   # 2 when the on-demand solve did not converge or certify
 
     if which == "sweep":
         Ns, _ = _get(cfg.raw, "sweep", "N", required=True, path=cfg.path)

@@ -9,12 +9,20 @@ objective maximizes c * eps(b_E o z) + lam(b_L o z'), matching the
 perturbed planner objective; its dual multipliers are the wages (u, v) at
 the nodes.
 
-The solver is a dense revised simplex seeded at the diagonal coupling,
-which is always a basic feasible point, so no phase-1 is needed.  Entering
-columns use largest-reduced-cost pricing with first-index ties; a run of
+Each column has at most 4 nonzeros (a student row, the teacher-supply
+row and the two split rows of z for eps; the worker and manager rows for
+lam).  assemble_primal records them once, packed per column, and builds
+the dense A from them; A stays the LP's public matrix (tableau export,
+feasibility residual).  The solver is a revised simplex with an explicit
+basis inverse that prices over the packed columns only, so a pivot costs
+O(m^2 + nonzeros) rather than a pass over the dense A.  It starts from
+the diagonal coupling, which is always a basic feasible point, so no
+phase-1 is needed, or from a caller's basis (the basis of an earlier
+solve of an LP with the same constraints).  Entering columns use
+largest-reduced-cost (Dantzig) pricing with first-index ties; a run of
 degenerate pivots switches to Bland's rule until progress resumes, which
-makes the solve deterministic and cycle-free.  This solver is the trusted
-oracle for the fixed-point wage iteration, so determinism beats speed.
+makes the solve deterministic and cycle-free.  This solver is the
+trusted oracle for the fixed-point wage iteration.
 """
 from __future__ import annotations
 
@@ -40,11 +48,18 @@ MAX_DENSE_N = 512
 
 @dataclass(eq=False)
 class DiscreteLP:
-    """Dense equality-form LP: maximize objective @ x, A @ x = b, x >= 0."""
+    """Equality-form LP: maximize objective @ x, A @ x = b, x >= 0.
+
+    rows and vals, both of shape (4, 2n^2), pack the nonzeros of each
+    column of A: A[:, k] is the sum of vals[s, k] placed at rows[s, k]
+    over the slots s, padded with zero values at row 0.
+    """
 
     objective: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
     n: int
     delta: float
     c_used: float
@@ -61,6 +76,7 @@ class LPSolution:
     status: str            # "optimal" | "unbounded"
     iterations: int
     feasibility_residual: float
+    basis: np.ndarray      # final basic columns; solve_lp(lp, basis=...) restarts from it
 
 
 def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
@@ -86,35 +102,35 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
     x = grid.nodes
     nn = n * n
 
-    A = np.zeros((2 * n, 2 * nn))
     obj = np.empty(2 * nn)
+    rows = np.zeros((4, 2 * nn), dtype=np.int32)
+    vals = np.zeros((4, 2 * nn))
+    rows_i = np.repeat(np.arange(n), n)   # student / worker index per column
+    cols_j = np.tile(np.arange(n), n)     # teacher / manager index per column
 
-    # education block: objective c * b_E(z), student rows, steady rows
+    # education block: objective c * b_E(z); student row, teacher supply
+    # and the two split rows of z on the steady rows
     Z = x[:, None] + params.theta * (x[None, :] - x[:, None])
     obj[:nn] = (c_used * np.asarray(params.bE.value(Z))).ravel()
-
-    rows_i = np.repeat(np.arange(n), n)   # student index per eps column
-    cols_j = np.tile(np.arange(n), n)     # teacher index per eps column
-    eps_cols = np.arange(nn)
-    A[rows_i, eps_cols] = 1.0             # student marginal rows
-
-    A[n + cols_j, eps_cols] += 1.0 / params.N  # teacher supply term
     idx, frac = split_positions(Z.ravel(), grid)
-    A[n + idx, eps_cols] -= 1.0 - frac    # each (row, column) pair occurs once
+    rows[0, :nn], vals[0, :nn] = rows_i, 1.0
+    rows[1, :nn], vals[1, :nn] = n + cols_j, 1.0 / params.N
+    rows[2, :nn], vals[2, :nn] = n + idx, -(1.0 - frac)
     if n > 1:
-        A[n + idx + 1, eps_cols] -= frac
+        rows[3, :nn], vals[3, :nn] = n + idx + 1, -frac
 
-    # labor block: objective b_L((1-t')k' + t'k), steady rows only
+    # labor block: objective b_L((1-t')k' + t'k); worker and manager rows
     ZL = x[:, None] + params.theta_prime * (x[None, :] - x[:, None])
     obj[nn:] = np.asarray(params.bL.value(ZL)).ravel()
-    lam_cols = nn + eps_cols
-    A[n + rows_i, lam_cols] += 1.0                    # worker side
-    A[n + cols_j, lam_cols] += 1.0 / params.N_prime   # manager side
+    rows[0, nn:], vals[0, nn:] = n + rows_i, 1.0
+    rows[1, nn:], vals[1, nn:] = n + cols_j, 1.0 / params.N_prime
+
+    A = _dense_columns(rows, vals, np.arange(2 * nn), 2 * n)
 
     b = np.concatenate([alpha.weights + delta / n, np.full(n, delta / n)])
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(obj))):
         raise ValueError("non-finite constraint or objective coefficients")
-    return DiscreteLP(obj, A, b, n, delta, c_used)
+    return DiscreteLP(obj, A, b, rows, vals, n, delta, c_used)
 
 
 def feasible_seed(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
@@ -133,19 +149,44 @@ def feasible_seed(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
     return eps, lam
 
 
-def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: np.ndarray,
-                 tol: float = 1e-9, piv_tol: float = 1e-11, refactor_every: int = 100,
-                 bland_after: int = 60):
-    """Revised simplex on max c@x, A@x = b, x >= 0 from a starting basis.
+def _dense_columns(rows: np.ndarray, vals: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
+    """The m-row dense matrix A[:, cols] from the packed columns, summed in
+    slot order, so A and every basis matrix taken from it agree bitwise."""
+    out = np.zeros((m, cols.size))
+    pos = np.arange(cols.size)
+    for s in range(rows.shape[0]):        # each (row, column) pair occurs once per slot
+        out[rows[s, cols], pos] += vals[s, cols]
+    return out
+
+
+def _reduced_costs(c: np.ndarray, rows: np.ndarray, vals: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """c - y @ A over the packed columns: one gather from y per slot."""
+    r = c.copy()
+    for s in range(rows.shape[0]):
+        r -= y.take(rows[s]) * vals[s]
+    return r
+
+
+def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarray,
+                 basis: np.ndarray, tol: float = 1e-9, piv_tol: float = 1e-11,
+                 refactor_every: int = 100, bland_after: int = 60):
+    """Revised simplex on max c@x, A@x = b, x >= 0 from a feasible basis,
+    with A given by its packed columns (rows, vals).
 
     Returns (x, y, basis, status, iterations).  Pricing is deterministic:
     Dantzig with first-index tie-break, falling back to Bland's least-index
     anti-cycling rule after `bland_after` consecutive degenerate pivots.
     """
-    m, nv = A.shape
-    basis = np.asarray(basis, dtype=int).copy()
-    Binv = np.linalg.inv(A[:, basis])
+    m = b.size
+    nv = c.size
+    basis = np.array(basis, dtype=np.intp)
+    if basis.shape != (m,):
+        raise ValueError(f"a starting basis has {m} columns, not {basis.size}")
+    Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
     xB = Binv @ b
+    if xB.min() < -1e-9 * max(1.0, float(np.abs(b).max())):
+        raise ValueError("the starting basis is not primal feasible")
     xB[xB < 0] = 0.0
 
     iterations = 0
@@ -155,12 +196,12 @@ def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: np.ndarray,
 
     while True:
         if iterations and iterations % refactor_every == 0:
-            Binv = np.linalg.inv(A[:, basis])
+            Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
             xB = Binv @ b
             xB[np.abs(xB) < 1e-14] = 0.0
 
         y = c[basis] @ Binv
-        r = c - y @ A
+        r = _reduced_costs(c, rows, vals, y)
         r[basis] = 0.0
 
         if bland:
@@ -175,7 +216,7 @@ def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: np.ndarray,
                 status = "optimal"
                 break
 
-        d = Binv @ A[:, enter]
+        d = Binv[:, rows[:, enter]] @ vals[:, enter]
         pos = d > piv_tol
         if not np.any(pos):
             status = "unbounded"
@@ -186,13 +227,15 @@ def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: np.ndarray,
         ties = np.nonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))[0]
         leave = int(ties[np.argmin(basis[ties])])  # least-index leaving rule
 
-        # eta update of the inverse and the basic solution
+        # rank-1 update of the inverse and the basic solution, in place
         piv = d[leave]
-        Binv[leave, :] /= piv
-        xB[leave] /= piv
-        others = np.arange(m) != leave
-        Binv[others, :] -= np.outer(d[others], Binv[leave, :])
-        xB[others] -= d[others] * xB[leave]
+        prow = Binv[leave] / piv
+        nz = np.flatnonzero(d)            # rows with d = 0 would subtract exact zeros
+        Binv[nz] -= np.outer(d[nz], prow)
+        Binv[leave] = prow
+        xl = xB[leave] / piv
+        xB -= d * xl
+        xB[leave] = xl
         xB[np.abs(xB) < 1e-14] = 0.0
         basis[leave] = enter
         iterations += 1
@@ -208,7 +251,7 @@ def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: np.ndarray,
         if iterations > max_iter:
             raise RuntimeError("simplex exceeded its iteration budget")
 
-    Binv = np.linalg.inv(A[:, basis])
+    Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
     xB = Binv @ b
     xB[np.abs(xB) < 1e-13] = 0.0
     xB[xB < 0] = 0.0
@@ -218,13 +261,19 @@ def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: np.ndarray,
     return x, y, basis, status, iterations
 
 
-def solve_lp(lp: DiscreteLP) -> LPSolution:
-    """Solve the assembled LP to an optimal basic solution with duals."""
+def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None) -> LPSolution:
+    """Solve the assembled LP to an optimal basic solution with duals.
+
+    The simplex starts from the diagonal coupling, or from `basis` when
+    given: the final basis of a solve of an LP with the same A and b
+    (a warm start, as for a perturbed objective).
+    """
     n = lp.n
     nn = n * n
-    diag = np.arange(n)
-    basis0 = np.concatenate([diag * n + diag, nn + diag * n + diag])
-    x, y, basis, status, iters = _simplex_max(lp.objective, lp.A, lp.b, basis0)
+    if basis is None:
+        diag = np.arange(n)
+        basis = np.concatenate([diag * n + diag, nn + diag * n + diag])
+    x, y, basis, status, iters = _simplex_max(lp.objective, lp.rows, lp.vals, lp.b, basis)
 
     xe = x[:nn].reshape(n, n)
     xl = x[nn:].reshape(n, n)
@@ -234,7 +283,7 @@ def solve_lp(lp: DiscreteLP) -> LPSolution:
     dual_value = float(y @ lp.b)
     resid = float(np.abs(lp.A @ x - lp.b).max())
     return LPSolution(eps, lam, y[:n].copy(), y[n:].copy(), value, dual_value,
-                      status, iters, resid)
+                      status, iters, resid, basis)
 
 
 @dataclass(eq=False)

@@ -255,9 +255,9 @@ def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c_used):
         assembled.append((lp, lp.objective.copy()))
         return lp
 
-    def recording_solve(lp):
+    def recording_solve(lp, basis=None):
         solved.append(lp)
-        return solve(lp)
+        return solve(lp, basis=basis)
 
     for mod in (lp_mod, cli):
         monkeypatch.setattr(mod, "assemble_primal", recording_assemble)
@@ -273,6 +273,41 @@ def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c_used):
     assert probed.c_used == cert.c_used == c_used
     occ = json.loads((tmp_path / "out" / "occupations.json").read_text())
     assert occ["uniqueness_probe"]["value_shift"] <= 1e-6
+
+
+def test_probe_block_is_validated_and_warm_started(tmp_path):
+    assert main(["solve", "--config", write_config(tmp_path, PROBED), "--quiet"]) == 0
+    occ = json.loads((tmp_path / "out" / "occupations.json").read_text())
+    jsonschema.validate(occ, load_schema("occupations.schema.json"))
+    probe = occ["uniqueness_probe"]
+    assert probe["status"] == "optimal"
+    assert probe["pivots"] <= 5          # restarted from the certified basis
+    bad = dict(occ, uniqueness_probe=dict(probe, pivots=-1))
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, load_schema("occupations.schema.json"))
+
+
+def test_failed_probe_exits_two(tmp_path, monkeypatch):
+    probe = cli.uniqueness_probe
+    monkeypatch.setattr(cli, "uniqueness_probe",
+                        lambda *a, **k: dict(probe(*a, **k), status="unbounded"))
+    cfg = load_scenario(write_config(tmp_path, PROBED))
+    assert cli.run_solve(cfg, quiet=True) == 2
+    occ = json.loads((tmp_path / "out" / "occupations.json").read_text())
+    assert occ["uniqueness_probe"]["status"] == "unbounded"
+
+
+def test_phase_solve_exits_two_when_the_solve_fails(tmp_path, monkeypatch):
+    run_solve = cli.run_solve
+
+    def failing_solve(cfg, quiet=False):
+        run_solve(cfg, quiet=quiet)
+        return 2
+
+    monkeypatch.setattr(cli, "run_solve", failing_solve)
+    cfg_path = write_config(tmp_path)
+    assert main(["phase", "--config", cfg_path, "--quiet", "--solve"]) == 2
+    assert (tmp_path / "out" / "phase.json").exists()
 
 
 def test_nonconverged_solve_exits_two_with_artifacts(tmp_path):

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from pyramid_eq import lp as lp_mod
+from pyramid_eq.model import split_positions
 from pyramid_eq import (
     GridCoupling,
     SkillGrid,
@@ -211,3 +215,113 @@ def test_tableau_export_roundtrip(tmp_path):
     coeffs = np.array([float(t) for t in row0[2:-2]])
     assert np.array_equal(coeffs, lp.A[0])
     assert float(row0[-1]) == lp.b[0]
+
+
+def _dense_reference(params, grid):
+    """The constraint matrix written entry by entry from its definition."""
+    n, x = grid.n, grid.nodes
+    nn = n * n
+    A = np.zeros((2 * n, 2 * nn))
+    Z = x[:, None] + params.theta * (x[None, :] - x[:, None])
+    idx, frac = split_positions(Z.ravel(), grid)
+    for i in range(n):
+        for j in range(n):
+            k = i * n + j
+            A[i, k] = 1.0                            # student row
+            A[n + j, k] += 1.0 / params.N            # teacher supply
+            A[n + idx[k], k] -= 1.0 - frac[k]        # pushed-forward mass
+            if n > 1:
+                A[n + idx[k] + 1, k] -= frac[k]
+            A[n + i, nn + k] += 1.0                  # worker
+            A[n + j, nn + k] += 1.0 / params.N_prime  # manager
+    return A
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_packed_columns_reproduce_dense_A(n, theta, delta):
+    params = make_params(theta=theta, N=4.0, N_prime=3.0)
+    grid = SkillGrid(n, 1.0)
+    lp = assemble_primal(params, linear_alpha(grid), grid, delta)
+    ref = _dense_reference(params, grid)
+    assert np.array_equal(lp.A, ref)
+    assert lp.rows.shape == lp.vals.shape == (4, 2 * n * n)
+    packed = np.zeros_like(ref)
+    for s in range(4):
+        np.add.at(packed, (lp.rows[s], np.arange(2 * n * n)), lp.vals[s])
+    assert np.array_equal(packed, ref)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+def test_packed_reduced_costs_match_dense(theta):
+    params = make_params(theta=theta, N=4.0, N_prime=3.0, c=0.7)
+    grid = SkillGrid(9, 1.0)
+    lp = assemble_primal(params, uniform_alpha(grid), grid, 0.05)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        y = rng.standard_normal(2 * grid.n)
+        r = lp_mod._reduced_costs(lp.objective, lp.rows, lp.vals, y)
+        ref = lp.objective - y @ lp.A
+        scale = np.abs(lp.objective) + np.abs(y) @ np.abs(lp.A)
+        assert np.all(np.abs(r - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_restart_from_own_basis_takes_no_pivots(delta):
+    params = make_params(N=4.0, N_prime=2.0, c=0.7)
+    grid = SkillGrid(10, 1.0)
+    lp = assemble_primal(params, linear_alpha(grid), grid, delta)
+    sol = solve_lp(lp)
+    again = solve_lp(lp, basis=sol.basis)
+    assert sol.iterations > 0 and again.iterations == 0
+    assert np.array_equal(again.basis, sol.basis)
+    assert np.array_equal(again.u, sol.u) and np.array_equal(again.v, sol.v)
+    for a, b in ((again.eps, sol.eps), (again.lam, sol.lam)):
+        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+        assert np.array_equal(a.weights, b.weights)
+    assert again.value == sol.value
+
+
+def test_warm_start_rejects_a_bad_basis():
+    params = make_params(N=4.0, N_prime=2.0, c=0.7)
+    grid = SkillGrid(6, 1.0)
+    lp = assemble_primal(params, uniform_alpha(grid), grid, 0.0)
+    with pytest.raises(ValueError, match="columns"):
+        solve_lp(lp, basis=np.arange(3))
+    # optimal for other marginals, infeasible for these
+    other = solve_lp(assemble_primal(params, linear_alpha(grid), grid, 0.05))
+    with pytest.raises(ValueError, match="not primal feasible"):
+        solve_lp(lp, basis=other.basis)
+
+
+def _tv(a, b, n):
+    da = np.zeros(n * n)
+    db = np.zeros(n * n)
+    np.add.at(da, a.rows * n + a.cols, a.weights)
+    np.add.at(db, b.rows * n + b.cols, b.weights)
+    return 0.5 * np.abs(da - db).sum()
+
+
+def test_warm_and_cold_solves_of_perturbed_lps_agree():
+    # at c = 0 the education block has no objective, so the optimum is not
+    # unique and the warm start must pivot away from the certified basis
+    warm_pivots = 0
+    for n, N, N_prime, c, delta in [(8, 10.0, 10.0, 0.5, 0.0), (10, 4.0, 2.0, 0.7, 0.05),
+                                    (12, 2.0, 5.0, 0.0, 0.01)]:
+        params = make_params(N=N, N_prime=N_prime, c=c)
+        grid = SkillGrid(n, 1.0)
+        lp = assemble_primal(params, linear_alpha(grid), grid, delta)
+        base = solve_lp(lp)
+        for seed in range(4):
+            noise = np.random.default_rng(seed).uniform(-1e-3, 1e-3, lp.objective.shape)
+            pert = replace(lp, objective=lp.objective + noise)
+            cold = solve_lp(pert)
+            warm = solve_lp(pert, basis=base.basis)
+            assert cold.status == warm.status == "optimal"
+            assert abs(warm.value - cold.value) <= 1e-12 * max(1.0, abs(cold.value))
+            assert _tv(warm.eps, cold.eps, n) <= 1e-12
+            assert _tv(warm.lam, cold.lam, n) <= 1e-12
+            assert warm.iterations < cold.iterations
+            warm_pivots += warm.iterations
+    assert warm_pivots > 0
