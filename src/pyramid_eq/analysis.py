@@ -354,18 +354,21 @@ def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0, magnitude:
     """Empirical uniqueness check of a certified LP solution.
 
     Solves a copy of lp whose objective carries a uniform random
-    perturbation in [-magnitude, magnitude] (A is shared, lp is left
-    unchanged), starting from base's optimal basis, which is feasible for
-    the copy.  A generic perturbation makes the perturbed optimum unique;
-    if base's optimum is not, some column with zero reduced cost gets a
-    positive one and the solve pivots away from base.  Reports the
-    total-variation distances between base's coupling pair and the
-    perturbed one, the shift of the optimal value, and the perturbed
-    solve's pivots and status.
+    perturbation in [-magnitude, magnitude] (the packed columns are
+    shared, lp is left unchanged), starting from base's optimal basis,
+    which is feasible for the copy, and with base's duals as the prices
+    that pick the first columns.  A generic perturbation makes the
+    perturbed optimum unique; if base's optimum is not, some column with
+    zero reduced cost gets a positive one and the solve pivots away from
+    base.  Reports the total-variation distances between base's coupling
+    pair and the perturbed one, the shift of the optimal value, and the
+    perturbed solve's pivots, status, final column count and pricing
+    rounds.
     """
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-magnitude, magnitude, lp.objective.shape)
-    pert = solve_lp(replace(lp, objective=lp.objective + noise), basis=base.basis)
+    pert = solve_lp(replace(lp, objective=lp.objective + noise), basis=base.basis,
+                    prices=np.concatenate([base.u, base.v]))
     nn = lp.n * lp.n
 
     def tv(a: GridCoupling, b: GridCoupling) -> float:
@@ -379,4 +382,6 @@ def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0, magnitude:
         "value_shift": abs(base.value - pert.value),
         "pivots": int(pert.iterations),
         "status": pert.status,
+        "columns": pert.columns,
+        "pricing_rounds": pert.pricing_rounds,
     }

@@ -311,6 +311,12 @@ def _solve_profile(cfg: ScenarioConfig) -> WageProfile:
 
 
 def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
+    return _solve_and_write(cfg, quiet)[0]
+
+
+def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile]:
+    """Solve, certify and write the solve artifacts; returns the exit
+    status and the wage profile."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     profile = _solve_profile(cfg)
     sr = stability_residuals(profile, cfg.params, cfg.grid)
@@ -319,7 +325,7 @@ def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
     if cfg.grid.n <= cfg.lp_max_n:
         lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, profile.delta,
                              c_override=profile.c_used)
-        sol = solve_lp(lp)
+        sol = solve_lp(lp, prices=np.concatenate([profile.u, profile.v]))
         rep = duality_report(sol, profile, cfg.params, cfg.grid)
         eps, lam = sol.eps, sol.lam
         source = "lp"
@@ -328,6 +334,8 @@ def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
             "dual_value": sol.dual_value,
             "status": sol.status,
             "iterations": sol.iterations,
+            "columns": sol.columns,
+            "pricing_rounds": sol.pricing_rounds,
             "gap": rep.gap,
             "gap_rel": rep.gap_rel,
             "eps_f": rep.eps_f,
@@ -407,7 +415,7 @@ def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
               f"gap={gap} -> {cfg.out_dir}")
     lp_ok = lp_block is None or lp_block["status"] == "optimal"
     probe_ok = probe is None or probe["status"] == "optimal"
-    return 0 if profile.converged and lp_ok and probe_ok else 2
+    return (0 if profile.converged and lp_ok and probe_ok else 2), profile
 
 
 def _profile_from_wages_csv(cfg: ScenarioConfig) -> WageProfile:
@@ -491,15 +499,13 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
 
     if which == "phase":
         wages_path = os.path.join(cfg.out_dir, "wages.csv")
-        status = 0
-        if not os.path.exists(wages_path):
-            if not solve_on_demand:
-                print(f"{wages_path} not found; run solve first or pass --solve", file=sys.stderr)
-                return 1
-            status = run_solve(cfg, quiet=quiet)
-            if status == 1:
-                return 1
-        profile = _profile_from_wages_csv(cfg)
+        if os.path.exists(wages_path):
+            status, profile = 0, _profile_from_wages_csv(cfg)
+        elif not solve_on_demand:
+            print(f"{wages_path} not found; run solve first or pass --solve", file=sys.stderr)
+            return 1
+        else:
+            status, profile = _solve_and_write(cfg, quiet)
         report = phase_fit(profile, cfg.params, cfg.grid, alpha=cfg.alpha)
         _write_json(os.path.join(cfg.out_dir, "phase.json"), _phase_json(report))
         _phase_plots(cfg, profile, report)

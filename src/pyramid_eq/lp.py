@@ -11,18 +11,28 @@ the nodes.
 
 Each column has at most 4 nonzeros (a student row, the teacher-supply
 row and the two split rows of z for eps; the worker and manager rows for
-lam).  assemble_primal records them once, packed per column, and builds
-the dense A from them; A stays the LP's public matrix (tableau export,
-feasibility residual).  The solver is a revised simplex with an explicit
-basis inverse that prices over the packed columns only, so a pivot costs
-O(m^2 + nonzeros) rather than a pass over the dense A.  It starts from
+lam).  assemble_primal records only these, packed per column, in
+O(n^2) memory; the dense matrix DiscreteLP.A is built from them on
+demand, for tests and export, and nothing in the solve reads it.
+
+solve_lp is column generation around a revised simplex with an explicit
+basis inverse that prices over the packed columns, so a pivot costs
+O(m^2 + nonzeros).  Given approximate row prices (the wages of a wage
+solve, or the duals of an earlier solve), it first solves on the columns
+those prices mark as near-tight plus the starting basis; then it prices
+all 2n^2 columns under the final duals, adds every column that would
+improve the objective and re-solves from the current basis, until none
+does.  That last pass over all columns is the exact optimality
+certificate, so the restriction approximates nothing.  Without prices,
+the first solve already runs on every column.  The simplex starts from
 the diagonal coupling, which is always a basic feasible point, so no
 phase-1 is needed, or from a caller's basis (the basis of an earlier
 solve of an LP with the same constraints).  Entering columns use
-largest-reduced-cost (Dantzig) pricing with first-index ties; a run of
-degenerate pivots switches to Bland's rule until progress resumes, which
-makes the solve deterministic and cycle-free.  This solver is the
-trusted oracle for the fixed-point wage iteration.
+largest-reduced-cost (Dantzig) pricing with first-index ties over the
+active columns, kept in global column order; a run of degenerate pivots
+switches to Bland's rule until progress resumes, which makes the solve
+deterministic and cycle-free.  This solver is the trusted oracle for the
+fixed-point wage iteration.
 """
 from __future__ import annotations
 
@@ -43,7 +53,11 @@ __all__ = [
     "write_tableau",
 ]
 
-MAX_DENSE_N = 512
+# the first restricted solve takes the columns whose reduced cost under the
+# caller's prices is at least -_SEED_SLACK * max|objective|
+_SEED_SLACK = 1e-3
+# a column whose reduced cost exceeds this improves the objective
+_OPT_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -52,17 +66,23 @@ class DiscreteLP:
 
     rows and vals, both of shape (4, 2n^2), pack the nonzeros of each
     column of A: A[:, k] is the sum of vals[s, k] placed at rows[s, k]
-    over the slots s, padded with zero values at row 0.
+    over the slots s, padded with zero values at row 0.  rows holds int16
+    while the 2n row indices fit, so the LP takes about 96 n^2 bytes.
     """
 
     objective: np.ndarray
-    A: np.ndarray
     b: np.ndarray
     rows: np.ndarray
     vals: np.ndarray
     n: int
     delta: float
     c_used: float
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense 2n x 2n^2 constraint matrix, built from the packed
+        columns on every access (for tests and export)."""
+        return _dense_columns(self.rows, self.vals, np.arange(self.rows.shape[1]), self.b.size)
 
 
 @dataclass(eq=False)
@@ -77,6 +97,8 @@ class LPSolution:
     iterations: int
     feasibility_residual: float
     basis: np.ndarray      # final basic columns; solve_lp(lp, basis=...) restarts from it
+    columns: int           # columns in the final restricted solve
+    pricing_rounds: int    # restricted solves, each followed by a pass over all columns
 
 
 def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
@@ -88,11 +110,6 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
     and measure-level reports agree exactly.
     """
     n = grid.n
-    if n > MAX_DENSE_N:
-        raise ValueError(
-            f"n = {n} exceeds the dense solver guard ({MAX_DENSE_N}); "
-            "use the wage-iteration path for fine grids"
-        )
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if abs(alpha.mass - 1.0) > 1e-9:
@@ -103,7 +120,7 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
     nn = n * n
 
     obj = np.empty(2 * nn)
-    rows = np.zeros((4, 2 * nn), dtype=np.int32)
+    rows = np.zeros((4, 2 * nn), dtype=np.int16 if 2 * n <= np.iinfo(np.int16).max else np.int32)
     vals = np.zeros((4, 2 * nn))
     rows_i = np.repeat(np.arange(n), n)   # student / worker index per column
     cols_j = np.tile(np.arange(n), n)     # teacher / manager index per column
@@ -125,12 +142,10 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
     rows[0, nn:], vals[0, nn:] = n + rows_i, 1.0
     rows[1, nn:], vals[1, nn:] = n + cols_j, 1.0 / params.N_prime
 
-    A = _dense_columns(rows, vals, np.arange(2 * nn), 2 * n)
-
     b = np.concatenate([alpha.weights + delta / n, np.full(n, delta / n)])
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(obj))):
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(obj))):
         raise ValueError("non-finite constraint or objective coefficients")
-    return DiscreteLP(obj, A, b, rows, vals, n, delta, c_used)
+    return DiscreteLP(obj, b, rows, vals, n, delta, c_used)
 
 
 def feasible_seed(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
@@ -169,7 +184,7 @@ def _reduced_costs(c: np.ndarray, rows: np.ndarray, vals: np.ndarray,
 
 
 def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarray,
-                 basis: np.ndarray, tol: float = 1e-9, piv_tol: float = 1e-11,
+                 basis: np.ndarray, tol: float = _OPT_TOL, piv_tol: float = 1e-11,
                  refactor_every: int = 100, bland_after: int = 60):
     """Revised simplex on max c@x, A@x = b, x >= 0 from a feasible basis,
     with A given by its packed columns (rows, vals).
@@ -261,29 +276,63 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     return x, y, basis, status, iterations
 
 
-def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None) -> LPSolution:
+def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
+             prices: np.ndarray | None = None) -> LPSolution:
     """Solve the assembled LP to an optimal basic solution with duals.
 
     The simplex starts from the diagonal coupling, or from `basis` when
     given: the final basis of a solve of an LP with the same A and b
-    (a warm start, as for a perturbed objective).
+    (a warm start, as for a perturbed objective).  `prices`, a 2n vector
+    of approximate row prices (student rows first, as u then v), restricts
+    the first solve to the columns they mark as near-tight plus the
+    starting basis; columns are then added by pricing over all of them
+    until none improves the objective.  Without prices every column is
+    active from the start.
     """
     n = lp.n
     nn = n * n
+    c, rows, vals = lp.objective, lp.rows, lp.vals
     if basis is None:
         diag = np.arange(n)
         basis = np.concatenate([diag * n + diag, nn + diag * n + diag])
-    x, y, basis, status, iters = _simplex_max(lp.objective, lp.rows, lp.vals, lp.b, basis)
+    basis = np.asarray(basis, dtype=np.intp)
+    if prices is None:
+        active = np.arange(c.size)
+    else:
+        prices = np.asarray(prices, dtype=float)
+        if prices.shape != lp.b.shape:
+            raise ValueError(f"prices must have {lp.b.size} entries, one per row")
+        r = _reduced_costs(c, rows, vals, prices)
+        active = np.union1d(np.flatnonzero(r >= -_SEED_SLACK * float(np.abs(c).max())), basis)
 
+    iters = rounds = 0
+    while True:
+        rounds += 1
+        xa, y, local, status, k = _simplex_max(c[active], rows[:, active], vals[:, active],
+                                               lp.b, np.searchsorted(active, basis))
+        iters += k
+        basis = active[local]
+        if status != "optimal" or active.size == c.size:
+            break
+        r = _reduced_costs(c, rows, vals, y)
+        r[active] = 0.0                   # the restricted solve priced these
+        entering = np.flatnonzero(r > _OPT_TOL)
+        if entering.size == 0:
+            break
+        active = np.union1d(active, entering)
+
+    x = np.zeros(c.size)
+    x[active] = xa
     xe = x[:nn].reshape(n, n)
     xl = x[nn:].reshape(n, n)
     eps = GridCoupling.from_dense(xe).canonical()
     lam = GridCoupling.from_dense(xl).canonical()
-    value = float(lp.objective @ x)
+    value = float(c @ x)
     dual_value = float(y @ lp.b)
-    resid = float(np.abs(lp.A @ x - lp.b).max())
+    Ax = np.bincount(rows.ravel(), weights=(vals * x).ravel(), minlength=lp.b.size)
+    resid = float(np.abs(Ax - lp.b).max())
     return LPSolution(eps, lam, y[:n].copy(), y[n:].copy(), value, dual_value,
-                      status, iters, resid, basis)
+                      status, iters, resid, basis, int(active.size), rounds)
 
 
 @dataclass(eq=False)
@@ -347,10 +396,14 @@ def write_tableau(lp: DiscreteLP, path) -> None:
     one line "objective <coeffs...>", then per constraint row a line
     "row <index> <coeffs...> rhs <value>".  Floats use repr round-tripping.
     """
+    m, nv = lp.b.size, lp.rows.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {lp.n} delta {lp.delta!r} c {lp.c_used!r} "
-                 f"vars {lp.A.shape[1]} rows {lp.A.shape[0]}\n")
+        fh.write(f"n {lp.n} delta {lp.delta!r} c {lp.c_used!r} vars {nv} rows {m}\n")
         fh.write("objective " + " ".join(repr(t) for t in lp.objective.tolist()) + "\n")
-        for i in range(lp.A.shape[0]):
-            coeffs = " ".join(repr(t) for t in lp.A[i].tolist())
+        for i in range(m):
+            row = np.zeros(nv)            # row i of A, summed in slot order as in _dense_columns
+            for s in range(lp.rows.shape[0]):
+                hit = lp.rows[s] == i
+                row[hit] += lp.vals[s, hit]
+            coeffs = " ".join(repr(t) for t in row.tolist())
             fh.write(f"row {i} {coeffs} rhs {float(lp.b[i])!r}\n")

@@ -107,7 +107,7 @@ def test_single_node_scenario_gap_zero(tmp_path):
 
 
 def test_determinism_bit_identical(tmp_path):
-    cfg_path = write_config(tmp_path)
+    cfg_path = write_config(tmp_path, PROBED)
     out1 = tmp_path / "o1"
     out2 = tmp_path / "o2"
     for args in (["--out", str(out1)], ["--out", str(out2)]):
@@ -223,8 +223,9 @@ def test_phase_rebuilds_the_solved_profile(tmp_path):
     assert solved.anneal is not None and rebuilt.anneal is None
 
 
-def test_solve_builds_one_wage_operator(tmp_path, monkeypatch):
-    # the stability check and the LP certificate reuse the solve's operator
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """The list that gets one entry per WageOperator built."""
     builds = []
     init = cli.WageOperator.__init__
 
@@ -233,8 +234,21 @@ def test_solve_builds_one_wage_operator(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli.WageOperator, "__init__", counting_init)
+    return builds
+
+
+def test_solve_builds_one_wage_operator(tmp_path, operator_builds):
+    # the stability check and the LP certificate reuse the solve's operator
     assert cli.run_solve(load_scenario(write_config(tmp_path)), quiet=True) == 0
-    assert len(builds) == 1
+    assert len(operator_builds) == 1
+
+
+def test_phase_solve_builds_one_wage_operator(tmp_path, operator_builds):
+    # phase --solve analyses the profile it just solved instead of
+    # rebuilding it from wages.csv
+    assert main(["phase", "--config", write_config(tmp_path), "--quiet", "--solve"]) == 0
+    assert len(operator_builds) == 1
+    assert (tmp_path / "out" / "phase.json").exists()
 
 
 PROBED = BASE.replace("seed = 3", "seed = 3\nprobe_uniqueness = true")
@@ -255,9 +269,9 @@ def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c_used):
         assembled.append((lp, lp.objective.copy()))
         return lp
 
-    def recording_solve(lp, basis=None):
+    def recording_solve(lp, basis=None, prices=None):
         solved.append(lp)
-        return solve(lp, basis=basis)
+        return solve(lp, basis=basis, prices=prices)
 
     for mod in (lp_mod, cli):
         monkeypatch.setattr(mod, "assemble_primal", recording_assemble)
@@ -269,7 +283,7 @@ def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c_used):
     assert solved[0] is cert
     assert np.array_equal(cert.objective, objective)
     probed = solved[1]
-    assert probed.A is cert.A
+    assert probed.rows is cert.rows and probed.vals is cert.vals
     assert probed.c_used == cert.c_used == c_used
     occ = json.loads((tmp_path / "out" / "occupations.json").read_text())
     assert occ["uniqueness_probe"]["value_shift"] <= 1e-6
@@ -282,6 +296,7 @@ def test_probe_block_is_validated_and_warm_started(tmp_path):
     probe = occ["uniqueness_probe"]
     assert probe["status"] == "optimal"
     assert probe["pivots"] <= 5          # restarted from the certified basis
+    assert probe["pricing_rounds"] >= 1 and probe["columns"] < 2 * 12 * 12
     bad = dict(occ, uniqueness_probe=dict(probe, pivots=-1))
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(bad, load_schema("occupations.schema.json"))
@@ -298,13 +313,12 @@ def test_failed_probe_exits_two(tmp_path, monkeypatch):
 
 
 def test_phase_solve_exits_two_when_the_solve_fails(tmp_path, monkeypatch):
-    run_solve = cli.run_solve
+    solve_and_write = cli._solve_and_write
 
-    def failing_solve(cfg, quiet=False):
-        run_solve(cfg, quiet=quiet)
-        return 2
+    def failing_solve(cfg, quiet):
+        return 2, solve_and_write(cfg, quiet)[1]
 
-    monkeypatch.setattr(cli, "run_solve", failing_solve)
+    monkeypatch.setattr(cli, "_solve_and_write", failing_solve)
     cfg_path = write_config(tmp_path)
     assert main(["phase", "--config", cfg_path, "--quiet", "--solve"]) == 2
     assert (tmp_path / "out" / "phase.json").exists()

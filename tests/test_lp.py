@@ -1,10 +1,11 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pyramid_eq import lp as lp_mod
+from pyramid_eq import cli, lp as lp_mod
 from pyramid_eq.model import split_positions
 from pyramid_eq import (
     GridCoupling,
@@ -189,12 +190,14 @@ def test_duality_report_rejects_mismatched_grids():
         duality_report(sol, other, params, grid)
 
 
-def test_size_guard():
-    params = make_params()
-    grid = SkillGrid(513, 1.0)
-    alpha = uniform_alpha(grid)
-    with pytest.raises(ValueError, match="wage-iteration"):
-        assemble_primal(params, alpha, grid, 0.0)
+def test_lp_arrays_stay_packed_at_n_513():
+    # no dense 2n x 2n^2 matrix: at n = 513 it alone would take 4.3 GB
+    n = 513
+    grid = SkillGrid(n, 1.0)
+    lp = assemble_primal(make_params(), uniform_alpha(grid), grid, 0.0)
+    arrays = [v for v in vars(lp).values() if isinstance(v, np.ndarray)]
+    assert {id(a) for a in arrays} >= {id(lp.objective), id(lp.b), id(lp.rows), id(lp.vals)}
+    assert sum(a.nbytes for a in arrays) <= 100 * n * n
 
 
 def test_tableau_export_roundtrip(tmp_path):
@@ -235,6 +238,20 @@ def _dense_reference(params, grid):
             A[n + i, nn + k] += 1.0                  # worker
             A[n + j, nn + k] += 1.0 / params.N_prime  # manager
     return A
+
+
+def test_tableau_file_matches_the_reference_matrix(tmp_path):
+    params = make_params(theta=0.7, N=4.0, N_prime=3.0, c=0.25)
+    grid = SkillGrid(7, 1.0)
+    lp = assemble_primal(params, linear_alpha(grid), grid, 0.05)
+    path = tmp_path / "lp.txt"
+    write_tableau(lp, path)
+    A = _dense_reference(params, grid)
+    want = [f"n 7 delta 0.05 c 0.25 vars {A.shape[1]} rows {A.shape[0]}",
+            "objective " + " ".join(repr(t) for t in lp.objective.tolist())]
+    want += [f"row {i} " + " ".join(repr(t) for t in A[i].tolist()) + f" rhs {float(lp.b[i])!r}"
+             for i in range(A.shape[0])]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 12])
@@ -289,6 +306,8 @@ def test_warm_start_rejects_a_bad_basis():
     lp = assemble_primal(params, uniform_alpha(grid), grid, 0.0)
     with pytest.raises(ValueError, match="columns"):
         solve_lp(lp, basis=np.arange(3))
+    with pytest.raises(ValueError, match="one per row"):
+        solve_lp(lp, prices=np.zeros(lp.n))
     # optimal for other marginals, infeasible for these
     other = solve_lp(assemble_primal(params, linear_alpha(grid), grid, 0.05))
     with pytest.raises(ValueError, match="not primal feasible"):
@@ -325,3 +344,50 @@ def test_warm_and_cold_solves_of_perturbed_lps_agree():
             assert warm.iterations < cold.iterations
             warm_pivots += warm.iterations
     assert warm_pivots > 0
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+C0_CONFIG = os.path.join(os.path.dirname(__file__), "..", "perfbench", "configs",
+                         "demo_small_c0.toml")
+
+
+def _certificate_instance(path, n=None):
+    """The LP the solve command certifies, and the wage profile it uses as prices."""
+    cfg = cli.load_scenario(path, grid_n_override=n)
+    prof = cli._solve_profile(cfg)
+    lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, prof.delta, c_override=prof.c_used)
+    return lp, prof
+
+
+def _assert_same_optimum(a, b):
+    assert a.status == b.status == "optimal"
+    assert abs(a.value - b.value) <= 1e-12
+    assert np.abs(a.u - b.u).max() <= 1e-12
+    # at delta = 0 the wages v are not unique: this pins the minimal v that
+    # the full solve returns and the duality report's v_dist relies on
+    assert np.abs(a.v - b.v).max() <= 1e-12
+
+
+@pytest.mark.parametrize("path, n", [(os.path.join(CONFIGS, "demo_small.toml"), 32),
+                                     (os.path.join(CONFIGS, "demo_small.toml"), 64),
+                                     (os.path.join(CONFIGS, "demo_small.toml"), 128),
+                                     (C0_CONFIG, None)],
+                         ids=["n32", "n64", "n128", "c0"])
+def test_price_seeded_solve_matches_the_full_solve(path, n):
+    lp, prof = _certificate_instance(path, n)
+    full = solve_lp(lp)
+    seeded = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
+    _assert_same_optimum(seeded, full)
+    assert full.columns == lp.objective.size and full.pricing_rounds == 1
+    assert seeded.columns < lp.objective.size // 4
+    assert seeded.iterations < full.iterations
+
+
+def test_poor_prices_take_more_pricing_rounds():
+    lp, prof = _certificate_instance(os.path.join(CONFIGS, "demo_small.toml"), 32)
+    full = solve_lp(lp)
+    rng = np.random.default_rng(0)
+    prices = np.concatenate([prof.u, prof.v]) + rng.uniform(-1e-2, 1e-2, 2 * lp.n)
+    poor = solve_lp(lp, prices=prices)
+    assert poor.pricing_rounds >= 2
+    _assert_same_optimum(poor, full)
