@@ -222,7 +222,7 @@ class SpecializationReport:
 
 
 def specialization_report(profile, split: OccupationSplit, params: TechnologyParams,
-                          grid: SkillGrid, eps: GridCoupling | None = None) -> SpecializationReport:
+                          grid: SkillGrid, eps: GridCoupling) -> SpecializationReport:
     """Evaluate the specialization hypotheses and the orderings they imply.
 
     Hypotheses (evaluated on the grid, suprema over nodes):
@@ -278,8 +278,6 @@ def specialization_report(profile, split: OccupationSplit, params: TechnologyPar
         orderings["workers_below_managers"] = int(sw.max()) <= int(sm.min())
 
     pair_checks = {}
-    if eps is None:
-        eps = coupling_from_profile(profile, None, grid)
     sup = eps.support().canonical()
     if hyp_d and sup.rows.size:
         weak_ok = bool(np.all(sup.rows <= sup.cols))
@@ -303,14 +301,12 @@ def specialization_report(profile, split: OccupationSplit, params: TechnologyPar
     return SpecializationReport(hypotheses, orderings, supports, pair_checks)
 
 
-def coupling_from_profile(profile, alpha: GridMeasure | None, grid: SkillGrid) -> GridCoupling:
+def coupling_from_profile(profile, alpha: GridMeasure, grid: SkillGrid) -> GridCoupling:
     """Education coupling induced by a wage profile: every student node
-    matches its argmax teacher, carrying its alpha mass (unit mass per node
-    when alpha is omitted).  This ignores teacher capacity, so it is a
-    support/report device, not a feasible plan."""
-    rows = np.arange(grid.n)
-    weights = np.ones(grid.n) if alpha is None else alpha.weights
-    return GridCoupling(rows, profile.best_teacher, weights)
+    matches its argmax teacher, carrying its alpha mass.  This ignores
+    teacher capacity, so it is a support/report device, not a feasible
+    plan."""
+    return GridCoupling(np.arange(grid.n), profile.best_teacher, alpha.weights)
 
 
 def labor_coupling_from_profile(profile, kappa: GridMeasure, params: TechnologyParams,

@@ -2,10 +2,11 @@
 artifact persistence, and static SVG plots.
 
 Configs are TOML files read with the standard library's tomllib.  Only
-the sections and keys listed in _CONFIG_KEYS are accepted; anything else,
-like a TOML syntax error, is a ConfigError.  A scan of the section and
-key lines recovers line numbers so validation errors can point at the
-offending line; a key the scan cannot place is rejected as well.
+the sections and keys listed in _KEY_TABLE are accepted, each with the
+TOML type the table gives it; anything else, like a TOML syntax error, is
+a ConfigError.  A scan of the section and key lines recovers line numbers
+so validation errors can point at the offending line; a key the scan
+cannot place is rejected as well.
 Artifacts are deterministic: repeated runs of the same config and seed
 produce bit-identical files (sorted JSON keys, repr-round-trip floats,
 no timestamps).
@@ -18,8 +19,9 @@ import os
 import re
 import sys
 import tomllib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -65,28 +67,52 @@ class ConfigError(ValueError):
 # config reading
 # ---------------------------------------------------------------------------
 
-_CURVE_KEYS = frozenset({"kind", "coeffs", "file"})
-_CONFIG_KEYS = {
-    "params": frozenset({"theta", "theta_prime", "N", "N_prime", "c", "k_top"}),
+_REQUIRED = object()   # the default of a key every config must set
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean", str: "a string",
+               list: "a list of numbers"}
+_CURVE_KEYS = {"kind": (str, "exponential"), "coeffs": (list, None), "file": (str, None)}
+# section -> key -> (type, default); a None default leaves the key unset
+_KEY_TABLE = {
+    "params": {key: (float, _REQUIRED) for key in ("theta", "theta_prime", "N", "N_prime", "c", "k_top")},
     "bE": _CURVE_KEYS,
     "bL": _CURVE_KEYS,
-    "grid": frozenset({"n"}),
-    "alpha": frozenset({"density", "file"}),
-    "solver": frozenset({"delta", "c_delta", "tol", "max_iter", "damping",
-                         "delta_factor", "delta_floor", "lp_max_n"}),
-    "outputs": frozenset({"directory"}),
-    "run": frozenset({"seed", "probe_uniqueness"}),
-    "gurus": frozenset({"population", "N", "N_prime"}),
-    "sweep": frozenset({"N", "theta"}),
+    "grid": {"n": (int, 64)},
+    "alpha": {"density": (str, "uniform"), "file": (str, None)},
+    "solver": {**{f.name: (get_type_hints(SolverConfig)[f.name], f.default) for f in fields(SolverConfig)},
+               "lp_max_n": (int, 160)},
+    "outputs": {"directory": (str, "out")},
+    "run": {"seed": (int, 0), "probe_uniqueness": (bool, False)},
+    "gurus": {"population": (int, None), "N": (int, None), "N_prime": (int, None)},
+    "sweep": {"N": (list, None), "theta": (list, None)},
 }
 _SECTION_LINE = re.compile(r"\s*\[\s*([\w.-]+)\s*\]\s*(#.*)?$")
 _KEY_LINE = re.compile(r'\s*"?([\w-]+)"?\s*=')
 
 
-def _read_sections(path: str) -> dict:
-    """Read a TOML scenario into {section: {key: (value, line)}}, rejecting
-    sections and keys outside _CONFIG_KEYS.  tomllib keeps no positions, so
-    the [section] and `key =` lines are scanned for the line numbers."""
+def _typed(val, kind):
+    """val read as kind, or None when its TOML type cannot stand for kind:
+    a float key takes integers and floats (not booleans) and returns a
+    float, a list key takes a list of numbers and returns floats, and any
+    other key takes its own type only."""
+    if kind is list:
+        items = [_typed(x, float) for x in val] if isinstance(val, list) else [None]
+        return None if None in items else items
+    if kind is float:
+        return float(val) if type(val) in (int, float) else None
+    return val if type(val) is kind else None
+
+
+def _missing(at, sec, key) -> ConfigError:
+    return ConfigError(f"{at}: missing required key '{key}' in [{sec}]")
+
+
+def _read_sections(path: str):
+    """Read a TOML scenario into ({section: {key: value}}, where): every
+    key of _KEY_TABLE, typed or defaulted, and where(section, key=None)
+    giving "path:line" of the key, else of its section.  Unknown sections
+    and keys, mistyped values and missing required keys are rejected.
+    tomllib keeps no positions, so the [section] and `key =` lines are
+    scanned for the line numbers."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -102,21 +128,31 @@ def _read_sections(path: str) -> dict:
             lines.setdefault((sec, m.group(1)), lineno)
 
     def where(sec, key=None):
-        return f"{path}:{lines[sec, key]}" if (sec, key) in lines else path
+        line = lines.get((sec, key)) or lines.get((sec, None))
+        return f"{path}:{line}" if line else path
 
-    sections = {}
+    values = {sec: {key: default for key, (_, default) in keys.items()}
+              for sec, keys in _KEY_TABLE.items()}
     for sec, table in data.items():
         if not isinstance(table, dict):
             raise ConfigError(f"{where(None, sec)}: expected 'key = value' inside a [section]")
-        if sec not in _CONFIG_KEYS:
+        if sec not in _KEY_TABLE:
             raise ConfigError(f"{where(sec)}: unknown section [{sec}]")
-        for key in table:
-            if key not in _CONFIG_KEYS[sec]:
+        for key, val in table.items():
+            if key not in _KEY_TABLE[sec]:
                 raise ConfigError(f"{where(sec, key)}: unknown key '{key}' in [{sec}]")
             if (sec, key) not in lines:
                 raise ConfigError(f"{where(sec)}: write {key} as a 'key = value' line under [{sec}]")
-        sections[sec] = {key: (val, lines[sec, key]) for key, val in table.items()}
-    return sections
+            kind = _KEY_TABLE[sec][key][0]
+            if (typed := _typed(val, kind)) is None:
+                raise ConfigError(f"{where(sec, key)}: key '{key}' in [{sec}] must be "
+                                  f"{_TYPE_NAMES[kind]}, got {json.dumps(val, default=str)}")
+            values[sec][key] = typed
+    for sec, table in values.items():
+        for key, val in table.items():
+            if val is _REQUIRED:
+                raise _missing(where(sec), sec, key)
+    return values, where
 
 
 @dataclass(eq=False)
@@ -129,139 +165,113 @@ class ScenarioConfig:
     seed: int
     lp_max_n: int
     probe_uniqueness: bool
-    raw: dict
-    path: str
+    population: int | None   # [gurus]; the gurus command requires it
+    census_spans: tuple      # [gurus] (N, N_prime), by default the rounded [params] spans
+    sweep_N: list | None     # [sweep]; the sweep command requires both lists
+    sweep_theta: list | None
+    where: Callable          # where(section, key=None) -> "path:line" in the config
 
 
-def _get(sections, sec, key, default=None, required=False, path="<config>"):
-    entry = sections.get(sec, {}).get(key)
-    if entry is None:
-        if required:
-            raise ConfigError(f"{path}: missing required key '{key}' in [{sec}]")
-        return default, None
-    return entry
-
-
-def _curve_from_config(sections, sec, k_top, path, base_dir) -> UtilityCurve:
-    kind, line = _get(sections, sec, "kind", default="exponential", path=path)
-    where = f"{path}:{line}" if line else path
+def _curve_from_config(sec, values, k_top, where, base_dir) -> UtilityCurve:
+    kind, coeffs, fname = values["kind"], values["coeffs"], values["file"]
     if kind == "exponential":
-        coeffs, _ = _get(sections, sec, "coeffs", default=[1.0, 1.0], path=path)
-        if len(coeffs) not in (0, 1, 2):
-            raise ConfigError(f"{where}: exponential curve takes [amplitude, rate]")
-        amp = float(coeffs[0]) if len(coeffs) >= 1 else 1.0
-        rate = float(coeffs[1]) if len(coeffs) >= 2 else 1.0
-        return UtilityCurve.exponential(k_top, amplitude=amp, rate=rate)
+        coeffs = coeffs or []   # the curve's own amplitude and rate stand in for missing ones
+        if len(coeffs) > 2:
+            raise ConfigError(f"{where(sec, 'coeffs')}: exponential curve takes [amplitude, rate]")
+        return UtilityCurve.exponential(k_top, *coeffs)
     if kind == "quadratic-plus":
-        coeffs, cl = _get(sections, sec, "coeffs", required=True, path=path)
+        if coeffs is None:
+            raise _missing(where(sec), sec, "coeffs")
         if len(coeffs) != 3:
-            raise ConfigError(f"{path}:{cl}: quadratic-plus curve takes [p0, p1, p2]")
+            raise ConfigError(f"{where(sec, 'coeffs')}: quadratic-plus curve takes [p0, p1, p2]")
         try:
-            return UtilityCurve.quadratic_plus(*(float(c) for c in coeffs), k_top)
+            return UtilityCurve.quadratic_plus(*coeffs, k_top)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{cl}: {exc}")
+            raise ConfigError(f"{where(sec, 'coeffs')}: {exc}")
     if kind == "tabulated":
-        fname, fl = _get(sections, sec, "file", required=True, path=path)
-        fpath = os.path.join(base_dir, fname)
+        if fname is None:
+            raise _missing(where(sec), sec, "file")
         try:
-            data = np.loadtxt(fpath, delimiter=",", skiprows=1, ndmin=2)
-        except OSError as exc:
-            raise ConfigError(f"{path}:{fl}: {exc}")
+            data = np.loadtxt(os.path.join(base_dir, fname), delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{where(sec, 'file')}: {exc}")
         if data.shape[1] != 3:
-            raise ConfigError(f"{path}:{fl}: tabulated curve file needs columns x,value,deriv")
+            raise ConfigError(f"{where(sec, 'file')}: tabulated curve file needs columns x,value,deriv")
         return UtilityCurve.tabulated(data[:, 0], data[:, 1], data[:, 2], k_top)
-    raise ConfigError(f"{where}: unknown curve kind {kind!r}")
+    raise ConfigError(f"{where(sec, 'kind')}: unknown curve kind {kind!r}")
 
 
 def load_scenario(path: str, *, out_override=None, grid_n_override=None,
                   delta_override=None) -> ScenarioConfig:
-    sections = _read_sections(path)
+    values, where = _read_sections(path)
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    def need(sec, key, caster=float):
-        val, line = _get(sections, sec, key, required=True, path=path)
-        try:
-            return caster(val), line
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}:{line}: bad value for {key}")
-
-    theta, l_theta = need("params", "theta")
-    theta_p, l_tp = need("params", "theta_prime")
-    N, l_N = need("params", "N")
-    N_p, l_Np = need("params", "N_prime")
-    c, l_c = need("params", "c")
-    k_top, l_kt = need("params", "k_top")
-
-    for cond, line, msg in (
-        (not 0.0 < theta < 1.0, l_theta, f"theta = {theta} violates 0 < theta < 1"),
-        (not 0.0 < theta_p < 1.0, l_tp, f"theta_prime = {theta_p} violates 0 < theta_prime < 1"),
-        (N < 1.0, l_N, f"N = {N} violates N >= 1"),
-        (N_p <= 0.0, l_Np, f"N_prime = {N_p} violates N_prime > 0"),
-        (c < 0.0, l_c, f"c = {c} violates c >= 0"),
-        (k_top <= 0.0, l_kt, f"k_top = {k_top} violates k_top > 0"),
+    pv = values["params"]
+    for key, bad, rule in (
+        ("theta", not 0.0 < pv["theta"] < 1.0, "0 < theta < 1"),
+        ("theta_prime", not 0.0 < pv["theta_prime"] < 1.0, "0 < theta_prime < 1"),
+        ("N", pv["N"] < 1.0, "N >= 1"),
+        ("N_prime", pv["N_prime"] <= 0.0, "N_prime > 0"),
+        ("c", pv["c"] < 0.0, "c >= 0"),
+        ("k_top", pv["k_top"] <= 0.0, "k_top > 0"),
     ):
-        if cond:
-            raise ConfigError(f"{path}:{line}: {msg}")
+        if bad:
+            raise ConfigError(f"{where('params', key)}: {key} = {pv[key]} violates {rule}")
 
-    bE = _curve_from_config(sections, "bE", k_top, path, base_dir)
-    bL = _curve_from_config(sections, "bL", k_top, path, base_dir)
-    params = TechnologyParams(theta, theta_p, N, N_p, c, bE, bL, k_top)
+    k_top = pv["k_top"]
+    bE = _curve_from_config("bE", values["bE"], k_top, where, base_dir)
+    bL = _curve_from_config("bL", values["bL"], k_top, where, base_dir)
+    params = TechnologyParams(**pv, bE=bE, bL=bL)
 
-    n_val, l_n = _get(sections, "grid", "n", default=64, path=path)
-    n = int(grid_n_override if grid_n_override is not None else n_val)
+    n = values["grid"]["n"] if grid_n_override is None else grid_n_override
     if n < 1:
-        raise ConfigError(f"{path}:{l_n}: grid n = {n} violates n >= 1")
+        raise ConfigError(f"{where('grid', 'n')}: grid n = {n} violates n >= 1")
     grid = SkillGrid(n, k_top)
 
-    dens, l_d = _get(sections, "alpha", "density", default="uniform", path=path)
+    dens, fname = values["alpha"]["density"], values["alpha"]["file"]
+    at = where("alpha", "density")
+    if dens == "uniform":
+        samples = lambda x: np.ones_like(x)
+    elif dens == "linear":
+        samples = lambda x: 2.0 * np.asarray(x, dtype=float) / k_top ** 2
+    elif dens == "tabulated":
+        if fname is None:
+            raise _missing(where("alpha"), "alpha", "file")
+        try:
+            samples = np.loadtxt(os.path.join(base_dir, fname), delimiter=",", skiprows=1, usecols=1, ndmin=1)
+        except ValueError as exc:
+            raise ConfigError(f"{where('alpha', 'file')}: {exc}")
+        if len(samples) != n:
+            raise ConfigError(
+                f"{where('alpha', 'file')}: tabulated density has {len(samples)} rows, grid has {n} nodes"
+            )
+    else:
+        raise ConfigError(f"{at}: unknown density {dens!r}")
     try:
-        if dens == "uniform":
-            alpha = discretize_density(lambda x: np.ones_like(x), grid)
-        elif dens == "linear":
-            alpha = discretize_density(
-                lambda x: 2.0 * np.asarray(x, dtype=float) / k_top ** 2, grid)
-        elif dens == "tabulated":
-            fname, fl = _get(sections, "alpha", "file", required=True, path=path)
-            data = np.loadtxt(os.path.join(base_dir, fname), delimiter=",", skiprows=1, ndmin=2)
-            if data.shape[0] != n:
-                raise ConfigError(
-                    f"{path}:{fl}: tabulated density has {data.shape[0]} rows, grid has {n} nodes"
-                )
-            alpha = discretize_density(data[:, 1], grid)
-        else:
-            raise ConfigError(f"{path}:{l_d}: unknown density {dens!r}")
+        alpha = discretize_density(samples, grid)
     except ValueError as exc:
-        raise ConfigError(f"{path}:{l_d}: {exc}")
+        raise ConfigError(f"{at}: {exc}")
 
-    def sget(key, default, caster=float):
-        val, _ = _get(sections, "solver", key, default=default, path=path)
-        return caster(val)
-
+    solver_values = dict(values["solver"])
+    lp_max_n = solver_values.pop("lp_max_n")
+    if delta_override is not None:
+        solver_values["delta"] = float(delta_override)
     try:
-        solver = SolverConfig(
-            delta=float(delta_override) if delta_override is not None else sget("delta", 0.0),
-            c_delta=sget("c_delta", 0.0),
-            tol=sget("tol", 1e-9),
-            max_iter=sget("max_iter", 100_000, int),
-            damping=sget("damping", 0.5),
-            delta_factor=sget("delta_factor", 0.5),
-            delta_floor=sget("delta_floor", 1e-6),
-        )
+        solver = SolverConfig(**solver_values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: [solver] {exc}")
-    lp_max_n = sget("lp_max_n", 160, int)
+        raise ConfigError(f"{where('solver')}: [solver] {exc}")
 
-    out_dir, _ = _get(sections, "outputs", "directory", default="out", path=path)
-    if out_override is not None:
-        out_dir = out_override
+    out_dir = values["outputs"]["directory"] if out_override is None else out_override
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
 
-    seed_val, _ = _get(sections, "run", "seed", default=0, path=path)
-    probe, _ = _get(sections, "run", "probe_uniqueness", default=False, path=path)
-
-    return ScenarioConfig(params, grid, alpha, solver, out_dir, int(seed_val),
-                          lp_max_n, bool(probe), sections, path)
+    if values["run"]["seed"] < 0:
+        raise ConfigError(f"{where('run', 'seed')}: seed = {values['run']['seed']} violates seed >= 0")
+    gurus, sweep = values["gurus"], values["sweep"]
+    spans = tuple(round(pv[key]) if gurus[key] is None else gurus[key] for key in ("N", "N_prime"))
+    return ScenarioConfig(params, grid, alpha, solver, out_dir, values["run"]["seed"], lp_max_n,
+                          values["run"]["probe_uniqueness"], gurus["population"], spans,
+                          sweep["N"], sweep["theta"], where)
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +483,15 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
                  solve_on_demand: bool = False) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     if which == "gurus":
-        pop, pl = _get(cfg.raw, "gurus", "population", required=True, path=cfg.path)
-        Nc, _ = _get(cfg.raw, "gurus", "N", default=round(cfg.params.N), path=cfg.path)
-        Npc, _ = _get(cfg.raw, "gurus", "N_prime", default=round(cfg.params.N_prime), path=cfg.path)
+        if cfg.population is None:
+            raise _missing(cfg.where("gurus"), "gurus", "population")
         try:
-            h = guru_census(int(Nc), int(Npc), int(pop))
+            h = guru_census(*cfg.census_spans, cfg.population)
         except InadmissiblePopulation as exc:
             print(str(exc), file=sys.stderr)
             return 1
         except ValueError as exc:
-            raise ConfigError(f"{cfg.path}:{pl}: {exc}")
+            raise ConfigError(f"{cfg.where('gurus', 'population')}: {exc}")
         _write_json(os.path.join(cfg.out_dir, "hierarchy.json"), {
             "population": h.population, "N": h.N, "N_prime": h.N_prime,
             "levels": [list(l) for l in h.levels],
@@ -515,25 +524,14 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
         return status   # 2 when the on-demand solve did not converge or certify
 
     if which == "sweep":
-        Ns, _ = _get(cfg.raw, "sweep", "N", required=True, path=cfg.path)
-        thetas, _ = _get(cfg.raw, "sweep", "theta", required=True, path=cfg.path)
-        combos = sorted((float(N), float(t)) for N in Ns for t in thetas)
-        workers = max(1, int(os.environ.get("PYRAMID_EQ_THREADS", "1")))
-
-        def one(combo):
-            N, theta = combo
-            params = TechnologyParams(theta, cfg.params.theta_prime, N,
-                                      cfg.params.N_prime, cfg.params.c,
-                                      cfg.params.bE, cfg.params.bL, cfg.params.k_top)
+        for key, lattice in (("N", cfg.sweep_N), ("theta", cfg.sweep_theta)):
+            if lattice is None:
+                raise _missing(cfg.where("sweep"), "sweep", key)
+        results = []
+        for N, theta in sorted((N, t) for N in cfg.sweep_N for t in cfg.sweep_theta):
+            params = replace(cfg.params, N=N, theta=theta)
             prof = solve_wages(params, cfg.alpha, cfg.grid, cfg.solver)
-            rep = phase_fit(prof, params, cfg.grid, alpha=cfg.alpha)
-            return combo, prof, rep
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one, combos))
-        else:
-            results = [one(c) for c in combos]
+            results.append(((N, theta), prof, phase_fit(prof, params, cfg.grid, alpha=cfg.alpha)))
 
         rows_path = os.path.join(cfg.out_dir, "sweep.csv")
         with open(rows_path, "w", encoding="utf-8") as fh:

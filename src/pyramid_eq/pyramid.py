@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridCoupling, GridMeasure, SkillGrid, TechnologyParams, pushforward_z
-from .analysis import OccupationSplit, TeacherMap, SUPPORT_FLOOR, coupling_from_profile
+from .model import GridMeasure, SkillGrid, TechnologyParams, pushforward_z
+from .analysis import OccupationSplit, TeacherMap, SUPPORT_FLOOR, assortativity_check, coupling_from_profile
 
 __all__ = [
     "GuruHierarchy",
@@ -308,8 +308,7 @@ def _top_teacher_zone(occupation: np.ndarray) -> int:
 
 
 def phase_fit(profile, params: TechnologyParams, grid: SkillGrid,
-              alpha: GridMeasure | None = None,
-              eps: GridCoupling | None = None) -> PhaseReport:
+              alpha: GridMeasure | None = None) -> PhaseReport:
     """Measure the wage-gradient behavior near the top skill type.
 
     Supercritical (N theta > 1): regress log(v' + c bL-side constant)
@@ -323,13 +322,10 @@ def phase_fit(profile, params: TechnologyParams, grid: SkillGrid,
     the limiting slope c bE'(k_top)/(1/(N theta) - 1).  Critical: no fit.
 
     Always reports the measured top-window density ratio kappa/alpha when
-    alpha (or an explicit coupling) is available, and the empirical
-    hypothesis flags: (i) top nodes teach, (ii) education coupling
-    assortative, (iii)/(iv) differentiability diagnostics (reported, never
-    asserted).
+    alpha is given, and the empirical hypothesis flags: (i) top nodes
+    teach, (ii) education coupling assortative, (iii)/(iv)
+    differentiability diagnostics (reported, never asserted).
     """
-    from .analysis import assortativity_check
-
     n, x, h = grid.n, grid.nodes, grid.h
     p = params
     nt = p.N * p.theta
@@ -341,12 +337,11 @@ def phase_fit(profile, params: TechnologyParams, grid: SkillGrid,
 
     zone = _top_teacher_zone(profile.occupation)
     hyp_i = zone <= n - 1  # at least the top node teaches
-    if eps is None and alpha is not None:
+    hyp_ii = kappa = None
+    if alpha is not None:
         eps = coupling_from_profile(profile, alpha, grid)
-    if eps is not None:
         hyp_ii, _ = assortativity_check(eps)
-    else:
-        hyp_ii = None
+        kappa = pushforward_z(eps, p, grid)
 
     vp = np.diff(profile.v) / h if n >= 2 else np.array([])
     dk = p.k_top - (x[:-1] + 0.5 * h)
@@ -354,8 +349,7 @@ def phase_fit(profile, params: TechnologyParams, grid: SkillGrid,
     # density ratio over shrinking dyadic top windows
     ratio = None
     windows = []
-    if eps is not None and alpha is not None:
-        kappa = pushforward_z(eps, p, grid)
+    if kappa is not None:
         w = 4
         while w <= max(4, n // 16):
             at = alpha.tail_mass(n - w)
@@ -369,11 +363,8 @@ def phase_fit(profile, params: TechnologyParams, grid: SkillGrid,
     # (iii) stability of the teacher-map top slope across two windows,
     # (iv) largest relative jump of v' over the top quarter
     hyp_iii = hyp_iv = None
-    if eps is not None and alpha is not None and n >= 16:
-        from .analysis import occupation_split
-        lam0 = GridCoupling([0], [0], [0.0])
-        split0 = occupation_split(eps, lam0, p, grid)
-        tails = [split0.kappa.tail_mass(n - m) for m in (n // 32 or 1, n // 16 or 2)]
+    if kappa is not None and n >= 16:
+        tails = [kappa.tail_mass(n - m) for m in (n // 32 or 1, n // 16 or 2)]
         if all(t > 0 for t in tails):
             s1 = (n // 32 or 1) * h / tails[0]
             s2 = (n // 16 or 2) * h / tails[1]

@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 _EXP_CAP = 45.0  # exponent clamp: keeps line-search probes finite
+_ETA_FLOOR = 2e-5  # smallest annealing temperature, relative to the payoff scale
 _ULP = float(np.finfo(float).eps)
 
 
@@ -86,7 +87,6 @@ class SolverConfig:
     damping: float = 0.5
     delta_factor: float = 0.5
     delta_floor: float = 1e-6
-    eta_floor: float = 2e-5   # smallest annealing temperature (relative to payoff scale)
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -97,6 +97,9 @@ class SolverConfig:
             raise ValueError("delta and c_delta must be nonnegative")
         if not 0.0 < self.delta_factor < 1.0:
             raise ValueError("delta_factor must lie in (0, 1)")
+        if self.delta_floor <= 0:
+            # delta_continuation steps delta down to the floor and never reaches one <= 0
+            raise ValueError("delta_floor must be positive")
 
 
 @dataclass(eq=False)
@@ -151,11 +154,6 @@ class WageProfile:
     c_used: float
     operator: WageOperator | None = None
     anneal: AnnealWork | None = None
-
-    @property
-    def components(self) -> WageComponents:
-        return WageComponents(self.v_w, self.v_m, self.v_t, self.u,
-                              self.best_teacher, self.best_student, self.occupation)
 
 
 def convexify(values, nodes=None) -> np.ndarray:
@@ -415,15 +413,14 @@ class _SmoothedDual:
         return v
 
 
-def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray,
-            eta_floor_rel: float):
+def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray):
     """Anneal the smoothed dual down a geometric temperature ladder and
     Richardson-extrapolate the zero-temperature wage vector from the last
     three stages (error O(eta^3)).  Returns it with the anneal's work."""
     sd = _SmoothedDual(op, m, d)
     scale = max(1.0, float(np.abs(op.E).max()), float(np.abs(op.BL).max()))
     eta = 0.25 * scale
-    eta_floor = eta_floor_rel * scale
+    eta_floor = _ETA_FLOOR * scale
     v = v0.copy()
     while eta > eta_floor:
         v = sd.minimize(v, eta)
@@ -456,13 +453,11 @@ def _damped_step(op: WageOperator, v: np.ndarray, damping: float) -> np.ndarray:
     return (1.0 - damping) * v + damping * convexify(vbar, op.grid.nodes)
 
 
-def bellman_step(v, params: TechnologyParams, grid: SkillGrid, config: SolverConfig,
-                 operator: WageOperator | None = None) -> np.ndarray:
+def bellman_step(v, params: TechnologyParams, grid: SkillGrid, config: SolverConfig) -> np.ndarray:
     """One damped, convexified application of the exact envelope map."""
     v = np.asarray(v, dtype=float)
     _require_monotone(v)
-    op = operator if operator is not None else WageOperator(params, grid)
-    return _damped_step(op, v, config.damping)
+    return _damped_step(WageOperator(params, grid), v, config.damping)
 
 
 def _bellman_polish(op: WageOperator, config: SolverConfig, v_start: np.ndarray):
@@ -504,8 +499,7 @@ def _bellman_polish(op: WageOperator, config: SolverConfig, v_start: np.ndarray)
 
 
 def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
-                config: SolverConfig | None = None, v0: np.ndarray | None = None,
-                c_override: float | None = None) -> WageProfile:
+                config: SolverConfig | None = None, v0: np.ndarray | None = None) -> WageProfile:
     """Solve the (delta-perturbed) wage minimization on the grid.
 
     Anneals the smoothed dual to anchor the market-clearing wage level,
@@ -517,16 +511,13 @@ def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
     """
     if config is None:
         config = SolverConfig()
-    c_eff = c_override
-    if c_eff is None:
-        c_eff = params.c if params.c > 0 else config.c_delta
-    op = WageOperator(params, grid, c_eff)
+    op = WageOperator(params, grid, params.c if params.c > 0 else config.c_delta)
 
     m = alpha.weights + config.delta / grid.n
     d = np.full(grid.n, config.delta / grid.n)
     v_init = op.lower_bound() if v0 is None else np.asarray(v0, dtype=float).copy()
 
-    v_anneal, work = _anneal(op, m, d, v_init, config.eta_floor)
+    v_anneal, work = _anneal(op, m, d, v_init)
     v_anneal = convexify(v_anneal, grid.nodes)
     v, converged, iterations = _bellman_polish(op, config, v_anneal)
     return op.profile(v, alpha, config.delta, converged, iterations, anneal=work)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import jsonschema
 import numpy as np
@@ -185,6 +186,19 @@ def test_tabulated_alpha_roundtrip(tmp_path):
     assert cfg.alpha.weights == pytest.approx(samples / samples.sum())
 
 
+@pytest.mark.parametrize("old, new, rows", [
+    ('density = "uniform"', 'density = "tabulated"\nfile = "table.csv"', "skill\n" + "0.5\n" * 12),
+    ('[bE]\nkind = "exponential"', '[bE]\nkind = "tabulated"\nfile = "table.csv"',
+     "x,value,deriv\n0,a,1\n"),
+], ids=["density-without-its-column", "curve-with-text"])
+def test_config_rejects_a_malformed_table_file(tmp_path, old, new, rows):
+    (tmp_path / "table.csv").write_text(rows)
+    cfg_path = write_config(tmp_path, BASE.replace(old, new, 1))
+    line = BASE.replace(old, new, 1).splitlines().index('file = "table.csv"') + 1
+    with pytest.raises(ConfigError, match=f"scenario.toml:{line}: "):
+        load_scenario(cfg_path)
+
+
 def test_validate_subcommand(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     assert main(["validate", "--config", cfg_path]) == 0
@@ -204,11 +218,30 @@ def test_config_rejects_unknown_density(tmp_path):
     ("[outputs]", "[output]", r":25: unknown section \[output\]"),
     ("n = 12", "n.x = 12", r":16: write n as a 'key = value' line under \[grid\]"),
     ("theta = 0.5\n", "theta = 0.5 0.5\n", r"at line 3"),
+    ("seed = 3", 'seed = 3\nprobe_uniqueness = "false"',
+     r":30: key 'probe_uniqueness' in \[run\] must be a boolean, got \"false\""),
+    ("N = 10\n", "N = true\n", r":5: key 'N' in \[params\] must be a number, got true"),
+    ("n = 12", "n = 32.9", r":17: key 'n' in \[grid\] must be an integer, got 32.9"),
+    ("n = 12", 'n = "40"', r":17: key 'n' in \[grid\] must be an integer, got \"40\""),
+    ("seed = 3", "seed = 2.5", r":29: key 'seed' in \[run\] must be an integer, got 2.5"),
+    ("delta = 0.0", "delta = 0.0\nmax_iter = 10.7",
+     r":24: key 'max_iter' in \[solver\] must be an integer, got 10.7"),
+    ("population = 110", "population = 110.5",
+     r":32: key 'population' in \[gurus\] must be an integer, got 110.5"),
+    ("seed = 3", 'seed = "x"', r":29: key 'seed' in \[run\] must be an integer, got \"x\""),
+    ("delta = 0.0", 'delta = 0.0\nlp_max_n = "big"',
+     r":24: key 'lp_max_n' in \[solver\] must be an integer, got \"big\""),
+    ("delta = 0.0", 'delta = 0.0\ntol = "abc"', r":24: key 'tol' in \[solver\] must be a number, got \"abc\""),
+    ("theta = [0.5]", "theta = [0.5, true]",
+     r":36: key 'theta' in \[sweep\] must be a list of numbers, got \[0.5, true\]"),
+    ("seed = 3", "seed = -1", r":29: seed = -1 violates seed >= 0"),
 ])
-def test_config_rejects_unknown_keys_and_bad_syntax(tmp_path, old, new, message):
+def test_config_rejects_unknown_keys_and_bad_syntax(tmp_path, capsys, old, new, message):
     cfg_path = write_config(tmp_path, BASE.replace(old, new, 1))
     with pytest.raises(ConfigError, match=message):
         load_scenario(cfg_path)
+    assert main(["validate", "--config", cfg_path, "--quiet"]) == 1
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_phase_rebuilds_the_solved_profile(tmp_path):
@@ -332,14 +365,3 @@ def test_nonconverged_solve_exits_two_with_artifacts(tmp_path):
     duality = json.loads((tmp_path / "out" / "duality.json").read_text())
     assert duality["converged"] is False
     assert (tmp_path / "out" / "wages.csv").exists()
-
-
-def test_sweep_parallelism_is_deterministic(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path)
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    monkeypatch.delenv("PYRAMID_EQ_THREADS", raising=False)
-    assert main(["sweep", "--config", cfg_path, "--quiet", "--out", str(serial)]) == 0
-    monkeypatch.setenv("PYRAMID_EQ_THREADS", "3")
-    assert main(["sweep", "--config", cfg_path, "--quiet", "--out", str(parallel)]) == 0
-    assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()

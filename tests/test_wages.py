@@ -18,7 +18,7 @@ from pyramid_eq import (
     stability_residuals,
     wage_components,
 )
-from pyramid_eq.cli import load_scenario
+from pyramid_eq.cli import ConfigError, load_scenario
 from pyramid_eq.model import split_positions
 from pyramid_eq.wages import WageOperator, _SmoothedDual
 from conftest import make_params, uniform_alpha
@@ -396,6 +396,20 @@ def test_continuation_objectives_approach_lp(exp_curve):
         rep = duality_report(sol, prof, params, grid)
         assert rep.gap <= 1e-8
         assert abs(rep.eps_f) <= 1e-8 and abs(rep.lam_g) <= 1e-8
+
+
+@pytest.mark.parametrize("floor", ["0", "-1e-6"])
+def test_nonpositive_delta_floor_is_rejected(tmp_path, floor):
+    # the continuation halves delta down to the floor: about 1,074 member
+    # solves at 0 and no end below it, so neither may reach it
+    with pytest.raises(ValueError, match="delta_floor must be positive"):
+        SolverConfig(delta=0.25, delta_floor=float(floor))
+    with open(os.path.join(CONFIG_DIR, "..", "perfbench", "configs", "demo_small_c0.toml")) as fh:
+        text = fh.read().replace("[solver]\n", f"[solver]\ndelta_floor = {floor}\n", 1)
+    path = tmp_path / "c0.toml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r":\d+: \[solver\] delta_floor must be positive"):
+        load_scenario(str(path))
 
 
 def test_continuation_strictly_convex_members_when_c_zero():
