@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 __all__ = [
     "UtilityCurve",
@@ -76,6 +75,9 @@ class UtilityCurve:
             if np.any(np.diff(xs) <= 0):
                 raise ValueError("tabulated sample points must be increasing")
             self.table = (xs, vals, ders)
+            # imported here: scipy takes most of the package's import time
+            # and only tabulated curves use it
+            from scipy.interpolate import CubicHermiteSpline
             self._spline = CubicHermiteSpline(xs, vals, ders)
 
     # constructors ---------------------------------------------------------

@@ -25,13 +25,19 @@ dual functional
 slacks) whose gradient in v is exactly the excess adult supply.  u has a
 closed-form softmax elimination; v is driven by damped Newton steps with
 the temperature eta annealed down a geometric ladder, and the eta -> 0
-limit is recovered by Richardson extrapolation.  Near a stage's minimum
-the decrease a Newton step promises can fall below the round-off of the
-dual value (the teacher-block invariance leaves the Hessian nearly
-singular), and Armijo backtracking then cannot decide.  When
--slope <= 4 eps_machine max(1, |value|) the full step is tried once and
-kept only if it lowers |grad|_inf; otherwise v is stationary to machine
-precision and the stage ends.  Every other step keeps the Armijo search.
+limit is recovered by Richardson extrapolation.  Each Newton step is
+accepted by Armijo backtracking (halving, constant 1e-4) from the first
+trial t0 = min(1, R eta / |step|_inf), R = _TRIAL_RADIUS: the pair weights
+exp(-slack/eta) change by O(1) when a wage moves by a few temperatures,
+so that is the scale on which the quadratic model can be trusted.  The
+first step of a stage can be 1e10 times too long (Newton decrement up to
+6e4), and halving from t = 1 would take some 35 dual evaluations.
+Near a stage's minimum the decrease a Newton step promises can fall
+below the round-off of the dual value (the teacher-block invariance
+leaves the Hessian nearly singular), and Armijo backtracking then cannot
+decide.  When -slope <= 4 eps_machine max(1, |value|) the full step is
+tried once and kept only if it lowers |grad|_inf; otherwise v is
+stationary to machine precision and the stage ends.
 
 A final damped pass of the exact envelope map (bellman_step) restores the
 hard-max identity and the convex non-decreasing shape; its sup-norm
@@ -68,6 +74,7 @@ __all__ = [
 ]
 
 _EXP_CAP = 45.0  # exponent clamp: keeps line-search probes finite
+_TRIAL_RADIUS = 10.0  # first Armijo trial moves no wage by more than this many temperatures
 _ETA_FLOOR = 2e-5  # smallest annealing temperature, relative to the payoff scale
 _ULP = float(np.finfo(float).eps)
 
@@ -395,7 +402,7 @@ class _SmoothedDual:
                     work.stationary_stops += 1
                     break
             else:
-                t = 1.0
+                t = min(1.0, _TRIAL_RADIUS * eta / float(np.abs(step).max()))
                 for _ in range(50):
                     v_new = v + t * step
                     val_new, grad_new, st_new = self.value_grad(v_new, eta)

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -184,6 +186,15 @@ def test_tabulated_alpha_roundtrip(tmp_path):
     cfg = load_scenario(cfg_path)
     samples = 1.0 + np.arange(n) / n
     assert cfg.alpha.weights == pytest.approx(samples / samples.sum())
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is most of the import time and only tabulated curves use it
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, pyramid_eq.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("old, new, rows", [

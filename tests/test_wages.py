@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -359,6 +360,8 @@ def test_anneal_never_stalls_on_supercritical_config():
     assert prof.converged
     assert prof.anneal.newton_limit_stops == 0
     assert prof.anneal.line_search_failures == 0
+    # halving from a first trial of t = 1 takes ~4 evaluations per step here
+    assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps
 
 
 def test_stability_residuals_flag_lowered_wage():
@@ -410,6 +413,17 @@ def test_nonpositive_delta_floor_is_rejected(tmp_path, floor):
     path.write_text(text)
     with pytest.raises(ConfigError, match=r":\d+: \[solver\] delta_floor must be positive"):
         load_scenario(str(path))
+
+
+def test_continuation_line_search_takes_two_evals_per_step():
+    # 19 warm-started member solves, each annealed from a first stage whose
+    # Newton step is far longer than the temperature
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "..", "perfbench", "configs", "demo_small_c0.toml"))
+    cont = delta_continuation(cfg.params, cfg.alpha, cfg.grid, replace(cfg.solver, delta=0.25))
+    work = cont.extrapolated.anneal
+    assert not cont.truncated
+    assert work.newton_limit_stops == 0 and work.line_search_failures == 0
+    assert work.dual_evals <= 2 * work.newton_steps
 
 
 def test_continuation_strictly_convex_members_when_c_zero():
