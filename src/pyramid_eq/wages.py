@@ -46,11 +46,14 @@ externally against the LP.
 
 Off-grid values v(z) use linear interpolation, which preserves convexity
 of the samples.  All maxima run in fixed index order with first-index
-tie-breaking, so repeated runs are bitwise identical.
+tie-breaking, so repeated runs are bitwise identical.  The occupation
+label alone treats wage components within _TIE_REL of the max as tied,
+so that round-off in v does not decide it.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +62,7 @@ from .model import GridMeasure, SkillGrid, TechnologyParams, _deposit, split_pos
 __all__ = [
     "SolverConfig",
     "WageProfile",
+    "AnnealStage",
     "AnnealWork",
     "WageComponents",
     "WageOperator",
@@ -74,6 +78,7 @@ __all__ = [
 ]
 
 _EXP_CAP = 45.0  # exponent clamp: keeps line-search probes finite
+_TIE_REL = 1e-10  # wage components this close to the max (relative) tie for the occupation label
 _TRIAL_RADIUS = 10.0  # first Armijo trial moves no wage by more than this many temperatures
 _ETA_FLOOR = 2e-5  # smallest annealing temperature, relative to the payoff scale
 _ULP = float(np.finfo(float).eps)
@@ -117,26 +122,66 @@ class WageComponents:
     u: np.ndarray
     best_teacher: np.ndarray  # per student node: argmax k in the u envelope
     best_student: np.ndarray  # per teacher node: argmax a in the v_t envelope
-    occupation: np.ndarray    # per node argmax of (v_w, v_m, v_t); 0/1/2, lowest wins ties
+    occupation: np.ndarray    # per node argmax of (v_w, v_m, v_t) as 0/1/2; ties within _TIE_REL go 2, then 0
+
+
+@dataclass
+class AnnealStage:
+    """One temperature stage of the smoothed-dual anneal: eta relative to
+    the payoff scale, Newton systems solved, dual evaluations, why the
+    stage ended and |grad|_inf at the wages it returned.  A stage ends on
+    "gtol" (gradient below tolerance), "stationary" (the full step no
+    longer lowers |grad|_inf where the dual value cannot resolve the
+    decrease), "line_search" (50 halvings without Armijo decrease) or
+    "newton_limit"."""
+
+    eta: float
+    newton_steps: int
+    dual_evals: int
+    stop: str
+    grad_inf: float
 
 
 @dataclass
 class AnnealWork:
-    """Work counts of the smoothed-dual anneal.  newton_steps counts Newton
-    systems solved and dual_evals evaluations of the dual; a stage ends on
-    a gradient below tolerance, a stationary stop (the full step no longer
-    lowers |grad|_inf where the dual value cannot resolve the decrease), a
-    line-search failure (50 halvings without Armijo decrease) or the
-    Newton-step limit."""
+    """Work of one or more anneals, stage by stage; the totals are sums
+    over the stages, and adding two works concatenates their stages."""
 
-    newton_steps: int = 0
-    dual_evals: int = 0
-    line_search_failures: int = 0
-    stationary_stops: int = 0
-    newton_limit_stops: int = 0
+    stages: list = field(default_factory=list)
+
+    @property
+    def newton_steps(self) -> int:
+        return sum(s.newton_steps for s in self.stages)
+
+    @property
+    def dual_evals(self) -> int:
+        return sum(s.dual_evals for s in self.stages)
+
+    @property
+    def line_search_failures(self) -> int:
+        return sum(s.stop == "line_search" for s in self.stages)
+
+    @property
+    def stationary_stops(self) -> int:
+        return sum(s.stop == "stationary" for s in self.stages)
+
+    @property
+    def newton_limit_stops(self) -> int:
+        return sum(s.stop == "newton_limit" for s in self.stages)
 
     def __add__(self, other: AnnealWork) -> AnnealWork:
-        return AnnealWork(*(a + b for a, b in zip(astuple(self), astuple(other))))
+        return AnnealWork(self.stages + other.stages)
+
+    def as_dict(self) -> dict:
+        """The totals followed by the per-stage records, as JSON-ready data."""
+        return {
+            "newton_steps": self.newton_steps,
+            "dual_evals": self.dual_evals,
+            "line_search_failures": self.line_search_failures,
+            "stationary_stops": self.stationary_stops,
+            "newton_limit_stops": self.newton_limit_stops,
+            "stages": [asdict(s) for s in self.stages],
+        }
 
 
 @dataclass(eq=False)
@@ -222,10 +267,20 @@ class WageOperator:
         self.E = self.c * np.asarray(params.bE.value(Z))
         self._idx, self._frac = split_positions(Z, grid)
 
-    def interp_at_z(self, v: np.ndarray) -> np.ndarray:
+    def interp_at_z(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """v at every pair's z: v[idx] (1-frac) + v[idx+1] frac, written
+        into out when given."""
         if self.grid.n == 1:
-            return np.full_like(self._frac, v[0])
-        return v[self._idx] * (1.0 - self._frac) + v[self._idx + 1] * self._frac
+            if out is None:
+                return np.full_like(self._frac, v[0])
+            out.fill(v[0])
+            return out
+        vz = np.take(v, self._idx, out=out)
+        vz *= 1.0 - self._frac
+        hi = np.take(v[1:], self._idx)  # v[idx + 1]: split_positions keeps idx <= n - 2
+        hi *= self._frac
+        vz += hi
+        return vz
 
     def splat_from_z(self, w: np.ndarray) -> np.ndarray:
         """Adjoint of interp_at_z: deposit pair weights w onto the nodes."""
@@ -251,7 +306,12 @@ class WageOperator:
         best_student = cand_t.argmax(axis=0)
 
         stack = np.stack([v_w, v_m, v_t])
-        occupation = stack.argmax(axis=0)
+        top = stack.max(axis=0)
+        near = stack >= top - _TIE_REL * np.maximum(1.0, np.abs(top))
+        # components within round-off of the max tie, so the last digits of
+        # v decide no label: teaching wins a tie (the teacher zone and the
+        # occupation split read only that label), then working over managing
+        occupation = np.where(near[2], 2, near[:2].argmax(axis=0))
         return WageComponents(v_w, v_m, v_t, u, best_teacher, best_student, occupation)
 
     def envelope(self, comp: WageComponents) -> np.ndarray:
@@ -268,14 +328,12 @@ class WageOperator:
             val += delta * float(u.mean() + v.mean())
         return val
 
-    def slacks(self, u: np.ndarray | None, v: np.ndarray):
+    def slacks(self, u: np.ndarray, v: np.ndarray):
         """Stability slacks over all grid pairs, (F, G) with
         F[a, k] = u(a) + v(k)/N - c b_E(z(a,k)) - v(z(a,k)) and
-        G[k', k] = v(k') + v(k)/N' - b_L((1-t')k' + t'k); F is None when u is."""
+        G[k', k] = v(k') + v(k)/N' - b_L((1-t')k' + t'k)."""
         p = self.params
         G = v[:, None] + v[None, :] / p.N_prime - self.BL
-        if u is None:
-            return None, G
         return u[:, None] + v[None, :] / p.N - self.E - self.interp_at_z(v), G
 
     def profile(self, v: np.ndarray, alpha: GridMeasure, delta: float,
@@ -297,6 +355,20 @@ class WageOperator:
 # smoothed dual: softmax envelopes + Newton in v, annealed in temperature
 # ---------------------------------------------------------------------------
 
+class _DualState(NamedTuple):
+    """The pair weights of one dual evaluation and the sums the gradient
+    took of them: the splat kappa and column sums of eps, row and column
+    sums of lam.  eps and lam are the dual's work arrays, valid until its
+    next evaluation."""
+
+    eps: np.ndarray
+    lam: np.ndarray
+    kappa: np.ndarray
+    eps_col: np.ndarray
+    lam_row: np.ndarray
+    lam_col: np.ndarray
+
+
 class _SmoothedDual:
     """Smooth strictly convex relaxation of the wage minimization.
 
@@ -304,6 +376,11 @@ class _SmoothedDual:
     student masses as marginals); the remaining functional of v is smooth
     with gradient equal to the steady-state excess supply, and is driven to
     its minimum by damped Newton steps.
+
+    The pair tables the Hessian needs (flat deposit indices by teacher and
+    by student, the split weight frac (1-frac)) are built once here, and
+    every evaluation writes into n x n work arrays owned by the dual, so
+    one anneal allocates them once.
     """
 
     def __init__(self, op: WageOperator, m: np.ndarray, d: np.ndarray):
@@ -312,80 +389,101 @@ class _SmoothedDual:
         self.d = d
         self.live = m > 0.0
         self.logm = np.where(self.live, np.log(np.where(self.live, m, 1.0)), 0.0)
+        self.scale = max(1.0, float(np.abs(op.E).max()), float(np.abs(op.BL).max()))
         self.work = AnnealWork()
+
+        n = op.grid.n
+        idx, frac = op._idx, op._frac
+        self._by_teacher = idx + n * np.arange(n)           # bin (j, node) of pair (a, j)
+        self._by_student = idx + n * np.arange(n)[:, None]  # bin (a, node) of pair (a, j)
+        self._w01 = frac * (1.0 - frac)
+        # rows of the row-mean term are scaled by 1/sqrt(m); massless rows are zero
+        self._rsqrt_m = np.divide(1.0, np.sqrt(m), out=np.zeros_like(m), where=self.live)[:, None]
+        self._P = np.empty((n, n))  # S, then the row softmax eps
+        self._L = np.empty((n, n))  # -G/eta, then lam = exp(-G/eta)
+        self._H = np.empty((n, n))
+        self._T = np.empty((n, n))  # scratch
 
     def state(self, v: np.ndarray, eta: float):
         op, p = self.op, self.op.params
-        S = op.E + op.interp_at_z(v) - v[None, :] / p.N
-        Smax = S.max(axis=1)
-        P = np.exp(np.minimum((S - Smax[:, None]) / eta, _EXP_CAP))
+        P = op.interp_at_z(v, out=self._P)
+        P += op.E
+        P -= v / p.N  # S: (student, teacher) surplus net of the teacher's wage share
+        Smax = P.max(axis=1)
+        P -= Smax[:, None]
+        P /= eta  # <= 0, so the exponent needs no clamp
+        np.exp(P, out=P)
         rs = P.sum(axis=1)
         u = Smax + eta * (np.log(rs) - self.logm)
-        eps = (self.m / rs)[:, None] * P
-        _, G = op.slacks(None, v)
-        lam = np.exp(np.minimum(-G / eta, _EXP_CAP))
-        return u, eps, lam
+        P *= (self.m / rs)[:, None]
+        lam = np.add(v[:, None], v / p.N_prime, out=self._L)
+        np.subtract(op.BL, lam, out=lam)  # -G, G the labor slacks of WageOperator.slacks
+        lam /= eta
+        np.minimum(lam, _EXP_CAP, out=lam)
+        np.exp(lam, out=lam)
+        return u, P, lam
 
     def value_grad(self, v: np.ndarray, eta: float):
         p = self.op.params
         u, eps, lam = self.state(v, eta)
         val = float(self.m[self.live] @ u[self.live] + self.d @ v) + eta * float(lam.sum())
         kappa = self.op.splat_from_z(eps)
-        eps2 = eps.sum(axis=0)
-        lam1 = lam.sum(axis=1)
-        lam2 = lam.sum(axis=0)
-        grad = self.d + kappa - eps2 / p.N - lam1 - lam2 / p.N_prime
-        return val, grad, (u, eps, lam)
+        st = _DualState(eps, lam, kappa, eps.sum(axis=0), lam.sum(axis=1), lam.sum(axis=0))
+        grad = self.d + kappa - st.eps_col / p.N - st.lam_row - st.lam_col / p.N_prime
+        return val, grad, st
 
-    def hessian(self, v: np.ndarray, eta: float, eps: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def hessian(self, eta: float, st: _DualState) -> np.ndarray:
+        """Newton matrix at the state st of the last evaluation, written into
+        the dual's work array H."""
         op, p = self.op, self.op.params
         n = op.grid.n
-        idx, frac = op._idx, op._frac
-        H = (lam + lam.T) / p.N_prime
-        diag = lam.sum(axis=1) + lam.sum(axis=0) / p.N_prime ** 2
+        eps, H, T = st.eps, self._H, self._T
+        np.add(st.lam, st.lam.T, out=H)
+        H /= p.N_prime
+        diag = st.lam_row + st.lam_col / p.N_prime ** 2
 
         # education block sum_aj eps w w^T - row-mean correction, where the
         # pair vector w has entries w0 = 1-frac at idx, w1 = frac at idx+1
-        # and -1/N at j.  The (idx, idx+1) part is tridiagonal, the j-j part
+        # and -1/N at j.  The (idx, idx+1) part is tridiagonal: with
+        # w0^2 = w0 - w0 w1 and w1^2 = w1 - w0 w1 its diagonal is the splat
+        # kappa less the off-diagonal deposit at both ends.  The j-j part is
         # diagonal; the (node, j) cross part is C + C^T with
-        # C[j, k] = sum_a eps[a, j] w_k, a row-wise deposit of eps.
-        e0 = eps * (1.0 - frac)
-        e1 = eps * frac
-        flat = idx.ravel()
-        diag += np.bincount(flat, (e0 * (1.0 - frac)).ravel(), minlength=n)
-        diag[1:] += np.bincount(flat, (e1 * frac).ravel(), minlength=n)[:-1]
-        diag += eps.sum(axis=0) / p.N ** 2
-        off = np.bincount(flat, (e0 * frac).ravel(), minlength=n)[:-1]
+        # C[j, k] = sum_a eps[a, j] w_k, a deposit of eps by teacher.
+        off = np.bincount(op._idx.ravel(), np.multiply(eps, self._w01, out=T).ravel(), minlength=n)
+        diag += st.kappa - off
+        diag[1:] -= off[:-1]
+        diag += st.eps_col / p.N ** 2
         H.flat[::n + 1] += diag
-        H.flat[1::n + 1] += off
-        H.flat[n::n + 1] += off
-        C = _deposit(idx + n * np.arange(n), frac, eps, n * n).reshape(n, n)
-        H -= (C + C.T) / p.N
+        H.flat[1::n + 1] += off[:-1]
+        H.flat[n::n + 1] += off[:-1]
+        C = _deposit(self._by_teacher, op._frac, eps, n * n).reshape(n, n)
+        H -= np.divide(np.add(C, C.T, out=T), p.N, out=T)
 
-        live = self.live
-        if np.any(live):
-            prob = eps / np.where(self.m > 0, self.m, 1.0)[:, None]
-            Wbar = _deposit(idx + n * np.arange(n)[:, None], frac, prob, n * n).reshape(n, n)
-            Wbar -= prob / p.N
-            H -= Wbar[live].T @ (self.m[live, None] * Wbar[live])
+        # row means: student a contributes x x^T with x = sum_j eps[a, j] w / sqrt(m_a),
+        # row a of X = (D - eps/N)/sqrt(m) for D the deposit of eps by student;
+        # X^T X runs as one symmetric product
+        X = _deposit(self._by_student, op._frac, eps, n * n).reshape(n, n)
+        X -= np.divide(eps, p.N, out=T)
+        X *= self._rsqrt_m
+        H -= np.matmul(X.T, X, out=T)
 
         H /= eta
-        H[np.diag_indices_from(H)] += 1e-12 * max(1.0, float(np.abs(H).max()))
+        H.flat[::n + 1] += 1e-12 * max(1.0, float(H.max()), -float(H.min()))
         return H
 
     def minimize(self, v: np.ndarray, eta: float, gtol: float = 1e-12, max_newton: int = 80) -> np.ndarray:
         """Damped Newton on the smoothed dual at temperature eta, with the
-        step acceptance of the module docstring; counts go to self.work."""
-        work = self.work
+        step acceptance of the module docstring; the stage's record goes to
+        self.work."""
         v = v.copy()
-        val, grad, (u, eps, lam) = self.value_grad(v, eta)
-        work.dual_evals += 1
+        val, grad, st = self.value_grad(v, eta)
+        gmax = float(np.abs(grad).max())
+        steps, evals, stop = 0, 1, "newton_limit"
         for _ in range(max_newton):
-            gmax = float(np.abs(grad).max())
             if gmax <= gtol:
                 break
-            H = self.hessian(v, eta, eps, lam)
-            work.newton_steps += 1
+            H = self.hessian(eta, st)
+            steps += 1
             try:
                 step = -np.linalg.solve(H, grad)
             except np.linalg.LinAlgError:
@@ -397,26 +495,27 @@ class _SmoothedDual:
             if -slope <= 4.0 * _ULP * max(1.0, abs(val)):
                 v_new = v + step
                 val_new, grad_new, st_new = self.value_grad(v_new, eta)
-                work.dual_evals += 1
+                evals += 1
                 if not float(np.abs(grad_new).max()) < gmax:
-                    work.stationary_stops += 1
+                    stop = "stationary"
                     break
             else:
                 t = min(1.0, _TRIAL_RADIUS * eta / float(np.abs(step).max()))
                 for _ in range(50):
                     v_new = v + t * step
                     val_new, grad_new, st_new = self.value_grad(v_new, eta)
-                    work.dual_evals += 1
+                    evals += 1
                     if val_new <= val + 1e-4 * t * slope:
                         break
                     t *= 0.5
                 else:
-                    work.line_search_failures += 1
+                    stop = "line_search"
                     break
-            v, val, grad, (u, eps, lam) = v_new, val_new, grad_new, st_new
-        else:
-            if float(np.abs(grad).max()) > gtol:
-                work.newton_limit_stops += 1
+            v, val, grad, st = v_new, val_new, grad_new, st_new
+            gmax = float(np.abs(grad).max())
+        if stop == "newton_limit" and gmax <= gtol:
+            stop = "gtol"
+        self.work.stages.append(AnnealStage(eta / self.scale, steps, evals, stop, gmax))
         return v
 
 
@@ -425,9 +524,8 @@ def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray):
     Richardson-extrapolate the zero-temperature wage vector from the last
     three stages (error O(eta^3)).  Returns it with the anneal's work."""
     sd = _SmoothedDual(op, m, d)
-    scale = max(1.0, float(np.abs(op.E).max()), float(np.abs(op.BL).max()))
-    eta = 0.25 * scale
-    eta_floor = _ETA_FLOOR * scale
+    eta = 0.25 * sd.scale
+    eta_floor = _ETA_FLOOR * sd.scale
     v = v0.copy()
     while eta > eta_floor:
         v = sd.minimize(v, eta)

@@ -74,7 +74,10 @@ def test_solve_writes_artifacts_and_validates_schemas(tmp_path):
     jsonschema.validate(duality, load_schema("duality.schema.json"))
     assert duality["converged"] is True
     assert duality["lp"]["gap"] <= 1e-6
-    assert duality["anneal"]["newton_steps"] > 0
+    anneal = duality["anneal"]
+    assert anneal["newton_steps"] > 0
+    for total in ("newton_steps", "dual_evals"):
+        assert anneal[total] == sum(s[total] for s in anneal["stages"])
     occ = json.loads((out / "occupations.json").read_text())
     jsonschema.validate(occ, load_schema("occupations.schema.json"))
     spec = json.loads((out / "specialization.json").read_text())
@@ -120,6 +123,9 @@ def test_determinism_bit_identical(tmp_path):
         assert main(["sweep", "--config", cfg_path, "--quiet", *args]) == 0
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
+    # the per-stage anneal records are part of the bit-identical set
+    stages = json.loads((out1 / "duality.json").read_text())["anneal"]["stages"]
+    assert stages and all(s["dual_evals"] >= 1 for s in stages)
     for name in names:
         b1 = (out1 / name).read_bytes()
         b2 = (out2 / name).read_bytes()

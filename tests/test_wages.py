@@ -169,6 +169,19 @@ def test_argmax_ties_break_low():
     assert np.array_equal(comp.best_teacher, expect)
 
 
+def test_occupation_labels_survive_round_off_moves_of_v():
+    # demo_small at n = 64 has a node where teaching and managing pay the
+    # same to round-off; a 1e-12 move of v must not relabel it
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "demo_small.toml"), grid_n_override=64)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    stack = np.sort(np.stack([prof.v_w, prof.v_m, prof.v_t]), axis=0)
+    assert np.any(stack[2] - stack[1] <= 1e-13 * np.abs(stack[2]))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        moved = prof.v + 1e-12 * rng.uniform(-1.0, 1.0, prof.v.size)
+        assert np.array_equal(prof.operator.components(moved).occupation, prof.occupation)
+
+
 def test_bellman_monotone_in_monotone_out():
     params = make_params()
     grid = SkillGrid(16, 1.0)
@@ -310,11 +323,10 @@ def test_splat_is_adjoint_of_interp(n, theta):
         float(v @ op.splat_from_z(w)), abs=1e-13)
 
 
-def _dense_hessian(sd, eps, lam, eta):
-    """W^T diag(eps) W - Wbar^T diag(m) Wbar + L^T diag(lam) L over explicit
-    pair vectors: education pair (a, j) has (1-frac) at idx, frac at idx+1
-    and -1/N at j; labor pair (i, j) has 1 at i and 1/N' at j."""
-    op, p = sd.op, sd.op.params
+def _pair_vectors(op):
+    """Explicit pair vectors: education pair (a, j) has (1-frac) at idx,
+    frac at idx+1 and -1/N at j; labor pair (i, j) has 1 at i and 1/N' at j."""
+    p = op.params
     n = op.grid.n
     W = np.zeros((n, n, n))
     L = np.zeros((n, n, n))
@@ -326,30 +338,108 @@ def _dense_hessian(sd, eps, lam, eta):
             W[a, j, j] -= 1.0 / p.N
             L[a, j, a] += 1.0
             L[a, j, j] += 1.0 / p.N_prime
+    return W, L
+
+
+def _dense_hessian(sd, eps, lam, eta):
+    """W^T diag(eps) W - Wbar^T diag(m) Wbar + L^T diag(lam) L over the
+    explicit pair vectors."""
+    W, L = _pair_vectors(sd.op)
     H = np.einsum("aj,ajk,ajl->kl", eps, W, W) + np.einsum("aj,ajk,ajl->kl", lam, L, L)
     for a in np.flatnonzero(sd.m > 0):
         wbar = (eps[a] / sd.m[a]) @ W[a]
         H -= sd.m[a] * np.outer(wbar, wbar)
     H /= eta
-    return H + 1e-12 * max(1.0, float(np.abs(H).max())) * np.eye(n)
+    return H + 1e-12 * max(1.0, float(np.abs(H).max())) * np.eye(len(H))
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.7])
-@pytest.mark.parametrize("n", [1, 2, 7, 12])
-def test_smoothed_dual_hessian_matches_dense_reference(n, theta):
+def _dense_value_grad(sd, v, eta):
+    """The smoothed dual from its definition, pair by pair: per live
+    student a, u_a = eta log(sum_j exp(S_aj/eta) / m_a) with
+    S = c b_E(z) + v(z) - v_j/N, eps its softmax times m_a, and
+    lam = exp(-G/eta) for the labor slacks G."""
+    op, p = sd.op, sd.op.params
+    n = op.grid.n
+    W, L = _pair_vectors(op)
+    vz = np.array([[v[op._idx[a, j]] * (1.0 - op._frac[a, j]) + v[min(op._idx[a, j] + 1, n - 1)] * op._frac[a, j]
+                    for j in range(n)] for a in range(n)])
+    S = op.E + vz - v[None, :] / p.N
+    eps = np.zeros((n, n))
+    val = float(sd.d @ v)
+    for a in np.flatnonzero(sd.m > 0):
+        top = S[a].max()
+        w = np.exp((S[a] - top) / eta)
+        val += sd.m[a] * (top + eta * np.log(w.sum() / sd.m[a]))
+        eps[a] = sd.m[a] * w / w.sum()
+    G = v[:, None] + v[None, :] / p.N_prime - op.BL
+    assert (-G / eta).max() < 45.0  # the exponent clamp is not active
+    lam = np.exp(-G / eta)
+    val += eta * lam.sum()
+    grad = sd.d + np.einsum("aj,ajk->k", eps, W) - np.einsum("aj,ajk->k", lam, L)
+    scale = np.einsum("aj,ajk->k", eps, np.abs(W)) + np.einsum("aj,ajk->k", lam, L) + np.abs(sd.d)
+    return val, grad, eps, lam, max(1.0, float(scale.max()))
+
+
+def _dual_instance(n, theta):
     params = make_params(theta=theta, N=4.0, N_prime=2.0)
     grid = SkillGrid(n, 1.0)
     op = WageOperator(params, grid)
     m = uniform_alpha(grid).weights.copy()
     if n > 2:
         m[1] = 0.0  # a student node without mass drops out of the row-mean term
-    sd = _SmoothedDual(op, m, np.full(n, 0.01))
+    return op, m, np.full(n, 0.01), op.lower_bound() + 0.1 * grid.nodes ** 2
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_smoothed_dual_value_grad_matches_dense_formulas(n, theta):
+    op, m, d, v = _dual_instance(n, theta)
+    if n == 2:
+        m[1] = 0.0
+    sd = _SmoothedDual(op, m, d)
     eta = 0.05
-    v = op.lower_bound() + 0.1 * grid.nodes ** 2
-    _, _, (_, eps, lam) = sd.value_grad(v, eta)
-    H = sd.hessian(v, eta, eps, lam)
-    ref = _dense_hessian(sd, eps, lam, eta)
+    val, grad, st = sd.value_grad(v, eta)
+    ref_val, ref_grad, ref_eps, ref_lam, scale = _dense_value_grad(sd, v, eta)
+    assert abs(val - ref_val) <= 1e-13 * max(1.0, abs(ref_val))
+    assert np.abs(grad - ref_grad).max() <= 1e-13 * scale
+    assert np.abs(st.eps - ref_eps).max() <= 1e-13 * np.abs(ref_eps).max()
+    assert np.abs(st.lam - ref_lam).max() <= 1e-13 * np.abs(ref_lam).max()
+    assert np.array_equal(st.eps_col, st.eps.sum(axis=0))
+    assert np.array_equal(st.lam_row, st.lam.sum(axis=1))
+    assert np.array_equal(st.lam_col, st.lam.sum(axis=0))
+
+
+def test_smoothed_dual_work_arrays_do_not_leak_between_evaluations():
+    # every evaluation overwrites the dual's work arrays; nothing of the
+    # previous one may survive into the next value, gradient or Hessian
+    op, m, d, v1 = _dual_instance(12, 0.5)
+    v2 = v1 + 0.03 * np.sin(7.0 * op.grid.nodes)
+    used = _SmoothedDual(op, m, d)
+    _, _, st1 = used.value_grad(v1, 0.2)
+    used.hessian(0.2, st1)
+    val, grad, st = used.value_grad(v2, 0.05)
+    H = used.hessian(0.05, st)
+    fresh = _SmoothedDual(op, m, d)
+    val_f, grad_f, st_f = fresh.value_grad(v2, 0.05)
+    H_f = fresh.hessian(0.05, st_f)
+    assert val == val_f
+    assert np.array_equal(grad, grad_f)
+    for got, want in zip(st, st_f):
+        assert np.array_equal(got, want)
+    assert np.array_equal(H, H_f)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 33])
+def test_smoothed_dual_hessian_matches_dense_reference(n, theta):
+    op, m, d, v = _dual_instance(n, theta)
+    sd = _SmoothedDual(op, m, d)
+    eta = 0.05
+    _, _, st = sd.value_grad(v, eta)
+    H = sd.hessian(eta, st)
+    ref = _dense_hessian(sd, st.eps, st.lam, eta)
     assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(H, H.T)
 
 
 def test_anneal_never_stalls_on_supercritical_config():
@@ -422,6 +512,7 @@ def test_continuation_line_search_takes_two_evals_per_step():
     cont = delta_continuation(cfg.params, cfg.alpha, cfg.grid, replace(cfg.solver, delta=0.25))
     work = cont.extrapolated.anneal
     assert not cont.truncated
+    assert work.stages == [s for prof in cont.profiles for s in prof.anneal.stages]
     assert work.newton_limit_stops == 0 and work.line_search_failures == 0
     assert work.dual_evals <= 2 * work.newton_steps
 
