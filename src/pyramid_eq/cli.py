@@ -20,7 +20,7 @@ import re
 import sys
 import tomllib
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -378,6 +378,7 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
         "c_used": profile.c_used,
         "couplings_source": source,
         "anneal": None if profile.anneal is None else profile.anneal.as_dict(),
+        "polish": None if profile.polish is None else asdict(profile.polish),
         "stability": {
             "min_f": sr.min_f,
             "min_g": sr.min_g,

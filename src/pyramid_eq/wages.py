@@ -57,13 +57,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import GridMeasure, SkillGrid, TechnologyParams, _deposit, split_positions
+from .model import GridMeasure, SkillGrid, TechnologyParams, _deposit, _deposit_into, split_positions
 
 __all__ = [
     "SolverConfig",
     "WageProfile",
     "AnnealStage",
     "AnnealWork",
+    "PolishWork",
     "WageComponents",
     "WageOperator",
     "StabilityReport",
@@ -145,9 +146,13 @@ class AnnealStage:
 @dataclass
 class AnnealWork:
     """Work of one or more anneals, stage by stage; the totals are sums
-    over the stages, and adding two works concatenates their stages."""
+    over the stages, and adding two works concatenates their stages.
+    richardson is |v_extrapolated - f2|_inf, the change the zero-temperature
+    extrapolation made to the coldest stage's wages, the largest over the
+    anneals when works are added."""
 
     stages: list = field(default_factory=list)
+    richardson: float = 0.0
 
     @property
     def newton_steps(self) -> int:
@@ -170,7 +175,7 @@ class AnnealWork:
         return sum(s.stop == "newton_limit" for s in self.stages)
 
     def __add__(self, other: AnnealWork) -> AnnealWork:
-        return AnnealWork(self.stages + other.stages)
+        return AnnealWork(self.stages + other.stages, max(self.richardson, other.richardson))
 
     def as_dict(self) -> dict:
         """The totals followed by the per-stage records, as JSON-ready data."""
@@ -180,15 +185,29 @@ class AnnealWork:
             "line_search_failures": self.line_search_failures,
             "stationary_stops": self.stationary_stops,
             "newton_limit_stops": self.newton_limit_stops,
+            "richardson": self.richardson,
             "stages": [asdict(s) for s in self.stages],
         }
+
+
+@dataclass
+class PolishWork:
+    """The damped envelope iteration (_bellman_polish) that produced a
+    profile's v: its iterations, the restarts after a stall, the damping
+    it ended with and its last sup-norm change."""
+
+    iterations: int
+    restarts: int
+    damping: float
+    last_change: float
 
 
 @dataclass(eq=False)
 class WageProfile:
     """Converged (or best-effort) wage schedule on the grid.  operator is
     the WageOperator it was evaluated with; anneal is the anneal work that
-    produced v, None when v did not come from a solve."""
+    produced v, None when v did not come from a solve; polish is the
+    envelope iteration that produced v, None when v did not come from one."""
 
     v: np.ndarray
     u: np.ndarray
@@ -206,6 +225,7 @@ class WageProfile:
     c_used: float
     operator: WageOperator | None = None
     anneal: AnnealWork | None = None
+    polish: PolishWork | None = None
 
 
 def convexify(values, nodes=None) -> np.ndarray:
@@ -337,7 +357,8 @@ class WageOperator:
         return u[:, None] + v[None, :] / p.N - self.E - self.interp_at_z(v), G
 
     def profile(self, v: np.ndarray, alpha: GridMeasure, delta: float,
-                converged: bool, iterations: int, anneal: AnnealWork | None = None) -> WageProfile:
+                converged: bool, iterations: int, anneal: AnnealWork | None = None,
+                polish: PolishWork | None = None) -> WageProfile:
         """The wage profile at v: its envelope components, objective and
         sup-norm envelope residual."""
         comp = self.components(v)
@@ -347,7 +368,7 @@ class WageOperator:
             occupation=comp.occupation, converged=converged, iterations=iterations,
             objective=self.objective(comp.u, v, alpha, delta),
             envelope_residual=float(np.abs(v - self.envelope(comp)).max()),
-            delta=delta, c_used=self.c, operator=self, anneal=anneal,
+            delta=delta, c_used=self.c, operator=self, anneal=anneal, polish=polish,
         )
 
 
@@ -378,9 +399,10 @@ class _SmoothedDual:
     its minimum by damped Newton steps.
 
     The pair tables the Hessian needs (flat deposit indices by teacher and
-    by student, the split weight frac (1-frac)) are built once here, and
-    every evaluation writes into n x n work arrays owned by the dual, so
-    one anneal allocates them once.
+    by student, 1-frac and the split weight frac (1-frac)) are built once
+    here, and every evaluation and Hessian writes into n x n work arrays
+    owned by the dual, so one anneal allocates them once and a Newton step
+    allocates no n x n array.
     """
 
     def __init__(self, op: WageOperator, m: np.ndarray, d: np.ndarray):
@@ -394,8 +416,12 @@ class _SmoothedDual:
 
         n = op.grid.n
         idx, frac = op._idx, op._frac
-        self._by_teacher = idx + n * np.arange(n)           # bin (j, node) of pair (a, j)
-        self._by_student = idx + n * np.arange(n)[:, None]  # bin (a, node) of pair (a, j)
+        # flat bins (j, node) and (a, node) of pair (a, j), as int32 to halve
+        # the tables (np.add.at casts indices in fixed-size chunks, never as a
+        # whole); n^2 < 2^31 for any grid whose n x n tables fit in memory
+        self._by_teacher = (idx + n * np.arange(n)).astype(np.int32).ravel()
+        self._by_student = (idx + n * np.arange(n)[:, None]).astype(np.int32).ravel()
+        self._omf = (1.0 - frac).ravel()
         self._w01 = frac * (1.0 - frac)
         # rows of the row-mean term are scaled by 1/sqrt(m); massless rows are zero
         self._rsqrt_m = np.divide(1.0, np.sqrt(m), out=np.zeros_like(m), where=self.live)[:, None]
@@ -403,6 +429,8 @@ class _SmoothedDual:
         self._L = np.empty((n, n))  # -G/eta, then lam = exp(-G/eta)
         self._H = np.empty((n, n))
         self._T = np.empty((n, n))  # scratch
+        self._split = np.empty((2, n * n))  # eps (1-frac), eps frac
+        self._Q = np.empty((n, n))  # the deposits of eps by teacher, then by student
 
     def state(self, v: np.ndarray, eta: float):
         op, p = self.op, self.op.params
@@ -456,13 +484,18 @@ class _SmoothedDual:
         H.flat[::n + 1] += diag
         H.flat[1::n + 1] += off[:-1]
         H.flat[n::n + 1] += off[:-1]
-        C = _deposit(self._by_teacher, op._frac, eps, n * n).reshape(n, n)
+        lo, hi = self._split
+        np.multiply(eps.ravel(), self._omf, out=lo)
+        np.multiply(eps.ravel(), op._frac.ravel(), out=hi)
+        C = self._Q
+        _deposit_into(C.ravel(), T.ravel(), self._by_teacher, lo, hi)
         H -= np.divide(np.add(C, C.T, out=T), p.N, out=T)
 
         # row means: student a contributes x x^T with x = sum_j eps[a, j] w / sqrt(m_a),
         # row a of X = (D - eps/N)/sqrt(m) for D the deposit of eps by student;
         # X^T X runs as one symmetric product
-        X = _deposit(self._by_student, op._frac, eps, n * n).reshape(n, n)
+        X = self._Q
+        _deposit_into(X.ravel(), T.ravel(), self._by_student, lo, hi)
         X -= np.divide(eps, p.N, out=T)
         X *= self._rsqrt_m
         H -= np.matmul(X.T, X, out=T)
@@ -533,7 +566,9 @@ def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray):
     f0 = sd.minimize(v, eta)
     f1 = sd.minimize(f0, eta / 2.0)
     f2 = sd.minimize(f1, eta / 4.0)
-    return (8.0 * f2 - 6.0 * f1 + f0) / 3.0, sd.work
+    v = (8.0 * f2 - 6.0 * f1 + f0) / 3.0
+    sd.work.richardson = float(np.abs(v - f2).max())
+    return v, sd.work
 
 
 def _require_monotone(v: np.ndarray):
@@ -570,7 +605,7 @@ def _bellman_polish(op: WageOperator, config: SolverConfig, v_start: np.ndarray)
 
     Stalls (no 2% decay over a 250-step lookback) halve the damping and
     restart from the seed, up to three times; exhaustion returns the last
-    iterate flagged non-converged.
+    iterate flagged non-converged.  Returns (v, converged, PolishWork).
     """
     damping = config.damping
     restarts = 0
@@ -600,7 +635,7 @@ def _bellman_polish(op: WageOperator, config: SolverConfig, v_start: np.ndarray)
                 marker = np.inf
                 continue
             marker = change
-    return v, converged, iterations
+    return v, converged, PolishWork(iterations, restarts, damping, change)
 
 
 def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
@@ -624,8 +659,8 @@ def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
 
     v_anneal, work = _anneal(op, m, d, v_init)
     v_anneal = convexify(v_anneal, grid.nodes)
-    v, converged, iterations = _bellman_polish(op, config, v_anneal)
-    return op.profile(v, alpha, config.delta, converged, iterations, anneal=work)
+    v, converged, polish = _bellman_polish(op, config, v_anneal)
+    return op.profile(v, alpha, config.delta, converged, polish.iterations, anneal=work, polish=polish)
 
 
 @dataclass(eq=False)

@@ -108,6 +108,8 @@ def test_single_node_scenario_gap_zero(tmp_path):
     cfg_path = write_config(tmp_path, text)
     assert main(["solve", "--config", cfg_path, "--quiet"]) == 0
     duality = json.loads((tmp_path / "out" / "duality.json").read_text())
+    jsonschema.validate(duality, load_schema("duality.schema.json"))
+    assert duality["polish"] is None  # v is the delta -> 0 extrapolation, not a polish iterate
     assert duality["lp"]["gap"] <= 1e-9
     assert duality["lp"]["value"] == pytest.approx(0.25, abs=1e-12)
 
@@ -123,9 +125,17 @@ def test_determinism_bit_identical(tmp_path):
         assert main(["sweep", "--config", cfg_path, "--quiet", *args]) == 0
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
-    # the per-stage anneal records are part of the bit-identical set
-    stages = json.loads((out1 / "duality.json").read_text())["anneal"]["stages"]
+    # the per-stage anneal records, the Richardson correction and the
+    # polish record are part of the bit-identical set
+    duality = json.loads((out1 / "duality.json").read_text())
+    stages = duality["anneal"]["stages"]
     assert stages and all(s["dual_evals"] >= 1 for s in stages)
+    assert duality["anneal"]["richardson"] > 0.0
+    polish = duality["polish"]
+    assert polish["iterations"] == duality["iterations"] >= 1
+    solver = load_scenario(cfg_path).solver
+    assert 0.0 <= polish["last_change"] < solver.tol
+    assert polish["restarts"] >= 0 and 0.0 < polish["damping"] <= solver.damping
     for name in names:
         b1 = (out1 / name).read_bytes()
         b2 = (out2 / name).read_bytes()
@@ -271,6 +281,7 @@ def test_phase_rebuilds_the_solved_profile(tmp_path):
     assert rebuilt.objective == solved.objective
     assert rebuilt.envelope_residual == solved.envelope_residual
     assert solved.anneal is not None and rebuilt.anneal is None
+    assert solved.polish is not None and rebuilt.polish is None
 
 
 @pytest.fixture

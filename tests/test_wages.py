@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from pyramid_eq import (
     wage_components,
 )
 from pyramid_eq.cli import ConfigError, load_scenario
-from pyramid_eq.model import split_positions
+from pyramid_eq.model import _deposit, _deposit_into, split_positions
 from pyramid_eq.wages import WageOperator, _SmoothedDual
 from conftest import make_params, uniform_alpha
 
@@ -323,6 +324,25 @@ def test_splat_is_adjoint_of_interp(n, theta):
         float(v @ op.splat_from_z(w)), abs=1e-13)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.intp])
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 33])
+def test_deposit_into_buffers_equals_deposit_bitwise(n, theta, dtype):
+    # the Hessian's n^2-bin deposits, by teacher and by student, into dirty
+    # caller-owned buffers against the allocating bincount deposit
+    op = WageOperator(make_params(theta=theta), SkillGrid(n, 1.0))
+    rng = np.random.default_rng(n)
+    w = rng.exponential(size=(n, n))
+    lo = (w * (1.0 - op._frac)).ravel()
+    hi = (w * op._frac).ravel()
+    for flat in (op._idx + n * np.arange(n), op._idx + n * np.arange(n)[:, None]):
+        out = rng.normal(size=n * n)
+        scratch = rng.normal(size=n * n)
+        got = _deposit_into(out, scratch, flat.astype(dtype).ravel(), lo, hi)
+        assert got is out
+        assert np.array_equal(got, _deposit(flat, op._frac, w, n * n))
+
+
 def _pair_vectors(op):
     """Explicit pair vectors: education pair (a, j) has (1-frac) at idx,
     frac at idx+1 and -1/N at j; labor pair (i, j) has 1 at i and 1/N' at j."""
@@ -410,8 +430,9 @@ def test_smoothed_dual_value_grad_matches_dense_formulas(n, theta):
 
 
 def test_smoothed_dual_work_arrays_do_not_leak_between_evaluations():
-    # every evaluation overwrites the dual's work arrays; nothing of the
-    # previous one may survive into the next value, gradient or Hessian
+    # every evaluation overwrites the dual's work arrays, the Hessian's
+    # deposit buffers included; nothing of the previous one may survive
+    # into the next value, gradient or Hessian
     op, m, d, v1 = _dual_instance(12, 0.5)
     v2 = v1 + 0.03 * np.sin(7.0 * op.grid.nodes)
     used = _SmoothedDual(op, m, d)
@@ -440,6 +461,24 @@ def test_smoothed_dual_hessian_matches_dense_reference(n, theta):
     ref = _dense_hessian(sd, st.eps, st.lam, eta)
     assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(H, H.T)
+
+
+def test_warm_hessian_allocates_no_n_by_n_array():
+    # the Hessian deposits into buffers the dual owns: a Newton step
+    # allocates nothing of n^2 doubles
+    n = 128
+    op, m, d, v = _dual_instance(n, 0.5)
+    sd = _SmoothedDual(op, m, d)
+    _, _, st = sd.value_grad(v, 0.05)
+    sd.hessian(0.05, st)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sd.hessian(0.05, st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < n * n * 8
 
 
 def test_anneal_never_stalls_on_supercritical_config():
