@@ -30,12 +30,10 @@ from .wages import (
     SolverConfig,
     StabilityReport,
     WageProfile,
-    bellman_step,
     convexify,
     delta_continuation,
     solve_wages,
     stability_residuals,
-    wage_components,
 )
 from .lp import (
     DiscreteLP,

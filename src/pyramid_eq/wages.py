@@ -39,7 +39,21 @@ decide.  When -slope <= 4 eps_machine max(1, |value|) the full step is
 tried once and kept only if it lowers |grad|_inf; otherwise v is
 stationary to machine precision and the stage ends.
 
-A final damped pass of the exact envelope map (bellman_step) restores the
+A cold solve starts at the top of the ladder.  A solve handed a warm
+start v0 (each member of delta_continuation after the first) starts at
+the coldest rung eta above the floor where v0 is already in the Newton
+region: the Newton step at v0 moves no wage by more than R eta, and no
+labor slack is below -R eta, so no pair weight exp(-G/eta) exceeds
+exp(R).  The step test alone is fooled by a v0 far below the answer:
+where a weight exp(-G/eta) dominates, a Newton step moves G by about one
+eta however negative G is, so at the wage floor the coldest rung passes
+while the weights saturate the exponent clamp, and its stages end on the
+Newton limit.  With no qualifying rung the anneal starts at the top.
+The first stage record's eta is the start rung, and its dual evaluations
+include the probe's.  Any stage that ends on "newton_limit" or
+"line_search" marks the solve not converged.
+
+A final damped pass of the exact envelope map (_damped_step) restores the
 hard-max identity and the convex non-decreasing shape; its sup-norm
 change criterion decides the converged flag.  Optimality is certified
 externally against the LP.
@@ -70,8 +84,6 @@ __all__ = [
     "StabilityReport",
     "ContinuationResult",
     "convexify",
-    "wage_components",
-    "bellman_step",
     "solve_wages",
     "delta_continuation",
     "stability_residuals",
@@ -432,6 +444,12 @@ class _SmoothedDual:
         self._split = np.empty((2, n * n))  # eps (1-frac), eps frac
         self._Q = np.empty((n, n))  # the deposits of eps by teacher, then by student
 
+    def _minus_g(self, v: np.ndarray) -> np.ndarray:
+        """-G, G the labor slacks of WageOperator.slacks, written into the
+        work array L."""
+        L = np.add(v[:, None], v / self.op.params.N_prime, out=self._L)
+        return np.subtract(self.op.BL, L, out=L)
+
     def state(self, v: np.ndarray, eta: float):
         op, p = self.op, self.op.params
         P = op.interp_at_z(v, out=self._P)
@@ -444,8 +462,7 @@ class _SmoothedDual:
         rs = P.sum(axis=1)
         u = Smax + eta * (np.log(rs) - self.logm)
         P *= (self.m / rs)[:, None]
-        lam = np.add(v[:, None], v / p.N_prime, out=self._L)
-        np.subtract(op.BL, lam, out=lam)  # -G, G the labor slacks of WageOperator.slacks
+        lam = self._minus_g(v)
         lam /= eta
         np.minimum(lam, _EXP_CAP, out=lam)
         np.exp(lam, out=lam)
@@ -504,6 +521,40 @@ class _SmoothedDual:
         H.flat[::n + 1] += 1e-12 * max(1.0, float(H.max()), -float(H.min()))
         return H
 
+    def newton_step(self, eta: float, grad: np.ndarray, st: _DualState):
+        """The Newton direction at the state st and its slope grad . step;
+        steepest descent when the Newton matrix is singular or the
+        direction does not descend."""
+        try:
+            step = -np.linalg.solve(self.hessian(eta, st), grad)
+        except np.linalg.LinAlgError:
+            step = -grad
+        slope = float(grad @ step)
+        if slope >= 0:
+            step = -grad
+            slope = float(grad @ step)
+        return step, slope
+
+    def start_rung(self, v: np.ndarray, ladder: list) -> tuple[int, int]:
+        """Index of the coldest temperature of the ladder (hottest first)
+        at which v is already in the Newton region: no labor slack below
+        -R eta, so no pair weight exp(-G/eta) exceeds exp(R), and a Newton
+        step that moves no wage by more than R eta, R = _TRIAL_RADIUS.
+        0 when no rung qualifies.  Returns it with the dual evaluations
+        the probe took."""
+        g_floor = -float(self._minus_g(v).max())  # G.min(), independent of eta
+        evals = 0
+        for i in range(len(ladder) - 1, 0, -1):
+            eta = ladder[i]
+            if g_floor < -_TRIAL_RADIUS * eta:
+                continue
+            _, grad, st = self.value_grad(v, eta)
+            evals += 1
+            step, _ = self.newton_step(eta, grad, st)
+            if float(np.abs(step).max()) <= _TRIAL_RADIUS * eta:
+                return i, evals
+        return 0, evals
+
     def minimize(self, v: np.ndarray, eta: float, gtol: float = 1e-12, max_newton: int = 80) -> np.ndarray:
         """Damped Newton on the smoothed dual at temperature eta, with the
         step acceptance of the module docstring; the stage's record goes to
@@ -515,16 +566,8 @@ class _SmoothedDual:
         for _ in range(max_newton):
             if gmax <= gtol:
                 break
-            H = self.hessian(eta, st)
             steps += 1
-            try:
-                step = -np.linalg.solve(H, grad)
-            except np.linalg.LinAlgError:
-                step = -grad
-            slope = float(grad @ step)
-            if slope >= 0:
-                step = -grad
-                slope = float(grad @ step)
+            step, slope = self.newton_step(eta, grad, st)
             if -slope <= 4.0 * _ULP * max(1.0, abs(val)):
                 v_new = v + step
                 val_new, grad_new, st_new = self.value_grad(v_new, eta)
@@ -552,38 +595,31 @@ class _SmoothedDual:
         return v
 
 
-def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray):
+def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray, warm: bool):
     """Anneal the smoothed dual down a geometric temperature ladder and
     Richardson-extrapolate the zero-temperature wage vector from the last
-    three stages (error O(eta^3)).  Returns it with the anneal's work."""
+    three stages (error O(eta^3)).  A warm v0 starts at the rung
+    _SmoothedDual.start_rung picks, else at the top; the probe's dual
+    evaluations count in the first stage.  Returns the wages with the
+    anneal's work."""
     sd = _SmoothedDual(op, m, d)
     eta = 0.25 * sd.scale
     eta_floor = _ETA_FLOOR * sd.scale
-    v = v0.copy()
+    ladder = []
     while eta > eta_floor:
-        v = sd.minimize(v, eta)
+        ladder.append(eta)
         eta *= 0.2
+    start, probe_evals = sd.start_rung(v0, ladder) if warm else (0, 0)
+    v = v0
+    for rung in ladder[start:]:
+        v = sd.minimize(v, rung)
     f0 = sd.minimize(v, eta)
     f1 = sd.minimize(f0, eta / 2.0)
     f2 = sd.minimize(f1, eta / 4.0)
     v = (8.0 * f2 - 6.0 * f1 + f0) / 3.0
+    sd.work.stages[0].dual_evals += probe_evals
     sd.work.richardson = float(np.abs(v - f2).max())
     return v, sd.work
-
-
-def _require_monotone(v: np.ndarray):
-    if len(v) > 1 and np.any(np.diff(v) < -1e-12 * max(1.0, float(np.abs(v).max()))):
-        raise ValueError("wage array must be non-decreasing; convexify first")
-
-
-def wage_components(v, params: TechnologyParams, grid: SkillGrid, c: float | None = None) -> WageComponents:
-    """One exact envelope evaluation at the wage array v (finite and
-    non-decreasing, else rejected)."""
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("wage array must be finite")
-    _require_monotone(v)
-    return WageOperator(params, grid, c).components(v)
 
 
 def _damped_step(op: WageOperator, v: np.ndarray, damping: float) -> np.ndarray:
@@ -591,13 +627,6 @@ def _damped_step(op: WageOperator, v: np.ndarray, damping: float) -> np.ndarray:
     if not np.all(np.isfinite(vbar)):
         raise IterationDiverged("wage component overflowed; iteration diverged")
     return (1.0 - damping) * v + damping * convexify(vbar, op.grid.nodes)
-
-
-def bellman_step(v, params: TechnologyParams, grid: SkillGrid, config: SolverConfig) -> np.ndarray:
-    """One damped, convexified application of the exact envelope map."""
-    v = np.asarray(v, dtype=float)
-    _require_monotone(v)
-    return _damped_step(WageOperator(params, grid), v, config.damping)
 
 
 def _bellman_polish(op: WageOperator, config: SolverConfig, v_start: np.ndarray):
@@ -644,7 +673,7 @@ def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
 
     Anneals the smoothed dual to anchor the market-clearing wage level,
     extrapolates the temperature to zero, then runs the exact damped
-    envelope iteration (bellman_step) until its sup-norm change is below
+    envelope iteration (_damped_step) until its sup-norm change is below
     tol; the converged flag reports that final criterion.  When c = 0 the
     operator uses config.c_delta, the continuation coupling that keeps the
     problem strictly convex.
@@ -657,9 +686,12 @@ def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
     d = np.full(grid.n, config.delta / grid.n)
     v_init = op.lower_bound() if v0 is None else np.asarray(v0, dtype=float).copy()
 
-    v_anneal, work = _anneal(op, m, d, v_init)
+    v_anneal, work = _anneal(op, m, d, v_init, warm=v0 is not None)
     v_anneal = convexify(v_anneal, grid.nodes)
     v, converged, polish = _bellman_polish(op, config, v_anneal)
+    # a stage cut short leaves the polish a v the smoothed dual never
+    # anchored, and the polish can converge from it to the wrong level
+    converged = converged and work.newton_limit_stops == 0 and work.line_search_failures == 0
     return op.profile(v, alpha, config.delta, converged, polish.iterations, anneal=work, polish=polish)
 
 

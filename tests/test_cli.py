@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from pyramid_eq import cli
+from pyramid_eq import cli, wages
 from pyramid_eq.cli import ConfigError, load_scenario, main
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pyramid_eq", "schemas")
@@ -393,3 +393,22 @@ def test_nonconverged_solve_exits_two_with_artifacts(tmp_path):
     duality = json.loads((tmp_path / "out" / "duality.json").read_text())
     assert duality["converged"] is False
     assert (tmp_path / "out" / "wages.csv").exists()
+
+
+def test_anneal_cut_short_exits_two(tmp_path, monkeypatch):
+    # c = 0 routes to the delta continuation; its first member's first
+    # stage is forced to end on the Newton limit
+    minimize = wages._SmoothedDual.minimize
+
+    def cut(self, v, eta, **kw):
+        out = minimize(self, v, eta, **kw)
+        if len(self.work.stages) == 1:
+            self.work.stages[0].stop = "newton_limit"
+        return out
+
+    monkeypatch.setattr(wages._SmoothedDual, "minimize", cut)
+    cfg_path = write_config(tmp_path, BASE.replace("c = 0.5", "c = 0.0"))
+    assert main(["solve", "--config", cfg_path, "--quiet"]) == 2
+    duality = json.loads((tmp_path / "out" / "duality.json").read_text())
+    assert duality["converged"] is False
+    assert duality["anneal"]["newton_limit_stops"] == 1

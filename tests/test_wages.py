@@ -11,18 +11,16 @@ from pyramid_eq import (
     SolverConfig,
     UtilityCurve,
     assemble_primal,
-    bellman_step,
     convexify,
     delta_continuation,
     duality_report,
     solve_lp,
     solve_wages,
     stability_residuals,
-    wage_components,
 )
 from pyramid_eq.cli import ConfigError, load_scenario
 from pyramid_eq.model import _deposit, _deposit_into, split_positions
-from pyramid_eq.wages import WageOperator, _SmoothedDual
+from pyramid_eq.wages import IterationDiverged, WageOperator, _SmoothedDual, _damped_step
 from conftest import make_params, uniform_alpha
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -108,7 +106,7 @@ def single_node_oracle(N=2.0, N_prime=1.0):
 def test_single_node_components():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
-    comp = wage_components(np.array([0.5]), params, grid, c=0.0)
+    comp = WageOperator(params, grid, c=0.0).components(np.array([0.5]))
     assert comp.v_w[0] == pytest.approx(0.5)
     assert comp.v_m[0] == pytest.approx(0.5)
     assert comp.v_t[0] == pytest.approx(0.5)
@@ -118,9 +116,8 @@ def test_single_node_components():
 def test_single_node_bellman_fixed_point():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
-    cfg = SolverConfig()
     v = np.array([0.5])
-    assert bellman_step(v, params, grid, cfg) == pytest.approx(v, abs=1e-15)
+    assert _damped_step(WageOperator(params, grid), v, SolverConfig().damping) == pytest.approx(v, abs=1e-15)
 
 
 def test_single_node_solve_matches_oracle():
@@ -146,26 +143,19 @@ def test_manager_wage_dominates_zero_candidate():
     params = make_params()
     grid = SkillGrid(12, 1.0)
     v = np.linspace(0.5, 2.0, 12)
-    comp = wage_components(v, params, grid)
     op = WageOperator(params, grid)
+    comp = op.components(v)
     lower = params.N_prime * (op.BL[0, :] - v[0])
     assert np.all(comp.v_m >= lower - 1e-12)
-
-
-def test_components_reject_nonmonotone_v():
-    params = make_params()
-    grid = SkillGrid(4, 1.0)
-    with pytest.raises(ValueError):
-        wage_components(np.array([1.0, 0.5, 0.7, 0.9]), params, grid)
 
 
 def test_argmax_ties_break_low():
     params = make_params(N_prime=1.0)  # worker and manager problems coincide
     grid = SkillGrid(6, 1.0)
     v = np.linspace(0.5, 1.5, 6)
-    comp = wage_components(v, params, grid)
-    cand = WageOperator(params, grid).E + WageOperator(params, grid).interp_at_z(v) \
-        - v[None, :] / params.N
+    op = WageOperator(params, grid)
+    comp = op.components(v)
+    cand = op.E + op.interp_at_z(v) - v[None, :] / params.N
     expect = cand.argmax(axis=1)
     assert np.array_equal(comp.best_teacher, expect)
 
@@ -186,9 +176,8 @@ def test_occupation_labels_survive_round_off_moves_of_v():
 def test_bellman_monotone_in_monotone_out():
     params = make_params()
     grid = SkillGrid(16, 1.0)
-    cfg = SolverConfig()
     v = np.linspace(0.4, 2.5, 16) ** 1.5
-    out = bellman_step(v, params, grid, cfg)
+    out = _damped_step(WageOperator(params, grid), v, SolverConfig().damping)
     assert np.all(np.diff(out) >= -1e-12)
 
 
@@ -197,7 +186,7 @@ def test_bellman_pushes_up_from_zero():
     grid = SkillGrid(8, 1.0)
     cfg = SolverConfig(damping=0.5)
     v0 = np.zeros(8)
-    out = bellman_step(v0, params, grid, cfg)
+    out = _damped_step(WageOperator(params, grid), v0, cfg.damping)
     # worker wage at the bottom: bL(theta' k') - 0 >= bL(0) = 1
     assert out[0] >= cfg.damping * 1.0 - 1e-12
 
@@ -544,16 +533,103 @@ def test_nonpositive_delta_floor_is_rejected(tmp_path, floor):
         load_scenario(str(path))
 
 
-def test_continuation_line_search_takes_two_evals_per_step():
-    # 19 warm-started member solves, each annealed from a first stage whose
-    # Newton step is far longer than the temperature
-    cfg = load_scenario(os.path.join(CONFIG_DIR, "..", "perfbench", "configs", "demo_small_c0.toml"))
-    cont = delta_continuation(cfg.params, cfg.alpha, cfg.grid, replace(cfg.solver, delta=0.25))
+C0_CONFIG = os.path.join(CONFIG_DIR, "..", "perfbench", "configs", "demo_small_c0.toml")
+
+
+@pytest.fixture(scope="module")
+def c0_continuation():
+    """The c = 0 continuation of demo_small at n = 32: 19 member solves,
+    each warm-started from the one before it."""
+    cfg = load_scenario(C0_CONFIG)
+    return cfg, delta_continuation(cfg.params, cfg.alpha, cfg.grid, replace(cfg.solver, delta=0.25))
+
+
+def test_continuation_line_search_takes_two_evals_per_step(c0_continuation):
+    # the first member anneals from a first stage whose Newton step is far
+    # longer than the temperature
+    _, cont = c0_continuation
     work = cont.extrapolated.anneal
     assert not cont.truncated
     assert work.stages == [s for prof in cont.profiles for s in prof.anneal.stages]
     assert work.newton_limit_stops == 0 and work.line_search_failures == 0
     assert work.dual_evals <= 2 * work.newton_steps
+
+
+def test_warm_members_skip_the_hot_end_of_the_anneal(c0_continuation):
+    # restarting every member at the top rung took 2,234 Newton steps
+    _, cont = c0_continuation
+    assert cont.profiles[0].anneal.stages[0].eta == 0.25
+    assert all(prof.anneal.stages[0].eta < 0.25 for prof in cont.profiles[1:])
+    assert cont.extrapolated.anneal.newton_steps <= 1400
+
+
+@pytest.mark.parametrize("member", [1, 9, 18])
+def test_warm_members_match_cold_solves(c0_continuation, member):
+    cfg, cont = c0_continuation
+    dlt = cont.deltas[member]
+    cold = solve_wages(cfg.params, cfg.alpha, cfg.grid, replace(cfg.solver, delta=dlt, c_delta=dlt))
+    assert cold.anneal.stages[0].eta == 0.25
+    assert np.abs(cont.profiles[member].v - cold.v).max() <= 1e-12
+
+
+def test_far_warm_start_is_held_hot_by_the_labor_slack_guard(monkeypatch):
+    # at the wage floor the Newton step alone would pass the coldest rung,
+    # where exp(-G/eta) saturates the exponent clamp and the anneal ends
+    # on the Newton limit with the wrong level; every dual evaluation the
+    # start-rung probe takes counts in the first stage
+    cfg = load_scenario(C0_CONFIG)
+    solver = replace(cfg.solver, delta=0.25, c_delta=0.25)
+    cold = solve_wages(cfg.params, cfg.alpha, cfg.grid, solver)
+    evals = []
+    value_grad = _SmoothedDual.value_grad
+    monkeypatch.setattr(_SmoothedDual, "value_grad",
+                        lambda self, v, eta: evals.append(eta) or value_grad(self, v, eta))
+    floor = WageOperator(cfg.params, cfg.grid, 0.25).lower_bound()
+    warm = solve_wages(cfg.params, cfg.alpha, cfg.grid, solver, v0=floor)
+    coldest = 0.25 * 0.2 ** 5  # the last rung above _ETA_FLOOR
+    assert coldest < warm.anneal.stages[0].eta < 0.25
+    assert warm.converged and warm.anneal.newton_limit_stops == 0
+    assert len(evals) == warm.anneal.dual_evals
+    assert np.abs(warm.v - cold.v).max() <= 1e-12
+
+
+def _cut_stage_short(monkeypatch, stop, stage):
+    """Make the anneal stage numbered `stage` (from 1, over all anneals of
+    the test) report `stop`."""
+    minimize = _SmoothedDual.minimize
+    count = [0]
+
+    def cut(self, v, eta, **kw):
+        out = minimize(self, v, eta, **kw)
+        count[0] += 1
+        if count[0] == stage:
+            self.work.stages[-1].stop = stop
+        return out
+
+    monkeypatch.setattr(_SmoothedDual, "minimize", cut)
+
+
+@pytest.mark.parametrize("stop", ["newton_limit", "line_search"])
+def test_stage_cut_short_fails_the_solve(monkeypatch, stop):
+    params = make_params(N=4.0, N_prime=2.0, c=0.5)
+    grid = SkillGrid(8, 1.0)
+    alpha = uniform_alpha(grid)
+    _cut_stage_short(monkeypatch, stop, 2)
+    prof = solve_wages(params, alpha, grid, SolverConfig())
+    assert prof.anneal.stages[1].stop == stop
+    assert not prof.converged
+
+
+def test_stage_cut_short_truncates_the_continuation(monkeypatch):
+    params = make_params(N=4.0, N_prime=2.0, c=0.0)
+    grid = SkillGrid(8, 1.0)
+    alpha = uniform_alpha(grid)
+    # the first member is a cold 9-stage anneal: cut the second member short
+    _cut_stage_short(monkeypatch, "newton_limit", 10)
+    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25, delta_floor=1e-4))
+    assert cont.truncated and len(cont.profiles) == 2
+    assert cont.profiles[0].converged and not cont.profiles[1].converged
+    assert not cont.extrapolated.converged
 
 
 def test_continuation_strictly_convex_members_when_c_zero():
@@ -580,12 +656,11 @@ def test_single_node_stability_binds_exactly():
 def test_bellman_overflow_aborts():
     # an exponential technology over a huge skill range overflows the
     # envelope; the step must abort with a diagnostic, not propagate inf
-    from pyramid_eq.wages import IterationDiverged
     params = make_params(k_top=1600.0)
     grid = SkillGrid(4, 1600.0)
     v = np.zeros(4)
     with pytest.raises(IterationDiverged):
-        bellman_step(v, params, grid, SolverConfig())
+        _damped_step(WageOperator(params, grid), v, SolverConfig().damping)
 
 
 @pytest.mark.parametrize("N,N_prime,c,n", [
