@@ -309,41 +309,19 @@ def coupling_from_profile(profile, alpha: GridMeasure, grid: SkillGrid) -> GridC
     return GridCoupling(np.arange(grid.n), profile.best_teacher, alpha.weights)
 
 
-def labor_coupling_from_profile(profile, kappa: GridMeasure, params: TechnologyParams,
-                                grid: SkillGrid) -> GridCoupling:
+def labor_coupling_from_profile(profile, kappa: GridMeasure, params: TechnologyParams) -> GridCoupling:
     """Approximate labor coupling when no exact plan is available.
 
     Non-teacher adult mass at each node splits between working and managing
-    in the aggregate N':1 proportion, and workers are paired with manager
-    capacity assortatively (northwest-corner fill).  Worker supply equals
-    manager capacity by construction, so the pairing always clears; this is
-    a reporting device for grids beyond the exact solver, not a feasible
-    optimal plan.
+    in the aggregate N':1 proportion, and each node's workers are managed
+    at their own node (the diagonal coupling), over the nodes whose worker
+    mass exceeds SUPPORT_FLOOR.  Worker supply equals manager capacity node
+    by node, so the pairing always clears; this is a reporting device for
+    grids beyond the exact solver, not a feasible optimal plan.
     """
-    occ = profile.occupation
-    m = kappa.weights * (occ != 2)
-    share = params.N_prime / (params.N_prime + 1.0)
-    supply = m * share                     # worker mass per node
-    capacity = supply.copy()               # N' * manager mass per node
-    rows, cols, weights = [], [], []
-    i = j = 0
-    n = grid.n
-    si = supply.copy()
-    cj = capacity.copy()
-    while i < n and j < n:
-        if si[i] <= SUPPORT_FLOOR:
-            i += 1
-            continue
-        if cj[j] <= SUPPORT_FLOOR:
-            j += 1
-            continue
-        w = min(si[i], cj[j])
-        rows.append(i)
-        cols.append(j)
-        weights.append(w)
-        si[i] -= w
-        cj[j] -= w
-    return GridCoupling(rows, cols, weights)
+    supply = kappa.weights * (profile.occupation != 2) * (params.N_prime / (params.N_prime + 1.0))
+    nodes = np.flatnonzero(supply > SUPPORT_FLOOR)
+    return GridCoupling(nodes, nodes, supply[nodes])
 
 
 def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0, magnitude: float = 1e-7):

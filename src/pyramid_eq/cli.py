@@ -6,7 +6,12 @@ the sections and keys listed in _KEY_TABLE are accepted, each with the
 TOML type the table gives it; anything else, like a TOML syntax error, is
 a ConfigError.  A scan of the section and key lines recovers line numbers
 so validation errors can point at the offending line; a key the scan
-cannot place is rejected as well.
+cannot place is rejected as well.  [solver] takes the fields of
+SolverConfig (delta, c_delta, tol) and nothing else.
+
+solve certifies the wage profile against the LP on grids of up to
+_LP_MAX_N nodes; a larger grid writes the couplings read off the
+profile's argmaxes instead (couplings_source "profile_argmax", lp null).
 Artifacts are deterministic: repeated runs of the same config and seed
 produce bit-identical files (sorted JSON keys, repr-round-trip floats,
 no timestamps).
@@ -78,13 +83,17 @@ _KEY_TABLE = {
     "bL": _CURVE_KEYS,
     "grid": {"n": (int, 64)},
     "alpha": {"density": (str, "uniform"), "file": (str, None)},
-    "solver": {**{f.name: (get_type_hints(SolverConfig)[f.name], f.default) for f in fields(SolverConfig)},
-               "lp_max_n": (int, 160)},
+    "solver": {f.name: (get_type_hints(SolverConfig)[f.name], f.default) for f in fields(SolverConfig)},
     "outputs": {"directory": (str, "out")},
     "run": {"seed": (int, 0), "probe_uniqueness": (bool, False)},
     "gurus": {"population": (int, None), "N": (int, None), "N_prime": (int, None)},
     "sweep": {"N": (list, None), "theta": (list, None)},
 }
+# Largest grid certified by the LP; larger grids write the profile_argmax
+# couplings instead.  At n = 256 the certificate would raise the
+# supercritical run's peak RSS from 42 to 56 MB; ROADMAP item 1 (a crash
+# basis from the wage solve) is to certify every grid and retire this rule.
+_LP_MAX_N = 160
 _SECTION_LINE = re.compile(r"\s*\[\s*([\w.-]+)\s*\]\s*(#.*)?$")
 _KEY_LINE = re.compile(r'\s*"?([\w-]+)"?\s*=')
 
@@ -163,7 +172,6 @@ class ScenarioConfig:
     solver: SolverConfig
     out_dir: str
     seed: int
-    lp_max_n: int
     probe_uniqueness: bool
     population: int | None   # [gurus]; the gurus command requires it
     census_spans: tuple      # [gurus] (N, N_prime), by default the rounded [params] spans
@@ -253,7 +261,6 @@ def load_scenario(path: str, *, out_override=None, grid_n_override=None,
         raise ConfigError(f"{at}: {exc}")
 
     solver_values = dict(values["solver"])
-    lp_max_n = solver_values.pop("lp_max_n")
     if delta_override is not None:
         solver_values["delta"] = float(delta_override)
     try:
@@ -269,7 +276,7 @@ def load_scenario(path: str, *, out_override=None, grid_n_override=None,
         raise ConfigError(f"{where('run', 'seed')}: seed = {values['run']['seed']} violates seed >= 0")
     gurus, sweep = values["gurus"], values["sweep"]
     spans = tuple(round(pv[key]) if gurus[key] is None else gurus[key] for key in ("N", "N_prime"))
-    return ScenarioConfig(params, grid, alpha, solver, out_dir, values["run"]["seed"], lp_max_n,
+    return ScenarioConfig(params, grid, alpha, solver, out_dir, values["run"]["seed"],
                           values["run"]["probe_uniqueness"], gurus["population"], spans,
                           sweep["N"], sweep["theta"], where)
 
@@ -332,7 +339,7 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     sr = stability_residuals(profile, cfg.params, cfg.grid)
 
     lp_block = None
-    if cfg.grid.n <= cfg.lp_max_n:
+    if cfg.grid.n <= _LP_MAX_N:
         lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, profile.delta,
                              c_override=profile.c_used)
         sol = solve_lp(lp, prices=np.concatenate([profile.u, profile.v]))
@@ -355,7 +362,7 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     else:
         eps = coupling_from_profile(profile, cfg.alpha, cfg.grid).support().canonical()
         kappa = pushforward_z(eps, cfg.params, cfg.grid)
-        lam = labor_coupling_from_profile(profile, kappa, cfg.params, cfg.grid)
+        lam = labor_coupling_from_profile(profile, kappa, cfg.params)
         source = "profile_argmax"
 
     split = occupation_split(eps, lam, cfg.params, cfg.grid, delta=profile.delta)

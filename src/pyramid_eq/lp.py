@@ -302,8 +302,10 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
         prices = np.asarray(prices, dtype=float)
         if prices.shape != lp.b.shape:
             raise ValueError(f"prices must have {lp.b.size} entries, one per row")
-        r = _reduced_costs(c, rows, vals, prices)
-        active = np.union1d(np.flatnonzero(r >= -_SEED_SLACK * float(np.abs(c).max())), basis)
+        # column masks, not np.union1d: numpy's set routines import numpy.ma (~15 ms)
+        seed = _reduced_costs(c, rows, vals, prices) >= -_SEED_SLACK * float(np.abs(c).max())
+        seed[basis] = True
+        active = np.flatnonzero(seed)
 
     iters = rounds = 0
     while True:
@@ -316,10 +318,11 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
             break
         r = _reduced_costs(c, rows, vals, y)
         r[active] = 0.0                   # the restricted solve priced these
-        entering = np.flatnonzero(r > _OPT_TOL)
-        if entering.size == 0:
+        grow = r > _OPT_TOL
+        if not grow.any():
             break
-        active = np.union1d(active, entering)
+        grow[active] = True
+        active = np.flatnonzero(grow)
 
     x = np.zeros(c.size)
     x[active] = xa

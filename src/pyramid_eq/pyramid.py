@@ -399,7 +399,7 @@ def phase_fit(profile, params: TechnologyParams, grid: SkillGrid,
             oct_id = np.floor(np.log2(dk[usable] / p.k_top)).astype(int)
             pts = np.array([
                 (ld[oct_id == o].mean(), lv[oct_id == o].mean())
-                for o in np.unique(oct_id)
+                for o in sorted(set(oct_id.tolist()))  # not np.unique, which imports numpy.ma
             ])
             octaves = len(pts)
             if octaves < 2:

@@ -56,7 +56,9 @@ include the probe's.  Any stage that ends on "newton_limit" or
 A final damped pass of the exact envelope map (_damped_step) restores the
 hard-max identity and the convex non-decreasing shape; its sup-norm
 change criterion decides the converged flag.  Optimality is certified
-externally against the LP.
+externally against the LP.  SolverConfig sets only delta, c_delta and
+the polish tolerance; the polish budget and damping and the delta
+continuation's schedule are the module constants _POLISH_* and _DELTA_*.
 
 Off-grid values v(z) use linear interpolation, which preserves convexity
 of the samples.  All maxima run in fixed index order with first-index
@@ -94,6 +96,10 @@ _EXP_CAP = 45.0  # exponent clamp: keeps line-search probes finite
 _TIE_REL = 1e-10  # wage components this close to the max (relative) tie for the occupation label
 _TRIAL_RADIUS = 10.0  # first Armijo trial moves no wage by more than this many temperatures
 _ETA_FLOOR = 2e-5  # smallest annealing temperature, relative to the payoff scale
+_POLISH_MAX_ITER = 100_000  # envelope polish budget, counted across its restarts
+_POLISH_DAMPING = 0.5  # the polish's starting damping, halved at each stall restart
+_DELTA_FACTOR = 0.5  # delta_continuation's ratio between successive deltas
+_DELTA_FLOOR = 1e-6  # delta_continuation ends at the first delta at or below this (> 0)
 _ULP = float(np.finfo(float).eps)
 
 
@@ -103,28 +109,20 @@ class IterationDiverged(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Knobs for the wage solve and the delta continuation."""
+    """The settings of a wage solve: the delta perturbation, the
+    continuation coupling c_delta used when c = 0, and the polish's
+    sup-norm tolerance.  The polish budget and damping and the delta
+    schedule are the module constants _POLISH_* and _DELTA_*."""
 
     delta: float = 0.0
     c_delta: float = 0.0
     tol: float = 1e-9
-    max_iter: int = 100_000
-    damping: float = 0.5
-    delta_factor: float = 0.5
-    delta_floor: float = 1e-6
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.delta < 0 or self.c_delta < 0:
             raise ValueError("delta and c_delta must be nonnegative")
-        if not 0.0 < self.delta_factor < 1.0:
-            raise ValueError("delta_factor must lie in (0, 1)")
-        if self.delta_floor <= 0:
-            # delta_continuation steps delta down to the floor and never reaches one <= 0
-            raise ValueError("delta_floor must be positive")
 
 
 @dataclass(eq=False)
@@ -360,13 +358,19 @@ class WageOperator:
             val += delta * float(u.mean() + v.mean())
         return val
 
+    def minus_g(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """-G, G[k', k] = v(k') + v(k)/N' - b_L((1-t')k' + t'k) the labor
+        slacks over all grid pairs, written into out when given."""
+        L = np.add(v[:, None], v / self.params.N_prime, out=out)
+        return np.subtract(self.BL, L, out=L)
+
     def slacks(self, u: np.ndarray, v: np.ndarray):
         """Stability slacks over all grid pairs, (F, G) with
-        F[a, k] = u(a) + v(k)/N - c b_E(z(a,k)) - v(z(a,k)) and
-        G[k', k] = v(k') + v(k)/N' - b_L((1-t')k' + t'k)."""
-        p = self.params
-        G = v[:, None] + v[None, :] / p.N_prime - self.BL
-        return u[:, None] + v[None, :] / p.N - self.E - self.interp_at_z(v), G
+        F[a, k] = u(a) + v(k)/N - c b_E(z(a,k)) - v(z(a,k)) and G the
+        labor slacks of minus_g."""
+        G = self.minus_g(v)
+        np.subtract(0.0, G, out=G)  # not -G, which turns a tight slack's +0.0 into -0.0
+        return u[:, None] + v[None, :] / self.params.N - self.E - self.interp_at_z(v), G
 
     def profile(self, v: np.ndarray, alpha: GridMeasure, delta: float,
                 converged: bool, iterations: int, anneal: AnnealWork | None = None,
@@ -444,12 +448,6 @@ class _SmoothedDual:
         self._split = np.empty((2, n * n))  # eps (1-frac), eps frac
         self._Q = np.empty((n, n))  # the deposits of eps by teacher, then by student
 
-    def _minus_g(self, v: np.ndarray) -> np.ndarray:
-        """-G, G the labor slacks of WageOperator.slacks, written into the
-        work array L."""
-        L = np.add(v[:, None], v / self.op.params.N_prime, out=self._L)
-        return np.subtract(self.op.BL, L, out=L)
-
     def state(self, v: np.ndarray, eta: float):
         op, p = self.op, self.op.params
         P = op.interp_at_z(v, out=self._P)
@@ -462,7 +460,7 @@ class _SmoothedDual:
         rs = P.sum(axis=1)
         u = Smax + eta * (np.log(rs) - self.logm)
         P *= (self.m / rs)[:, None]
-        lam = self._minus_g(v)
+        lam = op.minus_g(v, out=self._L)
         lam /= eta
         np.minimum(lam, _EXP_CAP, out=lam)
         np.exp(lam, out=lam)
@@ -542,7 +540,7 @@ class _SmoothedDual:
         step that moves no wage by more than R eta, R = _TRIAL_RADIUS.
         0 when no rung qualifies.  Returns it with the dual evaluations
         the probe took."""
-        g_floor = -float(self._minus_g(v).max())  # G.min(), independent of eta
+        g_floor = -float(self.op.minus_g(v, out=self._L).max())  # G.min(), independent of eta
         evals = 0
         for i in range(len(ladder) - 1, 0, -1):
             eta = ladder[i]
@@ -629,14 +627,15 @@ def _damped_step(op: WageOperator, v: np.ndarray, damping: float) -> np.ndarray:
     return (1.0 - damping) * v + damping * convexify(vbar, op.grid.nodes)
 
 
-def _bellman_polish(op: WageOperator, config: SolverConfig, v_start: np.ndarray):
-    """Damped envelope iteration until the sup-norm change drops below tol.
+def _bellman_polish(op: WageOperator, tol: float, v_start: np.ndarray):
+    """Damped envelope iteration until the sup-norm change drops below tol,
+    from damping _POLISH_DAMPING within _POLISH_MAX_ITER iterations.
 
     Stalls (no 2% decay over a 250-step lookback) halve the damping and
     restart from the seed, up to three times; exhaustion returns the last
     iterate flagged non-converged.  Returns (v, converged, PolishWork).
     """
-    damping = config.damping
+    damping = _POLISH_DAMPING
     restarts = 0
     seed = v_start.copy()
     v = seed.copy()
@@ -649,10 +648,10 @@ def _bellman_polish(op: WageOperator, config: SolverConfig, v_start: np.ndarray)
         change = float(np.abs(v_next - v).max())
         v = v_next
         iterations += 1
-        if change < config.tol:
+        if change < tol:
             converged = True
             break
-        if iterations >= config.max_iter:
+        if iterations >= _POLISH_MAX_ITER:
             break
         if iterations % lookback == 0:
             if change > 0.98 * marker and np.isfinite(marker):
@@ -688,7 +687,7 @@ def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
 
     v_anneal, work = _anneal(op, m, d, v_init, warm=v0 is not None)
     v_anneal = convexify(v_anneal, grid.nodes)
-    v, converged, polish = _bellman_polish(op, config, v_anneal)
+    v, converged, polish = _bellman_polish(op, config.tol, v_anneal)
     # a stage cut short leaves the polish a v the smoothed dual never
     # anchored, and the polish can converge from it to the wrong level
     converged = converged and work.newton_limit_stops == 0 and work.line_search_failures == 0
@@ -707,8 +706,9 @@ class ContinuationResult:
 
 def delta_continuation(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
                        config: SolverConfig) -> ContinuationResult:
-    """Solve along a geometric delta schedule down to the floor, warm
-    starting each solve, and extrapolate the delta -> 0 profile.
+    """Solve along a geometric delta schedule from config.delta down to
+    _DELTA_FLOOR in steps of _DELTA_FACTOR, warm starting each solve, and
+    extrapolate the delta -> 0 profile.
 
     With c = 0 the continuation couples c_delta = delta, which keeps every
     member problem strictly convex; the limit profile is recovered by
@@ -720,9 +720,9 @@ def delta_continuation(params: TechnologyParams, alpha: GridMeasure, grid: Skill
         raise ValueError("delta continuation needs a positive starting delta")
     deltas = []
     dlt = config.delta
-    while dlt > config.delta_floor * (1.0 + 1e-12):
+    while dlt > _DELTA_FLOOR * (1.0 + 1e-12):
         deltas.append(dlt)
-        dlt *= config.delta_factor
+        dlt *= _DELTA_FACTOR
     deltas.append(dlt)
 
     couple_c = params.c == 0.0

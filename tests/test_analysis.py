@@ -257,9 +257,10 @@ def test_labor_coupling_from_profile_clears():
     prof = solve_wages(params, alpha, grid, SolverConfig())
     eps = coupling_from_profile(prof, alpha, grid)
     kappa = pushforward_z(eps, params, grid)
-    lam = labor_coupling_from_profile(prof, kappa, params, grid)
+    lam = labor_coupling_from_profile(prof, kappa, params)
     ok, _ = assortativity_check(lam)
     assert ok
+    assert np.array_equal(lam.rows, lam.cols)  # each node's workers are managed at that node
     nonteacher = float((kappa.weights * (prof.occupation != 2)).sum())
     share = params.N_prime / (params.N_prime + 1.0)
     assert lam.total_mass() == pytest.approx(nonteacher * share, rel=1e-9)

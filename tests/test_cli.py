@@ -86,6 +86,45 @@ def test_solve_writes_artifacts_and_validates_schemas(tmp_path):
     assert wages.shape == (12, 7)
 
 
+def test_grid_above_the_lp_size_rule_writes_argmax_couplings(tmp_path, monkeypatch):
+    # n = 12 above the rule: no LP certificate (and so no probe); the
+    # couplings are read off the profile, labor on the diagonal
+    monkeypatch.setattr(cli, "_LP_MAX_N", 8)
+    cfg_path = write_config(tmp_path, PROBED)
+    assert main(["solve", "--config", cfg_path, "--quiet"]) == 0
+    out = tmp_path / "out"
+    duality = json.loads((out / "duality.json").read_text())
+    jsonschema.validate(duality, load_schema("duality.schema.json"))
+    assert duality["couplings_source"] == "profile_argmax"
+    assert duality["lp"] is None
+    occ = json.loads((out / "occupations.json").read_text())
+    jsonschema.validate(occ, load_schema("occupations.schema.json"))
+    assert "uniqueness_probe" not in occ
+    jsonschema.validate(json.loads((out / "specialization.json").read_text()),
+                        load_schema("specialization.schema.json"))
+    lam = np.loadtxt(out / "matching_lambda.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert lam.size and np.array_equal(lam[:, 0], lam[:, 1])
+
+
+def test_solve_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs 13-16 ms and 1.7 MB to import, and numpy's set
+    # routines (np.unique, np.union1d) import it on first use
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "demo_small.toml")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, numpy\n"
+            "eager = 'numpy.ma' in sys.modules\n"
+            "from pyramid_eq.cli import main\n"
+            f"status = main(['solve', '--config', {config!r}, '--out', {str(tmp_path)!r}, '--quiet'])\n"
+            "print(status, 'eager' if eager else 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    status, loaded = out.stdout.split()
+    assert status == "0"
+    if loaded == "eager":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert loaded == "False"
+
+
 def test_bad_theta_exits_one_with_bound_name(tmp_path, capsys):
     cfg_path = write_config(tmp_path, BASE.replace("theta = 0.5", "theta = 1.2", 1))
     assert main(["solve", "--config", cfg_path]) == 1
@@ -135,7 +174,7 @@ def test_determinism_bit_identical(tmp_path):
     assert polish["iterations"] == duality["iterations"] >= 1
     solver = load_scenario(cfg_path).solver
     assert 0.0 <= polish["last_change"] < solver.tol
-    assert polish["restarts"] >= 0 and 0.0 < polish["damping"] <= solver.damping
+    assert polish["restarts"] >= 0 and 0.0 < polish["damping"] <= wages._POLISH_DAMPING
     for name in names:
         b1 = (out1 / name).read_bytes()
         b2 = (out2 / name).read_bytes()
@@ -251,13 +290,15 @@ def test_config_rejects_unknown_density(tmp_path):
     ("n = 12", "n = 32.9", r":17: key 'n' in \[grid\] must be an integer, got 32.9"),
     ("n = 12", 'n = "40"', r":17: key 'n' in \[grid\] must be an integer, got \"40\""),
     ("seed = 3", "seed = 2.5", r":29: key 'seed' in \[run\] must be an integer, got 2.5"),
-    ("delta = 0.0", "delta = 0.0\nmax_iter = 10.7",
-     r":24: key 'max_iter' in \[solver\] must be an integer, got 10.7"),
+    # the polish and continuation settings and the LP size rule are constants
+    ("delta = 0.0", "delta = 0.0\nmax_iter = 10.7", r":24: unknown key 'max_iter' in \[solver\]"),
+    ("delta = 0.0", "delta = 0.0\ndamping = 0.5", r":24: unknown key 'damping' in \[solver\]"),
+    ("delta = 0.0", "delta = 0.0\ndelta_factor = 0.5", r":24: unknown key 'delta_factor' in \[solver\]"),
+    ("delta = 0.0", "delta = 0.0\ndelta_floor = 1e-6", r":24: unknown key 'delta_floor' in \[solver\]"),
+    ("delta = 0.0", 'delta = 0.0\nlp_max_n = "big"', r":24: unknown key 'lp_max_n' in \[solver\]"),
     ("population = 110", "population = 110.5",
      r":32: key 'population' in \[gurus\] must be an integer, got 110.5"),
     ("seed = 3", 'seed = "x"', r":29: key 'seed' in \[run\] must be an integer, got \"x\""),
-    ("delta = 0.0", 'delta = 0.0\nlp_max_n = "big"',
-     r":24: key 'lp_max_n' in \[solver\] must be an integer, got \"big\""),
     ("delta = 0.0", 'delta = 0.0\ntol = "abc"', r":24: key 'tol' in \[solver\] must be a number, got \"abc\""),
     ("theta = [0.5]", "theta = [0.5, true]",
      r":36: key 'theta' in \[sweep\] must be a list of numbers, got \[0.5, true\]"),
@@ -385,9 +426,9 @@ def test_phase_solve_exits_two_when_the_solve_fails(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "phase.json").exists()
 
 
-def test_nonconverged_solve_exits_two_with_artifacts(tmp_path):
-    text = BASE.replace("[solver]\ndelta = 0.0",
-                        "[solver]\ndelta = 0.0\ntol = 1e-15\nmax_iter = 1")
+def test_nonconverged_solve_exits_two_with_artifacts(tmp_path, monkeypatch):
+    monkeypatch.setattr(wages, "_POLISH_MAX_ITER", 1)
+    text = BASE.replace("[solver]\ndelta = 0.0", "[solver]\ndelta = 0.0\ntol = 1e-15")
     cfg_path = write_config(tmp_path, text)
     assert main(["solve", "--config", cfg_path, "--quiet"]) == 2
     duality = json.loads((tmp_path / "out" / "duality.json").read_text())

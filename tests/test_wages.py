@@ -17,10 +17,12 @@ from pyramid_eq import (
     solve_lp,
     solve_wages,
     stability_residuals,
+    wages,
 )
-from pyramid_eq.cli import ConfigError, load_scenario
+from pyramid_eq.cli import load_scenario
 from pyramid_eq.model import _deposit, _deposit_into, split_positions
-from pyramid_eq.wages import IterationDiverged, WageOperator, _SmoothedDual, _damped_step
+from pyramid_eq.wages import (IterationDiverged, WageOperator, _DELTA_FLOOR, _POLISH_DAMPING, _SmoothedDual,
+                              _damped_step)
 from conftest import make_params, uniform_alpha
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -117,7 +119,7 @@ def test_single_node_bellman_fixed_point():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
     v = np.array([0.5])
-    assert _damped_step(WageOperator(params, grid), v, SolverConfig().damping) == pytest.approx(v, abs=1e-15)
+    assert _damped_step(WageOperator(params, grid), v, _POLISH_DAMPING) == pytest.approx(v, abs=1e-15)
 
 
 def test_single_node_solve_matches_oracle():
@@ -177,18 +179,17 @@ def test_bellman_monotone_in_monotone_out():
     params = make_params()
     grid = SkillGrid(16, 1.0)
     v = np.linspace(0.4, 2.5, 16) ** 1.5
-    out = _damped_step(WageOperator(params, grid), v, SolverConfig().damping)
+    out = _damped_step(WageOperator(params, grid), v, _POLISH_DAMPING)
     assert np.all(np.diff(out) >= -1e-12)
 
 
 def test_bellman_pushes_up_from_zero():
     params = make_params(N_prime=1.0, c=0.0, theta_prime=0.5)
     grid = SkillGrid(8, 1.0)
-    cfg = SolverConfig(damping=0.5)
     v0 = np.zeros(8)
-    out = _damped_step(WageOperator(params, grid), v0, cfg.damping)
+    out = _damped_step(WageOperator(params, grid), v0, _POLISH_DAMPING)
     # worker wage at the bottom: bL(theta' k') - 0 >= bL(0) = 1
-    assert out[0] >= cfg.damping * 1.0 - 1e-12
+    assert out[0] >= _POLISH_DAMPING * 1.0 - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +503,12 @@ def test_continuation_objectives_approach_lp(exp_curve):
     params = make_params(N=4.0, N_prime=2.0, c=0.5)
     grid = SkillGrid(6, 1.0)
     alpha = uniform_alpha(grid)
-    cfg = SolverConfig(delta=0.25, delta_floor=1e-6)
-    cont = delta_continuation(params, alpha, grid, cfg)
+    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25))
     assert not cont.truncated
     assert cont.monotone
     sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
-    assert abs(cont.objectives[-1] - sol.value) <= 10 * cfg.delta_floor
-    assert abs(cont.extrapolated.objective - sol.value) <= 10 * cfg.delta_floor
+    assert abs(cont.objectives[-1] - sol.value) <= 10 * _DELTA_FLOOR
+    assert abs(cont.extrapolated.objective - sol.value) <= 10 * _DELTA_FLOOR
     # the delta = 0 direct solve reaches the same optimum at c > 0 (duals on
     # an atomic grid need not be pointwise unique, so compare certificates)
     direct = solve_wages(params, alpha, grid, SolverConfig())
@@ -517,20 +517,6 @@ def test_continuation_objectives_approach_lp(exp_curve):
         rep = duality_report(sol, prof, params, grid)
         assert rep.gap <= 1e-8
         assert abs(rep.eps_f) <= 1e-8 and abs(rep.lam_g) <= 1e-8
-
-
-@pytest.mark.parametrize("floor", ["0", "-1e-6"])
-def test_nonpositive_delta_floor_is_rejected(tmp_path, floor):
-    # the continuation halves delta down to the floor: about 1,074 member
-    # solves at 0 and no end below it, so neither may reach it
-    with pytest.raises(ValueError, match="delta_floor must be positive"):
-        SolverConfig(delta=0.25, delta_floor=float(floor))
-    with open(os.path.join(CONFIG_DIR, "..", "perfbench", "configs", "demo_small_c0.toml")) as fh:
-        text = fh.read().replace("[solver]\n", f"[solver]\ndelta_floor = {floor}\n", 1)
-    path = tmp_path / "c0.toml"
-    path.write_text(text)
-    with pytest.raises(ConfigError, match=r":\d+: \[solver\] delta_floor must be positive"):
-        load_scenario(str(path))
 
 
 C0_CONFIG = os.path.join(CONFIG_DIR, "..", "perfbench", "configs", "demo_small_c0.toml")
@@ -626,17 +612,19 @@ def test_stage_cut_short_truncates_the_continuation(monkeypatch):
     alpha = uniform_alpha(grid)
     # the first member is a cold 9-stage anneal: cut the second member short
     _cut_stage_short(monkeypatch, "newton_limit", 10)
-    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25, delta_floor=1e-4))
+    monkeypatch.setattr(wages, "_DELTA_FLOOR", 1e-4)
+    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25))
     assert cont.truncated and len(cont.profiles) == 2
     assert cont.profiles[0].converged and not cont.profiles[1].converged
     assert not cont.extrapolated.converged
 
 
-def test_continuation_strictly_convex_members_when_c_zero():
+def test_continuation_strictly_convex_members_when_c_zero(monkeypatch):
     params = make_params(N=4.0, N_prime=2.0, c=0.0)
     grid = SkillGrid(8, 1.0)
     alpha = uniform_alpha(grid)
-    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25, delta_floor=1e-4))
+    monkeypatch.setattr(wages, "_DELTA_FLOOR", 1e-4)
+    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25))
     for prof, d in zip(cont.profiles, cont.deltas):
         assert prof.c_used == pytest.approx(d)
         assert np.all(np.diff(prof.v, 2) > 0)  # strictly convex for c_delta > 0
@@ -660,7 +648,7 @@ def test_bellman_overflow_aborts():
     grid = SkillGrid(4, 1600.0)
     v = np.zeros(4)
     with pytest.raises(IterationDiverged):
-        _damped_step(WageOperator(params, grid), v, SolverConfig().damping)
+        _damped_step(WageOperator(params, grid), v, _POLISH_DAMPING)
 
 
 @pytest.mark.parametrize("N,N_prime,c,n", [
