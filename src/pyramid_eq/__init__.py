@@ -26,12 +26,10 @@ from .model import (
     z_map,
 )
 from .wages import (
-    ContinuationResult,
     SolverConfig,
     StabilityReport,
     WageProfile,
     convexify,
-    delta_continuation,
     solve_wages,
     stability_residuals,
 )

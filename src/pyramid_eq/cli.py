@@ -7,11 +7,13 @@ TOML type the table gives it; anything else, like a TOML syntax error, is
 a ConfigError.  A scan of the section and key lines recovers line numbers
 so validation errors can point at the offending line; a key the scan
 cannot place is rejected as well.  [solver] takes the fields of
-SolverConfig (delta, c_delta, tol) and nothing else.
+SolverConfig (delta, tol) and nothing else.
 
-solve certifies the wage profile against the LP on grids of up to
+solve and sweep run one solve_wages per scenario, at any c >= 0.  solve
+certifies the wage profile against the LP on grids of up to
 _LP_MAX_N nodes; a larger grid writes the couplings read off the
-profile's argmaxes instead (couplings_source "profile_argmax", lp null).
+profile's argmaxes instead (couplings_source "profile_argmax", lp null,
+and a requested uniqueness probe written as null).
 Artifacts are deterministic: repeated runs of the same config and seed
 produce bit-identical files (sorted JSON keys, repr-round-trip floats,
 no timestamps).
@@ -41,7 +43,7 @@ from .model import (
     pushforward_z,
     validate_utility,
 )
-from .wages import SolverConfig, WageOperator, WageProfile, delta_continuation, solve_wages, stability_residuals
+from .wages import SolverConfig, WageOperator, WageProfile, solve_wages, stability_residuals
 from .lp import assemble_primal, duality_report, solve_lp
 from .analysis import (
     adult_density,
@@ -318,15 +320,6 @@ def _span(t):
 # pipelines
 # ---------------------------------------------------------------------------
 
-def _solve_profile(cfg: ScenarioConfig) -> WageProfile:
-    p, solver = cfg.params, cfg.solver
-    if p.c == 0.0 and solver.c_delta == 0.0 and solver.delta == 0.0:
-        # strictly convex continuation down to delta -> 0
-        cont = delta_continuation(cfg.params, cfg.alpha, cfg.grid, replace(solver, delta=0.25))
-        return cont.extrapolated
-    return solve_wages(cfg.params, cfg.alpha, cfg.grid, solver)
-
-
 def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
     return _solve_and_write(cfg, quiet)[0]
 
@@ -335,13 +328,12 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     """Solve, certify and write the solve artifacts; returns the exit
     status and the wage profile."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    profile = _solve_profile(cfg)
+    profile = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
     sr = stability_residuals(profile, cfg.params, cfg.grid)
 
     lp_block = None
     if cfg.grid.n <= _LP_MAX_N:
-        lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, profile.delta,
-                             c_override=profile.c_used)
+        lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, profile.delta)
         sol = solve_lp(lp, prices=np.concatenate([profile.u, profile.v]))
         rep = duality_report(sol, profile, cfg.params, cfg.grid)
         eps, lam = sol.eps, sol.lam
@@ -371,6 +363,7 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     tmap = teacher_map_extract(eps, cfg.params, cfg.grid) if ok_eps else None
     dens = adult_density(split, cfg.alpha, tmap, cfg.params, cfg.grid)
     special = specialization_report(profile, split, cfg.params, cfg.grid, eps=eps)
+    supports = {k: _span(v) for k, v in special.supports.items()}
 
     _write_wages_csv(os.path.join(cfg.out_dir, "wages.csv"), cfg.grid, profile)
     _write_coupling_csv(os.path.join(cfg.out_dir, "matching_eps.csv"), eps)
@@ -406,18 +399,22 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
         "consistent": bool(split.consistent),
         "assortative": {"eps": bool(ok_eps), "lam": bool(ok_lam)},
         "violations": {"eps": viol_eps[:32], "lam": viol_lam[:32]},
-        "supports": {k: _span(v) for k, v in special.supports.items()},
+        "supports": supports,
     }
     probe = None
-    if cfg.probe_uniqueness and lp_block is not None:
-        probe = uniqueness_probe(lp, sol, seed=cfg.seed)
+    if cfg.probe_uniqueness:
+        if lp_block is not None:
+            probe = uniqueness_probe(lp, sol, seed=cfg.seed)
+        elif not quiet:
+            print(f"solve: uniqueness probe skipped: no LP certificate above n = {_LP_MAX_N}",
+                  file=sys.stderr)
         occupations["uniqueness_probe"] = probe
     _write_json(os.path.join(cfg.out_dir, "occupations.json"), occupations)
 
     specialization = {
         "hypotheses": special.hypotheses,
         "orderings": special.orderings,
-        "supports": {k: _span(v) for k, v in special.supports.items()},
+        "supports": supports,
         "pair_checks": special.pair_checks,
         "tail_bounds": {
             "sup_bound_ok": bool(dens.sup_bound_ok),
@@ -442,15 +439,12 @@ def _profile_from_wages_csv(cfg: ScenarioConfig) -> WageProfile:
     if data.shape[0] != cfg.grid.n:
         raise ConfigError(f"{path}: has {data.shape[0]} rows but the grid has {cfg.grid.n} nodes")
     v = np.ascontiguousarray(data[:, 1])
-    c_used = cfg.params.c
     dpath = os.path.join(cfg.out_dir, "duality.json")
     delta = 0.0
     if os.path.exists(dpath):
         with open(dpath, "r", encoding="utf-8") as fh:
-            dj = json.load(fh)
-        c_used = dj.get("c_used", c_used)
-        delta = dj.get("delta", 0.0)
-    op = WageOperator(cfg.params, cfg.grid, c_used)
+            delta = json.load(fh).get("delta", 0.0)
+    op = WageOperator(cfg.params, cfg.grid)
     return op.profile(v, cfg.alpha, delta, converged=True, iterations=0)
 
 
@@ -500,13 +494,7 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
             return 1
         except ValueError as exc:
             raise ConfigError(f"{cfg.where('gurus', 'population')}: {exc}")
-        _write_json(os.path.join(cfg.out_dir, "hierarchy.json"), {
-            "population": h.population, "N": h.N, "N_prime": h.N_prime,
-            "levels": [list(l) for l in h.levels],
-            "terminal": {k: (list(v) if isinstance(v, tuple) else v)
-                         for k, v in h.terminal.items()},
-            "depth": h.depth,
-        })
+        _write_json(os.path.join(cfg.out_dir, "hierarchy.json"), asdict(h))
         tree = render_hierarchy(h)
         with open(os.path.join(cfg.out_dir, "hierarchy.txt"), "w", encoding="utf-8") as fh:
             fh.write(tree + "\n")
@@ -524,7 +512,7 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
         else:
             status, profile = _solve_and_write(cfg, quiet)
         report = phase_fit(profile, cfg.params, cfg.grid, alpha=cfg.alpha)
-        _write_json(os.path.join(cfg.out_dir, "phase.json"), _phase_json(report))
+        _write_json(os.path.join(cfg.out_dir, "phase.json"), asdict(report))
         _phase_plots(cfg, profile, report)
         if not quiet:
             print(f"phase: regime={report.regime} fitted_exponent={report.fitted_exponent} "
@@ -564,26 +552,6 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
 
 def _csv_opt(v):
     return "" if v is None else f"{float(v)!r}"
-
-
-def _phase_json(report):
-    return {
-        "regime": report.regime,
-        "predicted_exponent": report.predicted_exponent,
-        "fitted_exponent": report.fitted_exponent,
-        "predicted_limit_slope": report.predicted_limit_slope,
-        "fitted_limit_slope": report.fitted_limit_slope,
-        "density_ratio_predicted": report.density_ratio_predicted,
-        "density_ratio_measured": report.density_ratio_measured,
-        "density_ratio_windows": [[w, r] for w, r in report.density_ratio_windows],
-        "fit_window": _span(report.fit_window),
-        "fit_octaves": report.fit_octaves,
-        "usable_nodes": report.usable_nodes,
-        "residual": report.residual,
-        "declined": report.declined,
-        "hypotheses": {k: v for k, v in report.hypotheses.items()},
-        "vprime_top": report.vprime_top,
-    }
 
 
 def run_validate(cfg: ScenarioConfig, quiet: bool = False) -> int:

@@ -58,6 +58,12 @@ __all__ = [
 _SEED_SLACK = 1e-3
 # a column whose reduced cost exceeds this improves the objective
 _OPT_TOL = 1e-9
+# a pivot element must exceed this; a ratio-test step at or below it is degenerate
+_PIV_TOL = 1e-11
+# pivots between refactorizations of the basis inverse
+_REFACTOR_EVERY = 100
+# consecutive degenerate pivots before Bland's rule takes over
+_BLAND_AFTER = 60
 
 
 @dataclass(eq=False)
@@ -102,7 +108,7 @@ class LPSolution:
 
 
 def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
-                    delta: float = 0.0, c_override: float | None = None) -> DiscreteLP:
+                    delta: float = 0.0) -> DiscreteLP:
     """Build the discrete planner's LP for the given instance.
 
     The steady-state rows encode the pushforward of the education coupling
@@ -115,7 +121,6 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
     if abs(alpha.mass - 1.0) > 1e-9:
         raise ValueError("alpha must be a probability measure")
 
-    c_used = params.c if c_override is None else float(c_override)
     x = grid.nodes
     nn = n * n
 
@@ -128,7 +133,7 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
     # education block: objective c * b_E(z); student row, teacher supply
     # and the two split rows of z on the steady rows
     Z = x[:, None] + params.theta * (x[None, :] - x[:, None])
-    obj[:nn] = (c_used * np.asarray(params.bE.value(Z))).ravel()
+    obj[:nn] = (params.c * np.asarray(params.bE.value(Z))).ravel()
     idx, frac = split_positions(Z.ravel(), grid)
     rows[0, :nn], vals[0, :nn] = rows_i, 1.0
     rows[1, :nn], vals[1, :nn] = n + cols_j, 1.0 / params.N
@@ -145,7 +150,7 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
     b = np.concatenate([alpha.weights + delta / n, np.full(n, delta / n)])
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(obj))):
         raise ValueError("non-finite constraint or objective coefficients")
-    return DiscreteLP(obj, b, rows, vals, n, delta, c_used)
+    return DiscreteLP(obj, b, rows, vals, n, delta, params.c)
 
 
 def feasible_seed(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
@@ -184,14 +189,13 @@ def _reduced_costs(c: np.ndarray, rows: np.ndarray, vals: np.ndarray,
 
 
 def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarray,
-                 basis: np.ndarray, tol: float = _OPT_TOL, piv_tol: float = 1e-11,
-                 refactor_every: int = 100, bland_after: int = 60):
+                 basis: np.ndarray):
     """Revised simplex on max c@x, A@x = b, x >= 0 from a feasible basis,
     with A given by its packed columns (rows, vals).
 
     Returns (x, y, basis, status, iterations).  Pricing is deterministic:
     Dantzig with first-index tie-break, falling back to Bland's least-index
-    anti-cycling rule after `bland_after` consecutive degenerate pivots.
+    anti-cycling rule after _BLAND_AFTER consecutive degenerate pivots.
     """
     m = b.size
     nv = c.size
@@ -210,7 +214,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     max_iter = 400 * m + 20000
 
     while True:
-        if iterations and iterations % refactor_every == 0:
+        if iterations and iterations % _REFACTOR_EVERY == 0:
             Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
             xB = Binv @ b
             xB[np.abs(xB) < 1e-14] = 0.0
@@ -220,19 +224,19 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
         r[basis] = 0.0
 
         if bland:
-            improving = np.nonzero(r > tol)[0]
+            improving = np.nonzero(r > _OPT_TOL)[0]
             if improving.size == 0:
                 status = "optimal"
                 break
             enter = int(improving[0])
         else:
             enter = int(np.argmax(r))
-            if r[enter] <= tol:
+            if r[enter] <= _OPT_TOL:
                 status = "optimal"
                 break
 
         d = Binv[:, rows[:, enter]] @ vals[:, enter]
-        pos = d > piv_tol
+        pos = d > _PIV_TOL
         if not np.any(pos):
             status = "unbounded"
             break
@@ -255,9 +259,9 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
         basis[leave] = enter
         iterations += 1
 
-        if theta <= piv_tol:
+        if theta <= _PIV_TOL:
             degenerate_run += 1
-            if degenerate_run >= bland_after:
+            if degenerate_run >= _BLAND_AFTER:
                 bland = True
         else:
             degenerate_run = 0

@@ -39,26 +39,17 @@ decide.  When -slope <= 4 eps_machine max(1, |value|) the full step is
 tried once and kept only if it lowers |grad|_inf; otherwise v is
 stationary to machine precision and the stage ends.
 
-A cold solve starts at the top of the ladder.  A solve handed a warm
-start v0 (each member of delta_continuation after the first) starts at
-the coldest rung eta above the floor where v0 is already in the Newton
-region: the Newton step at v0 moves no wage by more than R eta, and no
-labor slack is below -R eta, so no pair weight exp(-G/eta) exceeds
-exp(R).  The step test alone is fooled by a v0 far below the answer:
-where a weight exp(-G/eta) dominates, a Newton step moves G by about one
-eta however negative G is, so at the wage floor the coldest rung passes
-while the weights saturate the exponent clamp, and its stages end on the
-Newton limit.  With no qualifying rung the anneal starts at the top.
-The first stage record's eta is the start rung, and its dual evaluations
-include the probe's.  Any stage that ends on "newton_limit" or
-"line_search" marks the solve not converged.
+Every solve starts at the top of the ladder, at any c: the entropic
+term keeps each stage strictly convex, so c = 0 needs no further
+regularizer.  Any stage that ends on "newton_limit" or "line_search"
+marks the solve not converged.
 
 A final damped pass of the exact envelope map (_damped_step) restores the
 hard-max identity and the convex non-decreasing shape; its sup-norm
 change criterion decides the converged flag.  Optimality is certified
-externally against the LP.  SolverConfig sets only delta, c_delta and
-the polish tolerance; the polish budget and damping and the delta
-continuation's schedule are the module constants _POLISH_* and _DELTA_*.
+externally against the LP.  SolverConfig sets only delta and the polish
+tolerance; the polish budget and damping are the module constants
+_POLISH_*.
 
 Off-grid values v(z) use linear interpolation, which preserves convexity
 of the samples.  All maxima run in fixed index order with first-index
@@ -68,7 +59,7 @@ so that round-off in v does not decide it.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -84,10 +75,8 @@ __all__ = [
     "WageComponents",
     "WageOperator",
     "StabilityReport",
-    "ContinuationResult",
     "convexify",
     "solve_wages",
-    "delta_continuation",
     "stability_residuals",
     "IterationDiverged",
 ]
@@ -98,8 +87,6 @@ _TRIAL_RADIUS = 10.0  # first Armijo trial moves no wage by more than this many 
 _ETA_FLOOR = 2e-5  # smallest annealing temperature, relative to the payoff scale
 _POLISH_MAX_ITER = 100_000  # envelope polish budget, counted across its restarts
 _POLISH_DAMPING = 0.5  # the polish's starting damping, halved at each stall restart
-_DELTA_FACTOR = 0.5  # delta_continuation's ratio between successive deltas
-_DELTA_FLOOR = 1e-6  # delta_continuation ends at the first delta at or below this (> 0)
 _ULP = float(np.finfo(float).eps)
 
 
@@ -109,20 +96,18 @@ class IterationDiverged(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """The settings of a wage solve: the delta perturbation, the
-    continuation coupling c_delta used when c = 0, and the polish's
-    sup-norm tolerance.  The polish budget and damping and the delta
-    schedule are the module constants _POLISH_* and _DELTA_*."""
+    """The settings of a wage solve: the delta perturbation and the
+    polish's sup-norm tolerance.  The polish budget and damping are the
+    module constants _POLISH_*."""
 
     delta: float = 0.0
-    c_delta: float = 0.0
     tol: float = 1e-9
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.delta < 0 or self.c_delta < 0:
-            raise ValueError("delta and c_delta must be nonnegative")
+        if self.delta < 0:
+            raise ValueError("delta must be nonnegative")
 
 
 @dataclass(eq=False)
@@ -155,11 +140,9 @@ class AnnealStage:
 
 @dataclass
 class AnnealWork:
-    """Work of one or more anneals, stage by stage; the totals are sums
-    over the stages, and adding two works concatenates their stages.
-    richardson is |v_extrapolated - f2|_inf, the change the zero-temperature
-    extrapolation made to the coldest stage's wages, the largest over the
-    anneals when works are added."""
+    """Work of one anneal, stage by stage; the totals are sums over the
+    stages.  richardson is |v_extrapolated - f2|_inf, the change the
+    zero-temperature extrapolation made to the coldest stage's wages."""
 
     stages: list = field(default_factory=list)
     richardson: float = 0.0
@@ -183,9 +166,6 @@ class AnnealWork:
     @property
     def newton_limit_stops(self) -> int:
         return sum(s.stop == "newton_limit" for s in self.stages)
-
-    def __add__(self, other: AnnealWork) -> AnnealWork:
-        return AnnealWork(self.stages + other.stages, max(self.richardson, other.richardson))
 
     def as_dict(self) -> dict:
         """The totals followed by the per-stage records, as JSON-ready data."""
@@ -282,12 +262,12 @@ def convexify(values, nodes=None) -> np.ndarray:
 
 
 class WageOperator:
-    """Precomputed envelope machinery for one (params, grid, c) triple."""
+    """Precomputed envelope machinery for one (params, grid) pair."""
 
-    def __init__(self, params: TechnologyParams, grid: SkillGrid, c: float | None = None):
+    def __init__(self, params: TechnologyParams, grid: SkillGrid):
         self.params = params
         self.grid = grid
-        self.c = params.c if c is None else float(c)
+        self.c = params.c
         x = grid.nodes
         tp = params.theta_prime
         # labor production over (worker i, manager j) pairs
@@ -533,26 +513,6 @@ class _SmoothedDual:
             slope = float(grad @ step)
         return step, slope
 
-    def start_rung(self, v: np.ndarray, ladder: list) -> tuple[int, int]:
-        """Index of the coldest temperature of the ladder (hottest first)
-        at which v is already in the Newton region: no labor slack below
-        -R eta, so no pair weight exp(-G/eta) exceeds exp(R), and a Newton
-        step that moves no wage by more than R eta, R = _TRIAL_RADIUS.
-        0 when no rung qualifies.  Returns it with the dual evaluations
-        the probe took."""
-        g_floor = -float(self.op.minus_g(v, out=self._L).max())  # G.min(), independent of eta
-        evals = 0
-        for i in range(len(ladder) - 1, 0, -1):
-            eta = ladder[i]
-            if g_floor < -_TRIAL_RADIUS * eta:
-                continue
-            _, grad, st = self.value_grad(v, eta)
-            evals += 1
-            step, _ = self.newton_step(eta, grad, st)
-            if float(np.abs(step).max()) <= _TRIAL_RADIUS * eta:
-                return i, evals
-        return 0, evals
-
     def minimize(self, v: np.ndarray, eta: float, gtol: float = 1e-12, max_newton: int = 80) -> np.ndarray:
         """Damped Newton on the smoothed dual at temperature eta, with the
         step acceptance of the module docstring; the stage's record goes to
@@ -593,29 +553,22 @@ class _SmoothedDual:
         return v
 
 
-def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray, warm: bool):
-    """Anneal the smoothed dual down a geometric temperature ladder and
-    Richardson-extrapolate the zero-temperature wage vector from the last
-    three stages (error O(eta^3)).  A warm v0 starts at the rung
-    _SmoothedDual.start_rung picks, else at the top; the probe's dual
-    evaluations count in the first stage.  Returns the wages with the
+def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray):
+    """Anneal the smoothed dual from v0 down a geometric temperature ladder
+    and Richardson-extrapolate the zero-temperature wage vector from the
+    last three stages (error O(eta^3)).  Returns the wages with the
     anneal's work."""
     sd = _SmoothedDual(op, m, d)
     eta = 0.25 * sd.scale
     eta_floor = _ETA_FLOOR * sd.scale
-    ladder = []
-    while eta > eta_floor:
-        ladder.append(eta)
-        eta *= 0.2
-    start, probe_evals = sd.start_rung(v0, ladder) if warm else (0, 0)
     v = v0
-    for rung in ladder[start:]:
-        v = sd.minimize(v, rung)
+    while eta > eta_floor:
+        v = sd.minimize(v, eta)
+        eta *= 0.2
     f0 = sd.minimize(v, eta)
     f1 = sd.minimize(f0, eta / 2.0)
     f2 = sd.minimize(f1, eta / 4.0)
     v = (8.0 * f2 - 6.0 * f1 + f0) / 3.0
-    sd.work.stages[0].dual_evals += probe_evals
     sd.work.richardson = float(np.abs(v - f2).max())
     return v, sd.work
 
@@ -667,94 +620,30 @@ def _bellman_polish(op: WageOperator, tol: float, v_start: np.ndarray):
 
 
 def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
-                config: SolverConfig | None = None, v0: np.ndarray | None = None) -> WageProfile:
-    """Solve the (delta-perturbed) wage minimization on the grid.
+                config: SolverConfig | None = None) -> WageProfile:
+    """Solve the (delta-perturbed) wage minimization on the grid, at any
+    c >= 0.
 
-    Anneals the smoothed dual to anchor the market-clearing wage level,
-    extrapolates the temperature to zero, then runs the exact damped
-    envelope iteration (_damped_step) until its sup-norm change is below
-    tol; the converged flag reports that final criterion.  When c = 0 the
-    operator uses config.c_delta, the continuation coupling that keeps the
-    problem strictly convex.
+    Anneals the smoothed dual from the wage floor to anchor the
+    market-clearing wage level, extrapolates the temperature to zero, then
+    runs the exact damped envelope iteration (_damped_step) until its
+    sup-norm change is below tol; the converged flag reports that final
+    criterion.
     """
     if config is None:
         config = SolverConfig()
-    op = WageOperator(params, grid, params.c if params.c > 0 else config.c_delta)
+    op = WageOperator(params, grid)
 
     m = alpha.weights + config.delta / grid.n
     d = np.full(grid.n, config.delta / grid.n)
-    v_init = op.lower_bound() if v0 is None else np.asarray(v0, dtype=float).copy()
 
-    v_anneal, work = _anneal(op, m, d, v_init, warm=v0 is not None)
+    v_anneal, work = _anneal(op, m, d, op.lower_bound())
     v_anneal = convexify(v_anneal, grid.nodes)
     v, converged, polish = _bellman_polish(op, config.tol, v_anneal)
     # a stage cut short leaves the polish a v the smoothed dual never
     # anchored, and the polish can converge from it to the wrong level
     converged = converged and work.newton_limit_stops == 0 and work.line_search_failures == 0
     return op.profile(v, alpha, config.delta, converged, polish.iterations, anneal=work, polish=polish)
-
-
-@dataclass(eq=False)
-class ContinuationResult:
-    deltas: list
-    profiles: list
-    extrapolated: WageProfile
-    objectives: list
-    monotone: bool
-    truncated: bool
-
-
-def delta_continuation(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
-                       config: SolverConfig) -> ContinuationResult:
-    """Solve along a geometric delta schedule from config.delta down to
-    _DELTA_FLOOR in steps of _DELTA_FACTOR, warm starting each solve, and
-    extrapolate the delta -> 0 profile.
-
-    With c = 0 the continuation couples c_delta = delta, which keeps every
-    member problem strictly convex; the limit profile is recovered by
-    linear Richardson extrapolation from the last two members.  Any
-    non-converged member truncates the sequence.  The extrapolated profile
-    carries the anneal work summed over the members.
-    """
-    if config.delta <= 0:
-        raise ValueError("delta continuation needs a positive starting delta")
-    deltas = []
-    dlt = config.delta
-    while dlt > _DELTA_FLOOR * (1.0 + 1e-12):
-        deltas.append(dlt)
-        dlt *= _DELTA_FACTOR
-    deltas.append(dlt)
-
-    couple_c = params.c == 0.0
-    profiles = []
-    truncated = False
-    v_start = None
-    for dlt in deltas:
-        cfg = replace(config, delta=dlt, c_delta=(dlt if couple_c else config.c_delta))
-        prof = solve_wages(params, alpha, grid, cfg, v0=v_start)
-        prof.operator = None  # else every member keeps its own n x n operator alive
-        profiles.append(prof)
-        if not prof.converged:
-            truncated = True
-            break
-        v_start = prof.v
-
-    used = deltas[: len(profiles)]
-    objectives = [p.objective for p in profiles]
-    monotone = all(objectives[i + 1] <= objectives[i] + 1e-10 for i in range(len(objectives) - 1))
-
-    work = sum((p.anneal for p in profiles), AnnealWork())
-    if len(profiles) >= 2 and not truncated:
-        pa, pb = profiles[-2], profiles[-1]
-        da, db = used[-2], used[-1]
-        t = db / (da - db)
-        vex = convexify(pb.v + t * (pb.v - pa.v), grid.nodes)
-        op = WageOperator(params, grid, 0.0 if couple_c else params.c)
-        extrapolated = op.profile(vex, alpha, 0.0, converged=True, iterations=0, anneal=work)
-    else:
-        extrapolated = replace(profiles[-1], anneal=work)
-
-    return ContinuationResult(used, profiles, extrapolated, objectives, monotone, truncated)
 
 
 @dataclass(eq=False)
@@ -771,11 +660,11 @@ class StabilityReport:
 
 def profile_operator(profile: WageProfile, params: TechnologyParams, grid: SkillGrid) -> WageOperator:
     """The operator the profile was evaluated with when it was built for
-    (params, grid, profile.c_used), else a new one for that triple."""
+    (params, grid), else a new one for that pair."""
     op = profile.operator
-    if op is not None and op.params is params and op.grid == grid and op.c == profile.c_used:
+    if op is not None and op.params is params and op.grid == grid:
         return op
-    return WageOperator(params, grid, profile.c_used)
+    return WageOperator(params, grid)
 
 
 def stability_residuals(profile: WageProfile, params: TechnologyParams, grid: SkillGrid) -> StabilityReport:

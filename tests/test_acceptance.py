@@ -18,7 +18,6 @@ from pyramid_eq import (
     assortativity_check,
     adult_density,
     coupling_from_profile,
-    delta_continuation,
     duality_report,
     guru_census,
     occupation_split,
@@ -126,8 +125,7 @@ def test_criterion_3_single_node_oracle():
     grid = SkillGrid(1, 1.0)
     alpha = uniform_alpha(grid)
     sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
-    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25))
-    prof = cont.extrapolated
+    prof = solve_wages(params, alpha, grid, SolverConfig())
     gap = abs(sol.value - prof.objective)
     ok = (
         abs(prof.v[0] - 0.5) <= 1e-9

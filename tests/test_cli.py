@@ -80,18 +80,21 @@ def test_solve_writes_artifacts_and_validates_schemas(tmp_path):
         assert anneal[total] == sum(s[total] for s in anneal["stages"])
     occ = json.loads((out / "occupations.json").read_text())
     jsonschema.validate(occ, load_schema("occupations.schema.json"))
+    assert "uniqueness_probe" not in occ  # not requested
     spec = json.loads((out / "specialization.json").read_text())
     jsonschema.validate(spec, load_schema("specialization.schema.json"))
     wages = np.loadtxt(out / "wages.csv", delimiter=",", skiprows=1)
     assert wages.shape == (12, 7)
 
 
-def test_grid_above_the_lp_size_rule_writes_argmax_couplings(tmp_path, monkeypatch):
-    # n = 12 above the rule: no LP certificate (and so no probe); the
-    # couplings are read off the profile, labor on the diagonal
+def test_grid_above_the_lp_size_rule_writes_argmax_couplings(tmp_path, monkeypatch, capsys):
+    # n = 12 above the rule: no LP certificate, so the requested probe is
+    # written as null with a note; the couplings are read off the profile,
+    # labor on the diagonal
     monkeypatch.setattr(cli, "_LP_MAX_N", 8)
     cfg_path = write_config(tmp_path, PROBED)
-    assert main(["solve", "--config", cfg_path, "--quiet"]) == 0
+    assert main(["solve", "--config", cfg_path]) == 0
+    assert "uniqueness probe skipped" in capsys.readouterr().err
     out = tmp_path / "out"
     duality = json.loads((out / "duality.json").read_text())
     jsonschema.validate(duality, load_schema("duality.schema.json"))
@@ -99,7 +102,7 @@ def test_grid_above_the_lp_size_rule_writes_argmax_couplings(tmp_path, monkeypat
     assert duality["lp"] is None
     occ = json.loads((out / "occupations.json").read_text())
     jsonschema.validate(occ, load_schema("occupations.schema.json"))
-    assert "uniqueness_probe" not in occ
+    assert occ["uniqueness_probe"] is None
     jsonschema.validate(json.loads((out / "specialization.json").read_text()),
                         load_schema("specialization.schema.json"))
     lam = np.loadtxt(out / "matching_lambda.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -148,7 +151,7 @@ def test_single_node_scenario_gap_zero(tmp_path):
     assert main(["solve", "--config", cfg_path, "--quiet"]) == 0
     duality = json.loads((tmp_path / "out" / "duality.json").read_text())
     jsonschema.validate(duality, load_schema("duality.schema.json"))
-    assert duality["polish"] is None  # v is the delta -> 0 extrapolation, not a polish iterate
+    assert duality["polish"]["iterations"] == duality["iterations"] >= 1
     assert duality["lp"]["gap"] <= 1e-9
     assert duality["lp"]["value"] == pytest.approx(0.25, abs=1e-12)
 
@@ -290,12 +293,14 @@ def test_config_rejects_unknown_density(tmp_path):
     ("n = 12", "n = 32.9", r":17: key 'n' in \[grid\] must be an integer, got 32.9"),
     ("n = 12", 'n = "40"', r":17: key 'n' in \[grid\] must be an integer, got \"40\""),
     ("seed = 3", "seed = 2.5", r":29: key 'seed' in \[run\] must be an integer, got 2.5"),
-    # the polish and continuation settings and the LP size rule are constants
+    # retired [solver] settings: the polish and continuation settings and
+    # the LP size rule are constants, and c = 0 needs no c_delta
     ("delta = 0.0", "delta = 0.0\nmax_iter = 10.7", r":24: unknown key 'max_iter' in \[solver\]"),
     ("delta = 0.0", "delta = 0.0\ndamping = 0.5", r":24: unknown key 'damping' in \[solver\]"),
     ("delta = 0.0", "delta = 0.0\ndelta_factor = 0.5", r":24: unknown key 'delta_factor' in \[solver\]"),
     ("delta = 0.0", "delta = 0.0\ndelta_floor = 1e-6", r":24: unknown key 'delta_floor' in \[solver\]"),
     ("delta = 0.0", 'delta = 0.0\nlp_max_n = "big"', r":24: unknown key 'lp_max_n' in \[solver\]"),
+    ("delta = 0.0", "delta = 0.0\nc_delta = 0.1", r":24: unknown key 'c_delta' in \[solver\]"),
     ("population = 110", "population = 110.5",
      r":32: key 'population' in \[gurus\] must be an integer, got 110.5"),
     ("seed = 3", 'seed = "x"', r":29: key 'seed' in \[run\] must be an integer, got \"x\""),
@@ -314,7 +319,7 @@ def test_config_rejects_unknown_keys_and_bad_syntax(tmp_path, capsys, old, new, 
 
 def test_phase_rebuilds_the_solved_profile(tmp_path):
     cfg = load_scenario(write_config(tmp_path))
-    solved = cli._solve_profile(cfg)
+    solved = wages.solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
     assert cli.run_solve(cfg, quiet=True) == 0
     rebuilt = cli._profile_from_wages_csv(cfg)
     for name in ("u", "v_w", "v_m", "v_t", "occupation"):
@@ -356,10 +361,8 @@ def test_phase_solve_builds_one_wage_operator(tmp_path, operator_builds):
 PROBED = BASE.replace("seed = 3", "seed = 3\nprobe_uniqueness = true")
 
 
-@pytest.mark.parametrize("text, c_used", [
-    (PROBED, 0.5),
-    (PROBED.replace("c = 0.5", "c = 0.0").replace("delta = 0.0", "delta = 0.0\nc_delta = 0.1"), 0.1),
-], ids=["c", "c_delta"])
+@pytest.mark.parametrize("text, c_used", [(PROBED, 0.5), (PROBED.replace("c = 0.5", "c = 0.0"), 0.0)],
+                         ids=["c", "c0"])
 def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c_used):
     # one assembled LP; the probe solves only its perturbed copy
     from pyramid_eq import analysis, lp as lp_mod
@@ -437,8 +440,8 @@ def test_nonconverged_solve_exits_two_with_artifacts(tmp_path, monkeypatch):
 
 
 def test_anneal_cut_short_exits_two(tmp_path, monkeypatch):
-    # c = 0 routes to the delta continuation; its first member's first
-    # stage is forced to end on the Newton limit
+    # the first stage of the c = 0 anneal is forced to end on the Newton
+    # limit
     minimize = wages._SmoothedDual.minimize
 
     def cut(self, v, eta, **kw):

@@ -354,8 +354,8 @@ C0_CONFIG = os.path.join(os.path.dirname(__file__), "..", "perfbench", "configs"
 def _certificate_instance(path, n=None):
     """The LP the solve command certifies, and the wage profile it uses as prices."""
     cfg = cli.load_scenario(path, grid_n_override=n)
-    prof = cli._solve_profile(cfg)
-    lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, prof.delta, c_override=prof.c_used)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, prof.delta)
     return lp, prof
 
 

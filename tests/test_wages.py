@@ -1,6 +1,5 @@
 import os
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,17 +11,14 @@ from pyramid_eq import (
     UtilityCurve,
     assemble_primal,
     convexify,
-    delta_continuation,
     duality_report,
     solve_lp,
     solve_wages,
     stability_residuals,
-    wages,
 )
 from pyramid_eq.cli import load_scenario
 from pyramid_eq.model import _deposit, _deposit_into, split_positions
-from pyramid_eq.wages import (IterationDiverged, WageOperator, _DELTA_FLOOR, _POLISH_DAMPING, _SmoothedDual,
-                              _damped_step)
+from pyramid_eq.wages import IterationDiverged, WageOperator, _POLISH_DAMPING, _SmoothedDual, _damped_step
 from conftest import make_params, uniform_alpha
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -108,7 +104,7 @@ def single_node_oracle(N=2.0, N_prime=1.0):
 def test_single_node_components():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
-    comp = WageOperator(params, grid, c=0.0).components(np.array([0.5]))
+    comp = WageOperator(params, grid).components(np.array([0.5]))
     assert comp.v_w[0] == pytest.approx(0.5)
     assert comp.v_m[0] == pytest.approx(0.5)
     assert comp.v_t[0] == pytest.approx(0.5)
@@ -127,8 +123,8 @@ def test_single_node_solve_matches_oracle():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
     alpha = uniform_alpha(grid)
-    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25))
-    prof = cont.extrapolated
+    prof = solve_wages(params, alpha, grid, SolverConfig())
+    assert prof.converged
     assert prof.v[0] == pytest.approx(v_star, abs=1e-9)
     assert prof.u[0] == pytest.approx(u_star, abs=1e-9)
     assert prof.objective == pytest.approx(value, abs=1e-9)
@@ -496,87 +492,36 @@ def test_stability_residuals_flag_lowered_wage():
 
 
 # ---------------------------------------------------------------------------
-# delta continuation
+# direct solves against the LP
 # ---------------------------------------------------------------------------
 
-def test_continuation_objectives_approach_lp(exp_curve):
+def test_direct_solve_objective_matches_lp(exp_curve):
+    # duals on an atomic grid need not be pointwise unique, so compare
+    # certificates
     params = make_params(N=4.0, N_prime=2.0, c=0.5)
     grid = SkillGrid(6, 1.0)
     alpha = uniform_alpha(grid)
-    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25))
-    assert not cont.truncated
-    assert cont.monotone
     sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
-    assert abs(cont.objectives[-1] - sol.value) <= 10 * _DELTA_FLOOR
-    assert abs(cont.extrapolated.objective - sol.value) <= 10 * _DELTA_FLOOR
-    # the delta = 0 direct solve reaches the same optimum at c > 0 (duals on
-    # an atomic grid need not be pointwise unique, so compare certificates)
     direct = solve_wages(params, alpha, grid, SolverConfig())
-    assert abs(direct.objective - cont.extrapolated.objective) <= 1e-8
-    for prof in (direct, cont.extrapolated):
-        rep = duality_report(sol, prof, params, grid)
-        assert rep.gap <= 1e-8
-        assert abs(rep.eps_f) <= 1e-8 and abs(rep.lam_g) <= 1e-8
+    rep = duality_report(sol, direct, params, grid)
+    assert rep.gap <= 1e-8
+    assert abs(rep.eps_f) <= 1e-8 and abs(rep.lam_g) <= 1e-8
 
 
-C0_CONFIG = os.path.join(CONFIG_DIR, "..", "perfbench", "configs", "demo_small_c0.toml")
-
-
-@pytest.fixture(scope="module")
-def c0_continuation():
-    """The c = 0 continuation of demo_small at n = 32: 19 member solves,
-    each warm-started from the one before it."""
-    cfg = load_scenario(C0_CONFIG)
-    return cfg, delta_continuation(cfg.params, cfg.alpha, cfg.grid, replace(cfg.solver, delta=0.25))
-
-
-def test_continuation_line_search_takes_two_evals_per_step(c0_continuation):
-    # the first member anneals from a first stage whose Newton step is far
-    # longer than the temperature
-    _, cont = c0_continuation
-    work = cont.extrapolated.anneal
-    assert not cont.truncated
-    assert work.stages == [s for prof in cont.profiles for s in prof.anneal.stages]
-    assert work.newton_limit_stops == 0 and work.line_search_failures == 0
-    assert work.dual_evals <= 2 * work.newton_steps
-
-
-def test_warm_members_skip_the_hot_end_of_the_anneal(c0_continuation):
-    # restarting every member at the top rung took 2,234 Newton steps
-    _, cont = c0_continuation
-    assert cont.profiles[0].anneal.stages[0].eta == 0.25
-    assert all(prof.anneal.stages[0].eta < 0.25 for prof in cont.profiles[1:])
-    assert cont.extrapolated.anneal.newton_steps <= 1400
-
-
-@pytest.mark.parametrize("member", [1, 9, 18])
-def test_warm_members_match_cold_solves(c0_continuation, member):
-    cfg, cont = c0_continuation
-    dlt = cont.deltas[member]
-    cold = solve_wages(cfg.params, cfg.alpha, cfg.grid, replace(cfg.solver, delta=dlt, c_delta=dlt))
-    assert cold.anneal.stages[0].eta == 0.25
-    assert np.abs(cont.profiles[member].v - cold.v).max() <= 1e-12
-
-
-def test_far_warm_start_is_held_hot_by_the_labor_slack_guard(monkeypatch):
-    # at the wage floor the Newton step alone would pass the coldest rung,
-    # where exp(-G/eta) saturates the exponent clamp and the anneal ends
-    # on the Newton limit with the wrong level; every dual evaluation the
-    # start-rung probe takes counts in the first stage
-    cfg = load_scenario(C0_CONFIG)
-    solver = replace(cfg.solver, delta=0.25, c_delta=0.25)
-    cold = solve_wages(cfg.params, cfg.alpha, cfg.grid, solver)
-    evals = []
-    value_grad = _SmoothedDual.value_grad
-    monkeypatch.setattr(_SmoothedDual, "value_grad",
-                        lambda self, v, eta: evals.append(eta) or value_grad(self, v, eta))
-    floor = WageOperator(cfg.params, cfg.grid, 0.25).lower_bound()
-    warm = solve_wages(cfg.params, cfg.alpha, cfg.grid, solver, v0=floor)
-    coldest = 0.25 * 0.2 ** 5  # the last rung above _ETA_FLOOR
-    assert coldest < warm.anneal.stages[0].eta < 0.25
-    assert warm.converged and warm.anneal.newton_limit_stops == 0
-    assert len(evals) == warm.anneal.dual_evals
-    assert np.abs(warm.v - cold.v).max() <= 1e-12
+@pytest.mark.parametrize("n", [1, 8, 32])
+@pytest.mark.parametrize("N, N_prime", [(2.0, 1.0), (4.0, 2.0), (4.0, 4.0), (10.0, 10.0)])
+def test_c_zero_solve_meets_the_certificate_gates(N, N_prime, n):
+    # c = 0 needs no regularizer beyond the anneal's entropic term; the
+    # gates are the benchmark's, pinned with criterion 4
+    params = make_params(N=N, N_prime=N_prime, c=0.0)
+    grid = SkillGrid(n, 1.0)
+    alpha = uniform_alpha(grid)
+    prof = solve_wages(params, alpha, grid, SolverConfig())
+    assert prof.converged
+    assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps
+    rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof, params, grid)
+    assert rep.gap_rel <= 1e-6
+    assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
 
 
 def _cut_stage_short(monkeypatch, stop, stage):
@@ -606,36 +551,11 @@ def test_stage_cut_short_fails_the_solve(monkeypatch, stop):
     assert not prof.converged
 
 
-def test_stage_cut_short_truncates_the_continuation(monkeypatch):
-    params = make_params(N=4.0, N_prime=2.0, c=0.0)
-    grid = SkillGrid(8, 1.0)
-    alpha = uniform_alpha(grid)
-    # the first member is a cold 9-stage anneal: cut the second member short
-    _cut_stage_short(monkeypatch, "newton_limit", 10)
-    monkeypatch.setattr(wages, "_DELTA_FLOOR", 1e-4)
-    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25))
-    assert cont.truncated and len(cont.profiles) == 2
-    assert cont.profiles[0].converged and not cont.profiles[1].converged
-    assert not cont.extrapolated.converged
-
-
-def test_continuation_strictly_convex_members_when_c_zero(monkeypatch):
-    params = make_params(N=4.0, N_prime=2.0, c=0.0)
-    grid = SkillGrid(8, 1.0)
-    alpha = uniform_alpha(grid)
-    monkeypatch.setattr(wages, "_DELTA_FLOOR", 1e-4)
-    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25))
-    for prof, d in zip(cont.profiles, cont.deltas):
-        assert prof.c_used == pytest.approx(d)
-        assert np.all(np.diff(prof.v, 2) > 0)  # strictly convex for c_delta > 0
-
-
 def test_single_node_stability_binds_exactly():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
     alpha = uniform_alpha(grid)
-    cont = delta_continuation(params, alpha, grid, SolverConfig(delta=0.25))
-    sr = stability_residuals(cont.extrapolated, params, grid)
+    sr = stability_residuals(solve_wages(params, alpha, grid, SolverConfig()), params, grid)
     assert sr.min_f == pytest.approx(0.0, abs=1e-9)
     assert sr.min_g == pytest.approx(0.0, abs=1e-9)
 
