@@ -25,13 +25,31 @@ dual functional
 slacks) whose gradient in v is exactly the excess adult supply.  u has a
 closed-form softmax elimination; v is driven by damped Newton steps with
 the temperature eta annealed down a geometric ladder, and the eta -> 0
-limit is recovered by Richardson extrapolation.  Each Newton step is
-accepted by Armijo backtracking (halving, constant 1e-4) from the first
-trial t0 = min(1, R eta / |step|_inf), R = _TRIAL_RADIUS: the pair weights
-exp(-slack/eta) change by O(1) when a wage moves by a few temperatures,
-so that is the scale on which the quadratic model can be trusted.  The
-first step of a stage can be 1e10 times too long (Newton decrement up to
-6e4), and halving from t = 1 would take some 35 dual evaluations.
+limit is recovered by Richardson extrapolation.
+
+Only market clearing pins the wage level, so the uniform shift 1 is
+nearly null for the dual: v + s 1 moves every education surplus by the
+same (1 - 1/N) s, the softmax u absorbs it and the education block has
+no curvature along 1 (its row-mean term cancels it), so only the labor
+mass sum lam / eta curves it.  Along 1 the dual is exactly
+
+  Psi(v + s 1) = Psi(v) + A s + eta B (exp(-kappa s / eta) - 1),
+
+A = (1 - 1/N) sum m + sum d, kappa = 1 + 1/N', B = sum lam at v, and
+each stage opens with the level step to its minimizer
+s = (eta / kappa) log(kappa B / A), from the sums of its first
+evaluation.  The step costs one evaluation at v + s and is kept only if
+the dual value does not rise (the exponent clamp _EXP_CAP makes the 1-D
+model inexact; a rejected step costs a second evaluation, back at v).
+It is skipped when A = 0 (N = 1 and delta = 0) or B = 0.
+Without it the first Newton steps of a stage point along -1 and are
+clipped to the trial radius one after another.
+
+Each Newton step is accepted by Armijo backtracking (halving, constant
+1e-4) from the first trial t0 = min(1, R eta / |step|_inf),
+R = _TRIAL_RADIUS: the pair weights exp(-slack/eta) change by O(1) when a
+wage moves by a few temperatures, so that is the scale on which the
+quadratic model can be trusted.
 Near a stage's minimum the decrease a Newton step promises can fall
 below the round-off of the dual value (the teacher-block invariance
 leaves the Hessian nearly singular), and Armijo backtracking then cannot
@@ -124,14 +142,16 @@ class WageComponents:
 @dataclass
 class AnnealStage:
     """One temperature stage of the smoothed-dual anneal: eta relative to
-    the payoff scale, Newton systems solved, dual evaluations, why the
-    stage ended and |grad|_inf at the wages it returned.  A stage ends on
+    the payoff scale, the level step s / eta (0.0 when skipped or
+    rejected), Newton systems solved, dual evaluations, why the stage
+    ended and |grad|_inf at the wages it returned.  A stage ends on
     "gtol" (gradient below tolerance), "stationary" (the full step no
     longer lowers |grad|_inf where the dual value cannot resolve the
     decrease), "line_search" (50 halvings without Armijo decrease) or
     "newton_limit"."""
 
     eta: float
+    level: float
     newton_steps: int
     dual_evals: int
     stop: str
@@ -408,6 +428,9 @@ class _SmoothedDual:
         self.live = m > 0.0
         self.logm = np.where(self.live, np.log(np.where(self.live, m, 1.0)), 0.0)
         self.scale = max(1.0, float(np.abs(op.E).max()), float(np.abs(op.BL).max()))
+        p = op.params
+        self._level_a = (1.0 - 1.0 / p.N) * float(m.sum()) + float(d.sum())
+        self._level_kappa = 1.0 + 1.0 / p.N_prime
         self.work = AnnealWork()
 
         n = op.grid.n
@@ -514,13 +537,24 @@ class _SmoothedDual:
         return step, slope
 
     def minimize(self, v: np.ndarray, eta: float, gtol: float = 1e-12, max_newton: int = 80) -> np.ndarray:
-        """Damped Newton on the smoothed dual at temperature eta, with the
-        step acceptance of the module docstring; the stage's record goes to
-        self.work."""
-        v = v.copy()
+        """The level step, then damped Newton on the smoothed dual at
+        temperature eta, with the step acceptance of the module docstring;
+        the stage's record goes to self.work."""
         val, grad, st = self.value_grad(v, eta)
+        evals, level = 1, 0.0
+        lam_sum = float(st.lam_row.sum())
+        if self._level_a > 0.0 and lam_sum > 0.0:
+            s = eta / self._level_kappa * float(np.log(self._level_kappa * lam_sum / self._level_a))
+            v_new = v + s
+            val_new, grad_new, st_new = self.value_grad(v_new, eta)
+            evals += 1
+            if val_new <= val:
+                v, val, grad, st, level = v_new, val_new, grad_new, st_new, s / eta
+            else:  # st_new overwrote the work arrays st points into
+                val, grad, st = self.value_grad(v, eta)
+                evals += 1
         gmax = float(np.abs(grad).max())
-        steps, evals, stop = 0, 1, "newton_limit"
+        steps, stop = 0, "newton_limit"
         for _ in range(max_newton):
             if gmax <= gtol:
                 break
@@ -549,7 +583,7 @@ class _SmoothedDual:
             gmax = float(np.abs(grad).max())
         if stop == "newton_limit" and gmax <= gtol:
             stop = "gtol"
-        self.work.stages.append(AnnealStage(eta / self.scale, steps, evals, stop, gmax))
+        self.work.stages.append(AnnealStage(eta / self.scale, level, steps, evals, stop, gmax))
         return v
 
 

@@ -167,11 +167,12 @@ def test_determinism_bit_identical(tmp_path):
         assert main(["sweep", "--config", cfg_path, "--quiet", *args]) == 0
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
-    # the per-stage anneal records, the Richardson correction and the
-    # polish record are part of the bit-identical set
+    # the per-stage anneal records with their level steps, the Richardson
+    # correction and the polish record are part of the bit-identical set
     duality = json.loads((out1 / "duality.json").read_text())
     stages = duality["anneal"]["stages"]
     assert stages and all(s["dual_evals"] >= 1 for s in stages)
+    assert any(s["level"] != 0.0 for s in stages)
     assert duality["anneal"]["richardson"] > 0.0
     polish = duality["polish"]
     assert polish["iterations"] == duality["iterations"] >= 1

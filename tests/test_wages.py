@@ -467,6 +467,60 @@ def test_warm_hessian_allocates_no_n_by_n_array():
     assert peak - base < n * n * 8
 
 
+def test_level_step_zeroes_the_slope_along_one():
+    # along 1 the dual is A s + eta B (exp(-kappa s / eta) - 1), so after
+    # the level step its slope 1^T grad = A - kappa sum lam vanishes
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=64)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    op = prof.operator
+    m = cfg.alpha.weights
+    sd = _SmoothedDual(op, m, np.zeros(64))
+    eta = 4e-4 * sd.scale
+    v = sd.minimize(prof.v + 0.01, eta, max_newton=0)
+    stage = sd.work.stages[-1]
+    assert stage.level < 0.0 and stage.dual_evals == 2
+    _, grad, st = sd.value_grad(v, eta)
+    p = cfg.params
+    A = (1.0 - 1.0 / p.N) * m.sum()
+    slope = A - (1.0 + 1.0 / p.N_prime) * st.lam_row.sum()
+    assert grad.sum() == pytest.approx(slope, abs=1e-12 * A)
+    assert abs(slope) <= 1e-10 * A
+
+
+def test_level_step_skipped_when_only_labor_prices_the_level():
+    # N = 1 and delta = 0 leave A = 0: the dual has no minimum along 1,
+    # so the stage goes to its first Newton step after one evaluation
+    params = make_params(N=1.0, N_prime=3.0)
+    grid = SkillGrid(16, 1.0)
+    op = WageOperator(params, grid)
+    sd = _SmoothedDual(op, uniform_alpha(grid).weights, np.zeros(16))
+    v0 = op.lower_bound()
+    v = sd.minimize(v0, 0.01 * sd.scale, max_newton=0)
+    assert np.array_equal(v, v0)
+    stage = sd.work.stages[-1]
+    assert stage.level == 0.0 and stage.dual_evals == 1 and stage.newton_steps == 0
+
+
+def test_rejected_level_step_leaves_the_stage_where_it_was():
+    # three labor weights sit at the exponent clamp and stay there after the
+    # shift, and the fourth is too small to pay for A s, so the dual value
+    # rises and the step is rejected; the stage goes on from v and the
+    # state at v, not from the work arrays the trial overwrote
+    params = make_params(N=4.0, N_prime=2.0)
+    grid = SkillGrid(2, 1.0)
+    op = WageOperator(params, grid)
+    m = 1e15 * uniform_alpha(grid).weights
+    eta = 0.01
+    v0 = np.array([-10.0, (op.BL[1, 1] - 30.0 * eta) / (1.0 + 1.0 / params.N_prime)])
+    sd = _SmoothedDual(op, m, np.zeros(2))
+    v = sd.minimize(v0, eta, max_newton=0)
+    stage = sd.work.stages[-1]
+    assert stage.level == 0.0 and stage.dual_evals == 3
+    assert np.array_equal(v, v0)
+    _, _, st = _SmoothedDual(op, m, np.zeros(2)).value_grad(v0, eta)
+    assert np.array_equal(sd._L, st.lam)
+
+
 def test_anneal_never_stalls_on_supercritical_config():
     # at n = 200 the last-digit noise in the dual value used to defeat the
     # Armijo test in the second stage, which then ran to the Newton limit
@@ -475,7 +529,10 @@ def test_anneal_never_stalls_on_supercritical_config():
     assert prof.converged
     assert prof.anneal.newton_limit_stops == 0
     assert prof.anneal.line_search_failures == 0
-    # halving from a first trial of t = 1 takes ~4 evaluations per step here
+    # the level step takes the place of the steps along -1 that the trial
+    # radius would clip one after another (66 steps here, 97 without it)
+    assert prof.anneal.newton_steps <= 75
+    # the bounded first trial keeps the Armijo halvings rare
     assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps
 
 
@@ -518,7 +575,11 @@ def test_c_zero_solve_meets_the_certificate_gates(N, N_prime, n):
     alpha = uniform_alpha(grid)
     prof = solve_wages(params, alpha, grid, SolverConfig())
     assert prof.converged
-    assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps
+    if n == 1:
+        # the level step alone solves most one-node stages, with no Newton step
+        assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps + 2 * len(prof.anneal.stages)
+    else:
+        assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps
     rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof, params, grid)
     assert rep.gap_rel <= 1e-6
     assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
