@@ -57,6 +57,14 @@ decide.  When -slope <= 4 eps_machine max(1, |value|) the full step is
 tried once and kept only if it lowers |grad|_inf; otherwise v is
 stationary to machine precision and the stage ends.
 
+A ladder rung only starts the next, colder one, so it need only be
+centered (path following): it ends "centered" after the step whose
+squared Newton decrement grad . H^-1 grad is at most _CENTERED eta.  The
+three Richardson stages feed the answer and run to gtol.  Exponents below
+-_EXP_CUT are set to -inf before each exp, so the coldest stages' pair
+weights below e^-300 are exact zeros, not subnormals that slow the
+arithmetic; the value and gradient keep every bit.
+
 Every solve starts at the top of the ladder, at any c: the entropic
 term keeps each stage strictly convex, so c = 0 needs no further
 regularizer.  Any stage that ends on "newton_limit" or "line_search"
@@ -100,8 +108,10 @@ __all__ = [
 ]
 
 _EXP_CAP = 45.0  # exponent clamp: keeps line-search probes finite
+_EXP_CUT = 300.0  # exponents below -_EXP_CUT give weight 0, not a subnormal
 _TIE_REL = 1e-10  # wage components this close to the max (relative) tie for the occupation label
 _TRIAL_RADIUS = 10.0  # first Armijo trial moves no wage by more than this many temperatures
+_CENTERED = 1e-2  # a ladder rung ends after the step whose grad . H^-1 grad is at most this times eta
 _ETA_FLOOR = 2e-5  # smallest annealing temperature, relative to the payoff scale
 _POLISH_MAX_ITER = 100_000  # envelope polish budget, counted across its restarts
 _POLISH_DAMPING = 0.5  # the polish's starting damping, halved at each stall restart
@@ -145,10 +155,11 @@ class AnnealStage:
     the payoff scale, the level step s / eta (0.0 when skipped or
     rejected), Newton systems solved, dual evaluations, why the stage
     ended and |grad|_inf at the wages it returned.  A stage ends on
-    "gtol" (gradient below tolerance), "stationary" (the full step no
-    longer lowers |grad|_inf where the dual value cannot resolve the
-    decrease), "line_search" (50 halvings without Armijo decrease) or
-    "newton_limit"."""
+    "gtol" (gradient below tolerance), "centered" (a ladder rung, after
+    the step whose squared Newton decrement is at most _CENTERED eta),
+    "stationary" (the full step no longer lowers |grad|_inf where the
+    dual value cannot resolve the decrease), "line_search" (50 halvings
+    without Armijo decrease) or "newton_limit"."""
 
     eta: float
     level: float
@@ -450,6 +461,7 @@ class _SmoothedDual:
         self._T = np.empty((n, n))  # scratch
         self._split = np.empty((2, n * n))  # eps (1-frac), eps frac
         self._Q = np.empty((n, n))  # the deposits of eps by teacher, then by student
+        self._cut = np.empty((n, n), dtype=bool)  # exponents below -_EXP_CUT
 
     def state(self, v: np.ndarray, eta: float):
         op, p = self.op, self.op.params
@@ -459,6 +471,7 @@ class _SmoothedDual:
         Smax = P.max(axis=1)
         P -= Smax[:, None]
         P /= eta  # <= 0, so the exponent needs no clamp
+        self._flush(P)
         np.exp(P, out=P)
         rs = P.sum(axis=1)
         u = Smax + eta * (np.log(rs) - self.logm)
@@ -466,8 +479,15 @@ class _SmoothedDual:
         lam = op.minus_g(v, out=self._L)
         lam /= eta
         np.minimum(lam, _EXP_CAP, out=lam)
+        self._flush(lam)
         np.exp(lam, out=lam)
         return u, P, lam
+
+    def _flush(self, X: np.ndarray):
+        """Set exponents below -_EXP_CUT to -inf, so their weights are exact
+        zeros rather than subnormals, on which arithmetic runs slowly."""
+        np.less(X, -_EXP_CUT, out=self._cut)
+        np.copyto(X, -np.inf, where=self._cut)
 
     def value_grad(self, v: np.ndarray, eta: float):
         p = self.op.params
@@ -536,10 +556,12 @@ class _SmoothedDual:
             slope = float(grad @ step)
         return step, slope
 
-    def minimize(self, v: np.ndarray, eta: float, gtol: float = 1e-12, max_newton: int = 80) -> np.ndarray:
+    def minimize(self, v: np.ndarray, eta: float, gtol: float = 1e-12, max_newton: int = 80,
+                 rung: bool = False) -> np.ndarray:
         """The level step, then damped Newton on the smoothed dual at
         temperature eta, with the step acceptance of the module docstring;
-        the stage's record goes to self.work."""
+        a ladder rung (rung=True) also ends once centered.  The stage's
+        record goes to self.work."""
         val, grad, st = self.value_grad(v, eta)
         evals, level = 1, 0.0
         lam_sum = float(st.lam_row.sum())
@@ -581,6 +603,9 @@ class _SmoothedDual:
                     break
             v, val, grad, st = v_new, val_new, grad_new, st_new
             gmax = float(np.abs(grad).max())
+            if rung and -slope <= _CENTERED * eta:
+                stop = "centered"
+                break
         if stop == "newton_limit" and gmax <= gtol:
             stop = "gtol"
         self.work.stages.append(AnnealStage(eta / self.scale, level, steps, evals, stop, gmax))
@@ -597,7 +622,7 @@ def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray):
     eta_floor = _ETA_FLOOR * sd.scale
     v = v0
     while eta > eta_floor:
-        v = sd.minimize(v, eta)
+        v = sd.minimize(v, eta, rung=True)
         eta *= 0.2
     f0 = sd.minimize(v, eta)
     f1 = sd.minimize(f0, eta / 2.0)

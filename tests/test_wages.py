@@ -18,6 +18,7 @@ from pyramid_eq import (
 )
 from pyramid_eq.cli import load_scenario
 from pyramid_eq.model import _deposit, _deposit_into, split_positions
+from pyramid_eq import wages
 from pyramid_eq.wages import IterationDiverged, WageOperator, _POLISH_DAMPING, _SmoothedDual, _damped_step
 from conftest import make_params, uniform_alpha
 
@@ -521,6 +522,53 @@ def test_rejected_level_step_leaves_the_stage_where_it_was():
     assert np.array_equal(sd._L, st.lam)
 
 
+def test_cold_pair_weights_are_zeros_not_subnormals(monkeypatch):
+    # at the coldest temperature many pair weights fall below e^-300; they
+    # must be exact zeros, and dropping them must not change the value or
+    # the gradient in any bit
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=64)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    sd = _SmoothedDual(prof.operator, cfg.alpha.weights, np.zeros(64))
+    eta = prof.anneal.stages[-1].eta * sd.scale
+    tiny = np.finfo(float).tiny
+
+    def subnormals(st):
+        return sum(int(((X > 0.0) & (X < tiny)).sum()) for X in (st.eps, st.lam))
+
+    val, grad, st = sd.value_grad(prof.v, eta)
+    assert subnormals(st) == 0
+    monkeypatch.setattr(wages, "_EXP_CUT", np.inf)
+    val_raw, grad_raw, st_raw = sd.value_grad(prof.v, eta)
+    assert subnormals(st_raw) > 0  # the instance has weights to flush
+    assert val == val_raw
+    assert np.array_equal(grad, grad_raw)
+
+
+def test_ladder_rungs_stop_once_centered():
+    # the rungs only start the next, colder rung; the three Richardson
+    # stages feed the answer and still run to gtol
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=64)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    stages = prof.anneal.stages
+    assert prof.converged
+    assert all(s.stop in ("centered", "gtol") for s in stages[:-3])
+    assert any(s.stop == "centered" for s in stages[:-3])
+    for s in stages[-3:]:
+        assert s.stop == "gtol" and s.grad_inf <= 1e-12
+
+
+@pytest.mark.parametrize("config, n", [("phase_supercritical.toml", 64), ("demo_small.toml", 32)])
+def test_centered_rungs_give_the_fully_solved_ladder_answer(monkeypatch, config, n):
+    cfg = load_scenario(os.path.join(CONFIG_DIR, config), grid_n_override=n)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    monkeypatch.setattr(wages, "_CENTERED", 0.0)  # every rung runs to gtol
+    full = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    assert prof.converged and full.converged
+    assert prof.anneal.newton_steps < full.anneal.newton_steps
+    assert np.abs(prof.v - full.v).max() <= 1e-9
+    assert abs(prof.objective - full.objective) <= 1e-12 * abs(full.objective)
+
+
 def test_anneal_never_stalls_on_supercritical_config():
     # at n = 200 the last-digit noise in the dual value used to defeat the
     # Armijo test in the second stage, which then ran to the Newton limit
@@ -530,8 +578,9 @@ def test_anneal_never_stalls_on_supercritical_config():
     assert prof.anneal.newton_limit_stops == 0
     assert prof.anneal.line_search_failures == 0
     # the level step takes the place of the steps along -1 that the trial
-    # radius would clip one after another (66 steps here, 97 without it)
-    assert prof.anneal.newton_steps <= 75
+    # radius would clip one after another (97 steps without it), and the
+    # ladder rungs stop once centered (66 steps when they ran to gtol)
+    assert prof.anneal.newton_steps <= 52
     # the bounded first trial keeps the Armijo halvings rare
     assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps
 
@@ -580,6 +629,22 @@ def test_c_zero_solve_meets_the_certificate_gates(N, N_prime, n):
         assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps + 2 * len(prof.anneal.stages)
     else:
         assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps
+    rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof, params, grid)
+    assert rep.gap_rel <= 1e-6
+    assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+@pytest.mark.parametrize("N_prime", [1.0, 3.0])
+def test_single_teacher_class_solve_meets_the_certificate_gates(N_prime, c):
+    # at N = 1 and delta = 0 only labor prices the wage level, and every
+    # level is optimal: the LP picks the minimal-wage level and the anneal
+    # another, so the solves are compared by certificate, not by v
+    params = make_params(N=1.0, N_prime=N_prime, c=c)
+    grid = SkillGrid(32, 1.0)
+    alpha = uniform_alpha(grid)
+    prof = solve_wages(params, alpha, grid, SolverConfig())
+    assert prof.converged
     rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof, params, grid)
     assert rep.gap_rel <= 1e-6
     assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
