@@ -6,6 +6,7 @@ All functions are pure report generators over immutable inputs.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -324,23 +325,31 @@ def labor_coupling_from_profile(profile, kappa: GridMeasure, params: TechnologyP
     return GridCoupling(nodes, nodes, supply[nodes])
 
 
+def _probe_noise(size: int, seed: int, magnitude: float) -> np.ndarray:
+    """size values uniform on [-magnitude, magnitude), from stdlib random
+    seeded with seed, which the CLI has loaded already (numpy.random would
+    add 19 modules to a solve): the top 53 bits of each little-endian
+    64-bit word w give magnitude ((w >> 11) 2^-52 - 1)."""
+    bits = np.frombuffer(random.Random(seed).randbytes(8 * size), dtype="<u8")
+    return magnitude * ((bits >> 11) * 2.0 ** -52 - 1.0)
+
+
 def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0, magnitude: float = 1e-7):
     """Empirical uniqueness check of a certified LP solution.
 
     Solves a copy of lp whose objective carries a uniform random
-    perturbation in [-magnitude, magnitude] (the packed columns are
-    shared, lp is left unchanged), starting from base's optimal basis,
-    which is feasible for the copy, and with base's duals as the prices
-    that pick the first columns.  A generic perturbation makes the
-    perturbed optimum unique; if base's optimum is not, some column with
-    zero reduced cost gets a positive one and the solve pivots away from
-    base.  Reports the total-variation distances between base's coupling
-    pair and the perturbed one, the shift of the optimal value, and the
-    perturbed solve's pivots, status, final column count and pricing
-    rounds.
+    perturbation in [-magnitude, magnitude) from _probe_noise (the packed
+    columns are shared, lp is left unchanged), starting from base's
+    optimal basis, which is feasible for the copy, and with base's duals
+    as the prices that pick the first columns.  A generic perturbation
+    makes the perturbed optimum unique; if base's optimum is not, some
+    column with zero reduced cost gets a positive one and the solve
+    pivots away from base.  Reports the total-variation distances between
+    base's coupling pair and the perturbed one, the shift of the optimal
+    value, and the perturbed solve's pivots, status, final column count
+    and pricing rounds.
     """
-    rng = np.random.default_rng(seed)
-    noise = rng.uniform(-magnitude, magnitude, lp.objective.shape)
+    noise = _probe_noise(lp.objective.size, seed, magnitude)
     pert = solve_lp(replace(lp, objective=lp.objective + noise), basis=base.basis,
                     prices=np.concatenate([base.u, base.v]))
     nn = lp.n * lp.n

@@ -196,9 +196,12 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     Returns (x, y, basis, status, iterations).  Pricing is deterministic:
     Dantzig with first-index tie-break, falling back to Bland's least-index
     anti-cycling rule after _BLAND_AFTER consecutive degenerate pivots.
+    A pivot prices and runs its ratio test in buffers allocated once here,
+    with the same operations in the same order as _reduced_costs.
     """
     m = b.size
     nv = c.size
+    rows = rows.astype(np.intp)           # cast once, not in every pricing gather
     basis = np.array(basis, dtype=np.intp)
     if basis.shape != (m,):
         raise ValueError(f"a starting basis has {m} columns, not {basis.size}")
@@ -212,6 +215,9 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     degenerate_run = 0
     bland = False
     max_iter = 400 * m + 20000
+    cB = c[basis]                         # kept in step with basis
+    y, ratios, pos = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+    r, Y = np.empty(nv), np.empty(nv)
 
     while True:
         if iterations and iterations % _REFACTOR_EVERY == 0:
@@ -219,8 +225,12 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
             xB = Binv @ b
             xB[np.abs(xB) < 1e-14] = 0.0
 
-        y = c[basis] @ Binv
-        r = _reduced_costs(c, rows, vals, y)
+        np.matmul(cB, Binv, out=y)
+        np.copyto(r, c)
+        for s in range(rows.shape[0]):
+            y.take(rows[s], out=Y, mode="clip")  # rows < m: nothing clipped, no buffer for out
+            Y *= vals[s]
+            r -= Y
         r[basis] = 0.0
 
         if bland:
@@ -230,33 +240,32 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
                 break
             enter = int(improving[0])
         else:
-            enter = int(np.argmax(r))
+            enter = int(r.argmax())
             if r[enter] <= _OPT_TOL:
                 status = "optimal"
                 break
 
         d = Binv[:, rows[:, enter]] @ vals[:, enter]
-        pos = d > _PIV_TOL
-        if not np.any(pos):
+        if not np.greater(d, _PIV_TOL, out=pos).any():
             status = "unbounded"
             break
-        ratios = np.full(m, np.inf)
-        ratios[pos] = xB[pos] / d[pos]
-        theta = ratios.min()
-        ties = np.nonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))[0]
-        leave = int(ties[np.argmin(basis[ties])])  # least-index leaving rule
+        ratios.fill(np.inf)
+        theta = np.divide(xB, d, out=ratios, where=pos).min()
+        ties = (ratios <= theta + 1e-12 * (1.0 + abs(theta))).nonzero()[0]
+        leave = int(ties[basis[ties].argmin()])  # least-index leaving rule
 
         # rank-1 update of the inverse and the basic solution, in place
         piv = d[leave]
         prow = Binv[leave] / piv
-        nz = np.flatnonzero(d)            # rows with d = 0 would subtract exact zeros
-        Binv[nz] -= np.outer(d[nz], prow)
+        nz = d.nonzero()[0]               # rows with d = 0 would subtract exact zeros
+        Binv[nz] -= d[nz, None] * prow
         Binv[leave] = prow
         xl = xB[leave] / piv
         xB -= d * xl
         xB[leave] = xl
         xB[np.abs(xB) < 1e-14] = 0.0
         basis[leave] = enter
+        cB[leave] = c[enter]
         iterations += 1
 
         if theta <= _PIV_TOL:

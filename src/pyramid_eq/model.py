@@ -411,9 +411,14 @@ def _deposit(flat: np.ndarray, frac: np.ndarray, w: np.ndarray, size: int) -> np
     at flat and w frac at flat + 1, the split of split_positions.
     np.bincount adds into each bin in the pairs' row-major order, so
     repeated runs agree bitwise."""
-    flat = flat.ravel()
-    out = np.bincount(flat, (w * (1.0 - frac)).ravel(), minlength=size)
-    out[1:] += np.bincount(flat, (w * frac).ravel(), minlength=size)[:-1]
+    return _deposit_split(flat.ravel(), (w * (1.0 - frac)).ravel(), (w * frac).ravel(), size)
+
+
+def _deposit_split(flat: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
+    """_deposit of a split the caller has formed (lo = w (1-frac),
+    hi = w frac, raveled): lo at flat and hi at flat + 1."""
+    out = np.bincount(flat, lo, minlength=size)
+    out[1:] += np.bincount(flat, hi, minlength=size)[:-1]
     return out
 
 

@@ -43,7 +43,12 @@ the dual value does not rise (the exponent clamp _EXP_CAP makes the 1-D
 model inexact; a rejected step costs a second evaluation, back at v).
 It is skipped when A = 0 (N = 1 and delta = 0) or B = 0.
 Without it the first Newton steps of a stage point along -1 and are
-clipped to the trial radius one after another.
+clipped to the trial radius one after another.  With A = 0 the dual
+falls along 1 for ever, so the anneal ends at a level its tolerances
+set; a uniform shift then moves no education surplus, and neither u nor
+the objective sees it.  The anneal's wages are then cut by
+s = min G / kappa to the minimal level, where the smallest labor slack
+is zero.
 
 Each Newton step is accepted by Armijo backtracking (halving, constant
 1e-4) from the first trial t0 = min(1, R eta / |step|_inf),
@@ -90,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import GridMeasure, SkillGrid, TechnologyParams, _deposit, _deposit_into, split_positions
+from .model import GridMeasure, SkillGrid, TechnologyParams, _deposit_into, _deposit_split, split_positions
 
 __all__ = [
     "SolverConfig",
@@ -266,7 +271,18 @@ def convexify(values, nodes=None) -> np.ndarray:
         x = np.asarray(nodes, dtype=float)
     if n <= 1:
         return y.copy()
+    # the scan's test on the consecutive triples: if none turns right, the
+    # scan pops no vertex and its hull is every sample
+    cross = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (x[2:] - x[:-2]) * (y[1:-1] - y[:-2])
+    out = _hull_scan(x, y) if np.any(cross < 0.0) else y.copy()
+    lo = int(np.argmin(out))
+    out[:lo] = out[lo]
+    return out
 
+
+def _hull_scan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The lower convex hull of (x, y), evaluated back on the nodes."""
+    n = len(y)
     # lower hull, keeping collinear vertices so convex input is untouched
     hull = [0]
     for i in range(1, n):
@@ -286,9 +302,6 @@ def convexify(values, nodes=None) -> np.ndarray:
             t = (x[a + 1:b] - x[a]) / (x[b] - x[a])
             out[a + 1:b] = y[a] + t * (y[b] - y[a])
     out[hull[-1]] = y[hull[-1]]
-
-    lo = int(np.argmin(out))
-    out[:lo] = out[lo]
     return out
 
 
@@ -307,25 +320,36 @@ class WageOperator:
         Z = x[:, None] + params.theta * (x[None, :] - x[:, None])
         self.E = self.c * np.asarray(params.bE.value(Z))
         self._idx, self._frac = split_positions(Z, grid)
+        self._omf = 1.0 - self._frac
 
-    def interp_at_z(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def interp_at_z(self, v: np.ndarray, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
         """v at every pair's z: v[idx] (1-frac) + v[idx+1] frac, written
-        into out when given."""
+        into out when given, with v[idx+1] gathered into scratch when
+        given."""
         if self.grid.n == 1:
             if out is None:
                 return np.full_like(self._frac, v[0])
             out.fill(v[0])
             return out
-        vz = np.take(v, self._idx, out=out)
-        vz *= 1.0 - self._frac
-        hi = np.take(v[1:], self._idx)  # v[idx + 1]: split_positions keeps idx <= n - 2
+        # mode="clip" gathers straight into out and scratch ("raise" buffers
+        # them); it clips nothing, as split_positions keeps idx <= n - 2
+        vz = np.take(v, self._idx, out=out, mode="clip")
+        vz *= self._omf
+        hi = np.take(v[1:], self._idx, out=scratch, mode="clip")  # v[idx + 1]
         hi *= self._frac
         vz += hi
         return vz
 
-    def splat_from_z(self, w: np.ndarray) -> np.ndarray:
-        """Adjoint of interp_at_z: deposit pair weights w onto the nodes."""
-        return _deposit(self._idx, self._frac, w, self.grid.n)
+    def splat_from_z(self, w: np.ndarray, split: np.ndarray | None = None) -> np.ndarray:
+        """Adjoint of interp_at_z: deposit pair weights w onto the nodes.
+        split, a (2, n^2) buffer, receives the split w (1-frac), w frac
+        that is deposited, and is left holding it."""
+        if split is None:
+            split = np.empty((2, w.size))
+        np.multiply(w.ravel(), self._omf.ravel(), out=split[0])
+        np.multiply(w.ravel(), self._frac.ravel(), out=split[1])
+        return _deposit_split(self._idx.ravel(), split[0], split[1], self.grid.n)
 
     def components(self, v: np.ndarray) -> WageComponents:
         p = self.params
@@ -372,7 +396,9 @@ class WageOperator:
     def minus_g(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """-G, G[k', k] = v(k') + v(k)/N' - b_L((1-t')k' + t'k) the labor
         slacks over all grid pairs, written into out when given."""
-        L = np.add(v[:, None], v / self.params.N_prime, out=out)
+        L = np.empty(self.BL.shape) if out is None else out
+        L[...] = v / self.params.N_prime
+        L += v[:, None]  # one broadcast operand per ufunc, each of which may take an iterator buffer
         return np.subtract(self.BL, L, out=L)
 
     def slacks(self, u: np.ndarray, v: np.ndarray):
@@ -407,7 +433,9 @@ class _DualState(NamedTuple):
     """The pair weights of one dual evaluation and the sums the gradient
     took of them: the splat kappa and column sums of eps, row and column
     sums of lam.  eps and lam are the dual's work arrays, valid until its
-    next evaluation."""
+    next evaluation, and so is the split of eps that the splat left in the
+    dual's _split, which the Hessian deposits from: a state is only ever
+    passed on from the dual's last evaluation."""
 
     eps: np.ndarray
     lam: np.ndarray
@@ -426,10 +454,10 @@ class _SmoothedDual:
     its minimum by damped Newton steps.
 
     The pair tables the Hessian needs (flat deposit indices by teacher and
-    by student, 1-frac and the split weight frac (1-frac)) are built once
-    here, and every evaluation and Hessian writes into n x n work arrays
-    owned by the dual, so one anneal allocates them once and a Newton step
-    allocates no n x n array.
+    by student and the split weight frac (1-frac)) are built once here,
+    and every evaluation and Hessian writes into n x n work arrays owned
+    by the dual, so one anneal allocates them once and neither a dual
+    evaluation nor a Newton step allocates an n x n array.
     """
 
     def __init__(self, op: WageOperator, m: np.ndarray, d: np.ndarray):
@@ -451,21 +479,20 @@ class _SmoothedDual:
         # whole); n^2 < 2^31 for any grid whose n x n tables fit in memory
         self._by_teacher = (idx + n * np.arange(n)).astype(np.int32).ravel()
         self._by_student = (idx + n * np.arange(n)[:, None]).astype(np.int32).ravel()
-        self._omf = (1.0 - frac).ravel()
         self._w01 = frac * (1.0 - frac)
         # rows of the row-mean term are scaled by 1/sqrt(m); massless rows are zero
         self._rsqrt_m = np.divide(1.0, np.sqrt(m), out=np.zeros_like(m), where=self.live)[:, None]
         self._P = np.empty((n, n))  # S, then the row softmax eps
         self._L = np.empty((n, n))  # -G/eta, then lam = exp(-G/eta)
         self._H = np.empty((n, n))
-        self._T = np.empty((n, n))  # scratch
+        self._T = np.empty((n, n))  # scratch: v at idx + 1, then Hessian terms
         self._split = np.empty((2, n * n))  # eps (1-frac), eps frac
         self._Q = np.empty((n, n))  # the deposits of eps by teacher, then by student
         self._cut = np.empty((n, n), dtype=bool)  # exponents below -_EXP_CUT
 
     def state(self, v: np.ndarray, eta: float):
         op, p = self.op, self.op.params
-        P = op.interp_at_z(v, out=self._P)
+        P = op.interp_at_z(v, out=self._P, scratch=self._T)
         P += op.E
         P -= v / p.N  # S: (student, teacher) surplus net of the teacher's wage share
         Smax = P.max(axis=1)
@@ -493,14 +520,15 @@ class _SmoothedDual:
         p = self.op.params
         u, eps, lam = self.state(v, eta)
         val = float(self.m[self.live] @ u[self.live] + self.d @ v) + eta * float(lam.sum())
-        kappa = self.op.splat_from_z(eps)
+        kappa = self.op.splat_from_z(eps, split=self._split)
         st = _DualState(eps, lam, kappa, eps.sum(axis=0), lam.sum(axis=1), lam.sum(axis=0))
         grad = self.d + kappa - st.eps_col / p.N - st.lam_row - st.lam_col / p.N_prime
         return val, grad, st
 
     def hessian(self, eta: float, st: _DualState) -> np.ndarray:
         """Newton matrix at the state st of the last evaluation, written into
-        the dual's work array H."""
+        the dual's work array H; it deposits the split of eps that
+        evaluation's splat left in _split."""
         op, p = self.op, self.op.params
         n = op.grid.n
         eps, H, T = st.eps, self._H, self._T
@@ -523,8 +551,6 @@ class _SmoothedDual:
         H.flat[1::n + 1] += off[:-1]
         H.flat[n::n + 1] += off[:-1]
         lo, hi = self._split
-        np.multiply(eps.ravel(), self._omf, out=lo)
-        np.multiply(eps.ravel(), op._frac.ravel(), out=hi)
         C = self._Q
         _deposit_into(C.ravel(), T.ravel(), self._by_teacher, lo, hi)
         H -= np.divide(np.add(C, C.T, out=T), p.N, out=T)
@@ -629,6 +655,8 @@ def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray):
     f2 = sd.minimize(f1, eta / 4.0)
     v = (8.0 * f2 - 6.0 * f1 + f0) / 3.0
     sd.work.richardson = float(np.abs(v - f2).max())
+    if sd._level_a == 0.0:  # no level step anchored v: cut it to the minimal level
+        v = v + float(op.minus_g(v, out=sd._L).max()) / sd._level_kappa
     return v, sd.work
 
 

@@ -249,6 +249,16 @@ def test_uniqueness_probe_small_tv_distance():
     assert probe["value_shift"] <= 1e-6
 
 
+def test_probe_noise_is_seeded_and_within_its_magnitude():
+    from pyramid_eq.analysis import _probe_noise
+    noise = _probe_noise(4096, 7, 1e-7)
+    assert noise.shape == (4096,) and noise.dtype == np.float64
+    assert noise.min() >= -1e-7 and noise.max() < 1e-7
+    assert noise.min() < -0.99e-7 and noise.max() > 0.99e-7
+    assert np.array_equal(noise, _probe_noise(4096, 7, 1e-7))
+    assert not np.any(noise == _probe_noise(4096, 8, 1e-7))
+
+
 def test_labor_coupling_from_profile_clears():
     from pyramid_eq import labor_coupling_from_profile, pushforward_z
     params = make_params(N=10.0, N_prime=10.0, c=0.5)

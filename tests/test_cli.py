@@ -109,23 +109,41 @@ def test_grid_above_the_lp_size_rule_writes_argmax_couplings(tmp_path, monkeypat
     assert lam.size and np.array_equal(lam[:, 0], lam[:, 1])
 
 
-def test_solve_leaves_numpy_ma_unloaded(tmp_path):
-    # numpy.ma costs 13-16 ms and 1.7 MB to import, and numpy's set
-    # routines (np.unique, np.union1d) import it on first use
+def _demo_solve_imports(tmp_path, package):
+    """Solve configs/demo_small.toml (LP certificate and uniqueness probe
+    on) in a fresh interpreter; returns the modules of package that
+    `import numpy` had loaded, then those the import of pyramid_eq.cli and
+    the solve added."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "demo_small.toml")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, numpy\n"
-            "eager = 'numpy.ma' in sys.modules\n"
+    code = ("import json, sys, numpy\n"
+            f"def loaded(): return {{m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})}}\n"
+            "eager = loaded()\n"
             "from pyramid_eq.cli import main\n"
-            f"status = main(['solve', '--config', {config!r}, '--out', {str(tmp_path)!r}, '--quiet'])\n"
-            "print(status, 'eager' if eager else 'numpy.ma' in sys.modules)")
+            f"assert main(['solve', '--config', {config!r}, '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
+            "print(json.dumps([sorted(eager), sorted(loaded() - eager)]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    status, loaded = out.stdout.split()
-    assert status == "0"
-    if loaded == "eager":
+    return json.loads(out.stdout)
+
+
+def test_solve_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs 13-16 ms and 1.7 MB to import, and numpy's set
+    # routines (np.unique, np.union1d) import it on first use
+    eager, added = _demo_solve_imports(tmp_path, "numpy.ma")
+    if eager:
         pytest.skip("this numpy imports numpy.ma with numpy itself")
-    assert loaded == "False"
+    assert added == []
+
+
+def test_probed_solve_leaves_numpy_random_unloaded(tmp_path):
+    # numpy.random would bring 19 modules (secrets, hashlib, hmac among
+    # them) into the solve: the probe draws its noise from stdlib random.
+    # A numpy that imports numpy.random with itself may keep it.
+    _, added = _demo_solve_imports(tmp_path, "numpy.random")
+    assert added == []
+    probe = json.loads((tmp_path / "occupations.json").read_text())["uniqueness_probe"]
+    assert probe["status"] == "optimal" and probe["value_shift"] <= 1e-6
 
 
 def test_bad_theta_exits_one_with_bound_name(tmp_path, capsys):

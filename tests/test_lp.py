@@ -363,8 +363,9 @@ def _assert_same_optimum(a, b):
     assert a.status == b.status == "optimal"
     assert abs(a.value - b.value) <= 1e-12
     assert np.abs(a.u - b.u).max() <= 1e-12
-    # at delta = 0 the wages v are not unique: this pins the minimal v that
-    # the full solve returns and the duality report's v_dist relies on
+    # at delta = 0 the wages v are not unique and the start basis picks
+    # the vertex: both solves start from the diagonal basis, so they end
+    # on the same v
     assert np.abs(a.v - b.v).max() <= 1e-12
 
 

@@ -74,6 +74,40 @@ def test_convexify_matches_oracle(ys):
     assert got == pytest.approx(want, abs=1e-9)
 
 
+def scan_convexify(ys, xs):
+    """convexify by the hull scan alone, without its convex-input exit."""
+    out = wages._hull_scan(xs, ys)
+    lo = int(np.argmin(out))
+    out[:lo] = out[lo]
+    return out
+
+
+def test_convexify_keeps_exactly_collinear_samples_as_the_scan_does():
+    x = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+    y = 3.0 * x - 1.0
+    assert np.all(np.diff(y) / np.diff(x) == 3.0)  # every triple's cross product is exactly 0
+    got = convexify(y, x)
+    assert np.array_equal(got, scan_convexify(y, x)) and np.array_equal(got, y)
+
+
+def test_convexify_flattens_a_convex_decreasing_head_as_the_scan_does():
+    x = np.arange(8, dtype=float)
+    y = (x - 3.0) ** 2
+    got = convexify(y, x)
+    assert np.array_equal(got, scan_convexify(y, x))
+    assert np.array_equal(got, [0.0, 0.0, 0.0, 0.0, 1.0, 4.0, 9.0, 16.0])
+
+
+@settings(deadline=None, max_examples=200)
+@given(values_lists)
+def test_convexify_equals_the_scan_bitwise(ys):
+    # sorted increments make the samples convex up to round-off, so both
+    # the early exit and the scan are taken
+    xs = np.arange(len(ys), dtype=float)
+    for y in (np.array(ys), np.cumsum(np.sort(ys))):
+        assert np.array_equal(convexify(y, xs), scan_convexify(y, xs))
+
+
 @settings(deadline=None, max_examples=200)
 @given(values_lists)
 def test_convexify_properties(ys):
@@ -468,6 +502,23 @@ def test_warm_hessian_allocates_no_n_by_n_array():
     assert peak - base < n * n * 8
 
 
+def test_warm_value_grad_allocates_no_n_by_n_array():
+    # an evaluation gathers v at idx + 1 and forms the split it deposits in
+    # buffers the dual owns: it allocates nothing of n^2 doubles
+    n = 128
+    op, m, d, v = _dual_instance(n, 0.5)
+    sd = _SmoothedDual(op, m, d)
+    sd.value_grad(v, 0.05)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sd.value_grad(v, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < n * n * 8
+
+
 def test_level_step_zeroes_the_slope_along_one():
     # along 1 the dual is A s + eta B (exp(-kappa s / eta) - 1), so after
     # the level step its slope 1^T grad = A - kappa sum lam vanishes
@@ -638,8 +689,7 @@ def test_c_zero_solve_meets_the_certificate_gates(N, N_prime, n):
 @pytest.mark.parametrize("N_prime", [1.0, 3.0])
 def test_single_teacher_class_solve_meets_the_certificate_gates(N_prime, c):
     # at N = 1 and delta = 0 only labor prices the wage level, and every
-    # level is optimal: the LP picks the minimal-wage level and the anneal
-    # another, so the solves are compared by certificate, not by v
+    # level at or above the minimal one is optimal
     params = make_params(N=1.0, N_prime=N_prime, c=c)
     grid = SkillGrid(32, 1.0)
     alpha = uniform_alpha(grid)
@@ -648,6 +698,28 @@ def test_single_teacher_class_solve_meets_the_certificate_gates(N_prime, c):
     rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof, params, grid)
     assert rep.gap_rel <= 1e-6
     assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("c", [0.0, 0.5])
+@pytest.mark.parametrize("N_prime", [1.0, 3.0])
+def test_single_teacher_class_solve_takes_the_minimal_wage_level(N_prime, c, n):
+    # the anneal's wages are cut to the level where the smallest labor
+    # slack is zero; at c = 0 that is the LP's v
+    params = make_params(N=1.0, N_prime=N_prime, c=c)
+    grid = SkillGrid(n, 1.0)
+    alpha = uniform_alpha(grid)
+    prof = solve_wages(params, alpha, grid, SolverConfig())
+    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    assert prof.converged
+    if c == 0.0:
+        assert np.abs(prof.v - sol.v).max() <= 1e-9
+    else:
+        sr = stability_residuals(prof, params, grid)
+        assert -1e-9 <= sr.min_g <= 1e-12
+        rep = duality_report(sol, prof, params, grid)
+        assert rep.gap_rel <= 1e-6
+        assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
 
 
 def _cut_stage_short(monkeypatch, stop, stage):
