@@ -18,12 +18,8 @@ from .model import (
     UtilityValidation,
     discretize_density,
     doubling_check,
-    production_eval,
     pushforward_z,
-    read_measure_csv,
     validate_utility,
-    write_measure_csv,
-    z_map,
 )
 from .wages import (
     SolverConfig,
@@ -39,9 +35,7 @@ from .lp import (
     LPSolution,
     assemble_primal,
     duality_report,
-    feasible_seed,
     solve_lp,
-    write_tableau,
 )
 from .analysis import (
     DensityReport,

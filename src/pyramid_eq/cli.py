@@ -93,7 +93,7 @@ _KEY_TABLE = {
 }
 # Largest grid certified by the LP; larger grids write the profile_argmax
 # couplings instead.  At n = 256 the certificate would raise the
-# supercritical run's peak RSS from 42 to 56 MB; ROADMAP item 1 (a crash
+# supercritical run's peak RSS from 42 to 56 MB; ROADMAP item 2 (a crash
 # basis from the wage solve) is to certify every grid and retire this rule.
 _LP_MAX_N = 160
 _SECTION_LINE = re.compile(r"\s*\[\s*([\w.-]+)\s*\]\s*(#.*)?$")

@@ -13,7 +13,8 @@ Each column has at most 4 nonzeros (a student row, the teacher-supply
 row and the two split rows of z for eps; the worker and manager rows for
 lam).  assemble_primal records only these, packed per column, in
 O(n^2) memory; the dense matrix DiscreteLP.A is built from them on
-demand, for tests and export, and nothing in the solve reads it.
+demand, for tests and the benchmark tracer, and nothing in the solve
+reads it.
 
 solve_lp is column generation around a revised simplex with an explicit
 basis inverse that prices over the packed columns, so a pivot costs
@@ -48,9 +49,7 @@ __all__ = [
     "DualityReport",
     "assemble_primal",
     "solve_lp",
-    "feasible_seed",
     "duality_report",
-    "write_tableau",
 ]
 
 # the first restricted solve takes the columns whose reduced cost under the
@@ -87,7 +86,7 @@ class DiscreteLP:
     @property
     def A(self) -> np.ndarray:
         """The dense 2n x 2n^2 constraint matrix, built from the packed
-        columns on every access (for tests and export)."""
+        columns on every access (for tests and the benchmark tracer)."""
         return _dense_columns(self.rows, self.vals, np.arange(self.rows.shape[1]), self.b.size)
 
 
@@ -151,22 +150,6 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(obj))):
         raise ValueError("non-finite constraint or objective coefficients")
     return DiscreteLP(obj, b, rows, vals, n, delta, params.c)
-
-
-def feasible_seed(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
-                  delta: float = 0.0) -> tuple[GridCoupling, GridCoupling]:
-    """Diagonal feasible pair: education coupling concentrated on the
-    diagonal carrying alpha + delta/n, labor coupling a fixed multiple of
-    it plus a diagonal delta correction.  Satisfies both constraint blocks
-    exactly because z(a, a) = a."""
-    n = grid.n
-    mu = alpha.weights + delta / n
-    s = (1.0 - 1.0 / params.N) / (1.0 + 1.0 / params.N_prime)
-    t = 1.0 / (1.0 + 1.0 / params.N_prime)
-    diag = np.arange(n)
-    eps = GridCoupling(diag, diag, mu)
-    lam = GridCoupling(diag, diag, s * mu + t * (delta / n))
-    return eps, lam
 
 
 def _dense_columns(rows: np.ndarray, vals: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
@@ -403,23 +386,3 @@ def duality_report(solution: LPSolution, profile, params: TechnologyParams,
         v_dist=float(np.abs(solution.v - v).max()),
         lp_own_slackness=own,
     )
-
-
-def write_tableau(lp: DiscreteLP, path) -> None:
-    """Dump the LP in a plain-text tableau for external cross-checking.
-
-    Format: one header line "n <n> delta <delta> c <c> vars <2n^2> rows <2n>",
-    one line "objective <coeffs...>", then per constraint row a line
-    "row <index> <coeffs...> rhs <value>".  Floats use repr round-tripping.
-    """
-    m, nv = lp.b.size, lp.rows.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {lp.n} delta {lp.delta!r} c {lp.c_used!r} vars {nv} rows {m}\n")
-        fh.write("objective " + " ".join(repr(t) for t in lp.objective.tolist()) + "\n")
-        for i in range(m):
-            row = np.zeros(nv)            # row i of A, summed in slot order as in _dense_columns
-            for s in range(lp.rows.shape[0]):
-                hit = lp.rows[s] == i
-                row[hit] += lp.vals[s, hit]
-            coeffs = " ".join(repr(t) for t in row.tolist())
-            fh.write(f"row {i} {coeffs} rhs {float(lp.b[i])!r}\n")

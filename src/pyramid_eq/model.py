@@ -23,10 +23,6 @@ __all__ = [
     "UtilityValidation",
     "DoublingReport",
     "DiscretizationWarning",
-    "write_measure_csv",
-    "read_measure_csv",
-    "z_map",
-    "production_eval",
     "validate_utility",
     "discretize_density",
     "pushforward_z",
@@ -262,32 +258,6 @@ class GridCoupling:
 # operations
 # ---------------------------------------------------------------------------
 
-def z_map(a, k, theta):
-    """Acquired skill of a student of ability a taught by a teacher of
-    skill k: the weighted average (1-theta)*a + theta*k.
-
-    Written as a + theta*(k - a) so that z_map(a, a, theta) == a exactly.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie strictly in (0, 1)")
-    a = np.asarray(a, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if np.any(a < -_DOMAIN_SLACK) or np.any(k < -_DOMAIN_SLACK):
-        raise ValueError("skills must be nonnegative")
-    out = a + theta * (k - a)
-    return out if out.ndim else float(out)
-
-
-def production_eval(params: TechnologyParams, sector: str, a, k):
-    """Per-pair output: b_E at the acquired skill in the education sector,
-    b_L at the manager-weighted average in the labor sector."""
-    if sector == "education":
-        return params.bE.value(z_map(a, k, params.theta))
-    if sector == "labor":
-        return params.bL.value(z_map(a, k, params.theta_prime))
-    raise ValueError(f"unknown sector {sector!r}")
-
-
 @dataclass(eq=False)
 class UtilityValidation:
     """Numeric probe of the curve bounds b(0), b'(0), inf b'' and b'(k_top)."""
@@ -406,17 +376,12 @@ def split_positions(z: np.ndarray, grid: SkillGrid):
     return idx, frac
 
 
-def _deposit(flat: np.ndarray, frac: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
-    """Deposit pair weights w into an array of the given size: w (1-frac)
-    at flat and w frac at flat + 1, the split of split_positions.
-    np.bincount adds into each bin in the pairs' row-major order, so
-    repeated runs agree bitwise."""
-    return _deposit_split(flat.ravel(), (w * (1.0 - frac)).ravel(), (w * frac).ravel(), size)
-
-
 def _deposit_split(flat: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
-    """_deposit of a split the caller has formed (lo = w (1-frac),
-    hi = w frac, raveled): lo at flat and hi at flat + 1."""
+    """Deposit a split the caller has formed (lo = w (1-frac), hi =
+    w frac, raveled, the split of split_positions) into an array of the
+    given size: lo at flat and hi at flat + 1.  np.bincount adds into
+    each bin in the pairs' row-major order, so repeated runs agree
+    bitwise."""
     out = np.bincount(flat, lo, minlength=size)
     out[1:] += np.bincount(flat, hi, minlength=size)[:-1]
     return out
@@ -424,12 +389,11 @@ def _deposit_split(flat: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) 
 
 def _deposit_into(out: np.ndarray, scratch: np.ndarray, flat: np.ndarray,
                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """_deposit into the caller's flat buffers, for a split the caller
-    has formed (lo = w (1-frac), hi = w frac, raveled): lo at flat into
+    """_deposit_split into the caller's flat buffers: lo at flat into
     out, hi at flat into scratch, then scratch shifted one bin into out.
     np.add.at adds in the pairs' order into zeroed bins, as bincount
-    does, so the result equals _deposit bitwise; nothing of the size of
-    out is allocated."""
+    does, so the result equals _deposit_split bitwise; nothing of the
+    size of out is allocated."""
     out.fill(0.0)
     scratch.fill(0.0)
     np.add.at(out, flat, lo)
@@ -445,25 +409,8 @@ def pushforward_z(eps: GridCoupling, params: TechnologyParams, grid: SkillGrid) 
     x = grid.nodes
     z = x[eps.rows] + params.theta * (x[eps.cols] - x[eps.rows])
     idx, frac = split_positions(z, grid)
-    return GridMeasure.from_weights(_deposit(idx, frac, eps.weights, grid.n))
-
-
-def write_measure_csv(measure: GridMeasure, grid: SkillGrid, path) -> None:
-    """Serialize a grid measure as two CSV columns (node, weight)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node,weight\n")
-        for x, w in zip(grid.nodes, measure.weights):
-            fh.write(f"{float(x)!r},{float(w)!r}\n")
-
-
-def read_measure_csv(path, grid: SkillGrid) -> GridMeasure:
-    """Read a (node, weight) CSV back into a GridMeasure on the grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] != grid.n:
-        raise ValueError(f"{path} has {data.shape[0]} rows, grid has {grid.n} nodes")
-    if np.abs(data[:, 0] - grid.nodes).max() > 1e-9 * max(1.0, grid.k_top):
-        raise ValueError(f"{path} nodes do not match the grid")
-    return GridMeasure.from_weights(data[:, 1])
+    w = eps.weights
+    return GridMeasure.from_weights(_deposit_split(idx, w * (1.0 - frac), w * frac, grid.n))
 
 
 @dataclass(eq=False)

@@ -29,6 +29,7 @@ from .analysis import OccupationSplit, TeacherMap, SUPPORT_FLOOR, assortativity_
 
 __all__ = [
     "GuruHierarchy",
+    "InadmissiblePopulation",
     "PhaseReport",
     "DescendantChain",
     "TopSlopeReport",
@@ -64,18 +65,6 @@ class GuruHierarchy:
     levels: list       # [(workers, managers, teachers)] then teacher splits per level
     terminal: dict     # mixed terminal pattern detail
     depth: int
-
-    @property
-    def workers(self) -> int:
-        return self.levels[0][0]
-
-    @property
-    def managers(self) -> int:
-        return self.levels[0][1]
-
-    @property
-    def teachers(self) -> int:
-        return self.levels[0][2]
 
 
 class InadmissiblePopulation(ValueError):
@@ -151,18 +140,20 @@ def nearest_admissible_populations(N: int, N_prime: int, population: int, count:
 def guru_census(N: int, N_prime: int, population: int) -> GuruHierarchy:
     """Exact combinatorial census of the educational pyramid.
 
-    Requires integer spans N >= 2, N' >= 1 (a population where everyone
-    teaches has no finite hierarchy) and a population admitting an exact
-    integral decomposition; otherwise raises InadmissiblePopulation with
-    the nearest admissible sizes.
+    Requires integer spans N >= 2 (a population where everyone teaches
+    has no finite hierarchy), N' >= 2 (at N' = 1 workers equal managers
+    at every level, so no terminal split is exact) and a population
+    admitting an exact integral decomposition; otherwise raises
+    InadmissiblePopulation with the nearest admissible sizes.
     """
     if int(N) != N or int(N_prime) != N_prime:
         raise ValueError("census spans must be integers")
     N, N_prime = int(N), int(N_prime)
     if N < 2:
         raise ValueError("census needs N >= 2; with N = 1 every adult teaches and the tower never terminates")
-    if N_prime < 1:
-        raise ValueError("census needs N' >= 1")
+    if N_prime < 2:
+        raise ValueError("census needs N' >= 2; with N' = 1 workers equal managers at every level "
+                         "and no population admits a terminal split")
     out = _census_core(N, N_prime, int(population))
     if out is None:
         raise InadmissiblePopulation(population, nearest_admissible_populations(N, N_prime, int(population)))

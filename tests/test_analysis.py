@@ -11,7 +11,6 @@ from pyramid_eq import (
     assemble_primal,
     assortativity_check,
     coupling_from_profile,
-    feasible_seed,
     occupation_split,
     solve_lp,
     solve_wages,
@@ -26,6 +25,15 @@ def solve_instance(params, grid, alpha, delta=0.0):
     sol = solve_lp(assemble_primal(params, alpha, grid, delta))
     prof = solve_wages(params, alpha, grid, SolverConfig(delta=delta))
     return sol, prof
+
+
+def diagonal_pair(params, alpha, grid):
+    """The feasible diagonal pair at delta = 0: everyone is taught by
+    their own type, and a fixed share of each type works or manages its
+    own type (share 0 at N = 1)."""
+    diag = np.arange(grid.n)
+    share = (1.0 - 1.0 / params.N) / (1.0 + 1.0 / params.N_prime)
+    return GridCoupling(diag, diag, alpha.weights), GridCoupling(diag, diag, share * alpha.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +58,7 @@ def test_occupation_split_of_seed_is_proportional():
     params = make_params(N=5.0, N_prime=2.0)
     grid = SkillGrid(9, 1.0)
     alpha = linear_alpha(grid)
-    eps, lam = feasible_seed(params, alpha, grid, 0.0)
+    eps, lam = diagonal_pair(params, alpha, grid)
     split = occupation_split(eps, lam, params, grid)
     assert split.consistent
     assert np.allclose(split.kappa.weights, alpha.weights, atol=1e-14)
@@ -62,7 +70,7 @@ def test_occupation_split_all_teachers_when_N_is_one():
     params = make_params(N=1.0, N_prime=3.0)
     grid = SkillGrid(4, 1.0)
     alpha = uniform_alpha(grid)
-    eps, lam = feasible_seed(params, alpha, grid, 0.0)
+    eps, lam = diagonal_pair(params, alpha, grid)
     split = occupation_split(eps, lam, params, grid)
     assert split.masses[2] == pytest.approx(1.0)
     assert split.masses[0] == 0.0 and split.masses[1] == 0.0

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import re
@@ -217,6 +218,16 @@ def test_gurus_artifacts_and_inadmissible(tmp_path, capsys):
     assert main(["gurus", "--config", bad, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "nearest admissible" in err and "110" in err
+
+
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.toml"))
+                         + glob.glob(os.path.join(os.path.dirname(__file__), "..", "perfbench", "configs", "*.toml")))
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_gurus_succeeds_on_every_shipped_config(tmp_path, config):
+    assert main(["gurus", "--config", config, "--quiet", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "hierarchy.json").exists()
 
 
 def test_phase_requires_solve_artifacts(tmp_path, capsys):

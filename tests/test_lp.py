@@ -13,10 +13,8 @@ from pyramid_eq import (
     SolverConfig,
     assemble_primal,
     duality_report,
-    feasible_seed,
     solve_lp,
     solve_wages,
-    write_tableau,
 )
 from conftest import make_params, uniform_alpha, linear_alpha
 
@@ -55,44 +53,6 @@ def test_lp_lambda_mass_account(N, N_prime):
     sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
     want = (1.0 - 1.0 / N) / (1.0 + 1.0 / N_prime)
     assert sol.lam.total_mass() == pytest.approx(want, abs=1e-9)
-
-
-def test_feasible_seed_constraints_and_masses():
-    params = make_params(N=10.0, N_prime=10.0)
-    grid = SkillGrid(12, 1.0)
-    alpha = linear_alpha(grid)
-    for delta in (0.0, 0.25):
-        lp = assemble_primal(params, alpha, grid, delta)
-        eps, lam = feasible_seed(params, alpha, grid, delta)
-        x = np.zeros(2 * grid.n ** 2)
-        x[eps.rows * grid.n + eps.cols] = eps.weights
-        x[grid.n ** 2 + lam.rows * grid.n + lam.cols] = lam.weights
-        assert np.abs(lp.A @ x - lp.b).max() <= 1e-12
-        if delta == 0.0:
-            assert np.array_equal(eps.left_marginal(grid.n).weights, alpha.weights)
-            assert lam.total_mass() == pytest.approx(9.0 / 11.0, abs=1e-12)
-
-
-def test_feasible_seed_all_teachers_when_N_is_one():
-    params = make_params(N=1.0, N_prime=3.0)
-    grid = SkillGrid(4, 1.0)
-    alpha = uniform_alpha(grid)
-    eps, lam = feasible_seed(params, alpha, grid, 0.0)
-    assert lam.total_mass() == 0.0
-    assert eps.total_mass() == pytest.approx(1.0)
-
-
-def test_seed_value_never_beats_lp():
-    params = make_params(N=4.0, N_prime=2.0, c=0.7)
-    grid = SkillGrid(6, 1.0)
-    alpha = uniform_alpha(grid)
-    lp = assemble_primal(params, alpha, grid, 0.0)
-    sol = solve_lp(lp)
-    eps, lam = feasible_seed(params, alpha, grid, 0.0)
-    x = np.zeros(2 * grid.n ** 2)
-    x[eps.rows * grid.n + eps.cols] = eps.weights
-    x[grid.n ** 2 + lam.rows * grid.n + lam.cols] = lam.weights
-    assert lp.objective @ x <= sol.value + 1e-12
 
 
 def test_single_node_solve():
@@ -200,26 +160,6 @@ def test_lp_arrays_stay_packed_at_n_513():
     assert sum(a.nbytes for a in arrays) <= 100 * n * n
 
 
-def test_tableau_export_roundtrip(tmp_path):
-    params = make_params(N=2.0, N_prime=1.0, c=0.25)
-    grid = SkillGrid(3, 1.0)
-    alpha = uniform_alpha(grid)
-    lp = assemble_primal(params, alpha, grid, 0.125)
-    path = tmp_path / "lp.txt"
-    write_tableau(lp, path)
-    lines = path.read_text().splitlines()
-    head = lines[0].split()
-    assert head[:2] == ["n", "3"] and float(head[3]) == 0.125
-    assert lines[1].startswith("objective ")
-    obj = np.array([float(t) for t in lines[1].split()[1:]])
-    assert np.array_equal(obj, lp.objective)
-    row0 = lines[2].split()
-    assert row0[0] == "row" and row0[-2] == "rhs"
-    coeffs = np.array([float(t) for t in row0[2:-2]])
-    assert np.array_equal(coeffs, lp.A[0])
-    assert float(row0[-1]) == lp.b[0]
-
-
 def _dense_reference(params, grid):
     """The constraint matrix written entry by entry from its definition."""
     n, x = grid.n, grid.nodes
@@ -238,20 +178,6 @@ def _dense_reference(params, grid):
             A[n + i, nn + k] += 1.0                  # worker
             A[n + j, nn + k] += 1.0 / params.N_prime  # manager
     return A
-
-
-def test_tableau_file_matches_the_reference_matrix(tmp_path):
-    params = make_params(theta=0.7, N=4.0, N_prime=3.0, c=0.25)
-    grid = SkillGrid(7, 1.0)
-    lp = assemble_primal(params, linear_alpha(grid), grid, 0.05)
-    path = tmp_path / "lp.txt"
-    write_tableau(lp, path)
-    A = _dense_reference(params, grid)
-    want = [f"n 7 delta 0.05 c 0.25 vars {A.shape[1]} rows {A.shape[0]}",
-            "objective " + " ".join(repr(t) for t in lp.objective.tolist())]
-    want += [f"row {i} " + " ".join(repr(t) for t in A[i].tolist()) + f" rhs {float(lp.b[i])!r}"
-             for i in range(A.shape[0])]
-    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 12])

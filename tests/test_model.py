@@ -12,63 +12,12 @@ from pyramid_eq import (
     UtilityCurve,
     discretize_density,
     doubling_check,
-    production_eval,
     pushforward_z,
     validate_utility,
-    z_map,
 )
 from conftest import make_params, uniform_alpha
 
-skills = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 weights_open = st.floats(min_value=1e-6, max_value=1 - 1e-6)
-
-
-# ---------------------------------------------------------------------------
-# z_map and production
-# ---------------------------------------------------------------------------
-
-def test_z_map_direct():
-    assert z_map(0.2, 0.6, 0.5) == pytest.approx(0.4, abs=1e-15)
-    assert z_map(0.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-15)
-
-
-@given(a=skills, theta=weights_open)
-def test_z_map_fixed_point_exact(a, theta):
-    assert z_map(a, a, theta) == a
-
-
-@given(a=skills, k=skills, theta=weights_open)
-def test_z_map_between(a, k, theta):
-    z = z_map(a, k, theta)
-    assert min(a, k) - 1e-12 <= z <= max(a, k) + 1e-12
-
-
-def test_z_map_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        z_map(-0.5, 0.2, 0.5)
-    with pytest.raises(ValueError):
-        z_map(0.1, 0.2, 1.5)
-
-
-def test_production_eval_examples():
-    params = make_params(c=0.0)
-    assert production_eval(params, "education", 0.0, 0.0) == pytest.approx(1.0)
-    k4 = math.log(4.0)
-    params4 = make_params(k_top=2.0)
-    assert production_eval(params4, "labor", k4, k4) == pytest.approx(4.0)
-    assert production_eval(params, "education", 0.2, 0.6) == pytest.approx(math.exp(0.4))
-    with pytest.raises(ValueError):
-        production_eval(params, "farming", 0.1, 0.1)
-
-
-def test_production_monotone_on_grid():
-    params = make_params()
-    grid = SkillGrid(16, 1.0)
-    x = grid.nodes
-    for sector in ("education", "labor"):
-        vals = np.asarray(production_eval(params, sector, x[:, None], x[None, :]))
-        assert np.all(np.diff(vals, axis=0) > 0)
-        assert np.all(np.diff(vals, axis=1) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +257,3 @@ def test_coupling_marginals_exact():
     assert right.tolist() == [0.0, 0.25, 0.625]
     with pytest.raises(ValueError):
         GridCoupling([0], [0], [-1.0])
-
-
-def test_measure_csv_roundtrip(tmp_path):
-    from pyramid_eq import read_measure_csv, write_measure_csv
-    grid = SkillGrid(6, 1.0)
-    alpha = discretize_density(lambda x: 1.0 + np.asarray(x), grid)
-    path = tmp_path / "alpha.csv"
-    write_measure_csv(alpha, grid, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "node,weight"
-    back = read_measure_csv(path, grid)
-    assert np.array_equal(back.weights, alpha.weights)
-    with pytest.raises(ValueError, match="grid"):
-        read_measure_csv(path, SkillGrid(5, 1.0))

@@ -103,6 +103,8 @@ def test_census_rejects_degenerate_spans():
         guru_census(1, 10, 100)
     with pytest.raises(ValueError):
         guru_census(10, 10.5, 110)
+    with pytest.raises(ValueError, match="N' >= 2"):
+        guru_census(10, 1, 11000)
 
 
 # ---------------------------------------------------------------------------

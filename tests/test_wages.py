@@ -17,7 +17,7 @@ from pyramid_eq import (
     stability_residuals,
 )
 from pyramid_eq.cli import load_scenario
-from pyramid_eq.model import _deposit, _deposit_into, split_positions
+from pyramid_eq.model import _deposit_into, _deposit_split, split_positions
 from pyramid_eq import wages
 from pyramid_eq.wages import IterationDiverged, WageOperator, _POLISH_DAMPING, _SmoothedDual, _damped_step
 from conftest import make_params, uniform_alpha
@@ -361,7 +361,7 @@ def test_deposit_into_buffers_equals_deposit_bitwise(n, theta, dtype):
         scratch = rng.normal(size=n * n)
         got = _deposit_into(out, scratch, flat.astype(dtype).ravel(), lo, hi)
         assert got is out
-        assert np.array_equal(got, _deposit(flat, op._frac, w, n * n))
+        assert np.array_equal(got, _deposit_split(flat.ravel(), lo, hi, n * n))
 
 
 def _pair_vectors(op):
