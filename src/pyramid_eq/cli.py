@@ -177,6 +177,7 @@ class ScenarioConfig:
     probe_uniqueness: bool
     population: int | None   # [gurus]; the gurus command requires it
     census_spans: tuple      # [gurus] (N, N_prime), by default the rounded [params] spans
+    census_at: tuple         # "path:line" of each span: its [gurus] key, else the [params] key
     sweep_N: list | None     # [sweep]; the sweep command requires both lists
     sweep_theta: list | None
     where: Callable          # where(section, key=None) -> "path:line" in the config
@@ -278,8 +279,9 @@ def load_scenario(path: str, *, out_override=None, grid_n_override=None,
         raise ConfigError(f"{where('run', 'seed')}: seed = {values['run']['seed']} violates seed >= 0")
     gurus, sweep = values["gurus"], values["sweep"]
     spans = tuple(round(pv[key]) if gurus[key] is None else gurus[key] for key in ("N", "N_prime"))
+    spans_at = tuple(where("params" if gurus[key] is None else "gurus", key) for key in ("N", "N_prime"))
     return ScenarioConfig(params, grid, alpha, solver, out_dir, values["run"]["seed"],
-                          values["run"]["probe_uniqueness"], gurus["population"], spans,
+                          values["run"]["probe_uniqueness"], gurus["population"], spans, spans_at,
                           sweep["N"], sweep["theta"], where)
 
 
@@ -345,6 +347,10 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
             "iterations": sol.iterations,
             "columns": sol.columns,
             "pricing_rounds": sol.pricing_rounds,
+            "degenerate_pivots": sol.degenerate_pivots,
+            "bland_switches": sol.bland_switches,
+            "refactorizations": sol.refactorizations,
+            "nudged": sol.nudged,
             "gap": rep.gap,
             "gap_rel": rep.gap_rel,
             "eps_f": rep.eps_f,
@@ -493,7 +499,9 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
             print(str(exc), file=sys.stderr)
             return 1
         except ValueError as exc:
-            raise ConfigError(f"{cfg.where('gurus', 'population')}: {exc}")
+            # the census rejects its first span below 2, N before N'
+            at = cfg.census_at[0] if cfg.census_spans[0] < 2 else cfg.census_at[1]
+            raise ConfigError(f"{at}: {exc}")
         _write_json(os.path.join(cfg.out_dir, "hierarchy.json"), asdict(h))
         tree = render_hierarchy(h)
         with open(os.path.join(cfg.out_dir, "hierarchy.txt"), "w", encoding="utf-8") as fh:

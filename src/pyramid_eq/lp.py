@@ -20,20 +20,35 @@ solve_lp is column generation around a revised simplex with an explicit
 basis inverse that prices over the packed columns, so a pivot costs
 O(m^2 + nonzeros).  Given approximate row prices (the wages of a wage
 solve, or the duals of an earlier solve), it first solves on the columns
-those prices mark as near-tight plus the starting basis; then it prices
-all 2n^2 columns under the final duals, adds every column that would
-improve the objective and re-solves from the current basis, until none
-does.  That last pass over all columns is the exact optimality
-certificate, so the restriction approximates nothing.  Without prices,
-the first solve already runs on every column.  The simplex starts from
-the diagonal coupling, which is always a basic feasible point, so no
-phase-1 is needed, or from a caller's basis (the basis of an earlier
-solve of an LP with the same constraints).  Entering columns use
-largest-reduced-cost (Dantzig) pricing with first-index ties over the
-active columns, kept in global column order; a run of degenerate pivots
-switches to Bland's rule until progress resumes, which makes the solve
-deterministic and cycle-free.  This solver is the trusted oracle for the
-fixed-point wage iteration.
+whose reduced cost under those prices is at least -1e-5 max|objective|
+(_SEED_SLACK: 540 of 32,768 columns on demo_small at n = 128) plus the
+starting basis; then it prices all 2n^2 columns under the final duals,
+adds every column that would improve the objective and re-solves from the
+current basis, until none does.  That last pass over all columns is the
+exact optimality certificate, so the restriction approximates nothing.
+Without prices, the first solve already runs on every column.  The
+simplex starts from the diagonal coupling, which is always a basic
+feasible point, so no phase-1 is needed, or from a caller's basis (the
+basis of an earlier solve of an LP with the same constraints).  Entering
+columns use largest-reduced-cost (Dantzig) pricing with first-index ties
+over the active columns, kept in global column order; a run of degenerate
+pivots switches to Bland's rule until progress resumes, which makes the
+solve deterministic and cycle-free.  A pivot entry must exceed 1e-7 times
+the entering column's largest entry, so round-off never enters the basis.
+
+At delta = 0 the LP is degenerate and its optimal duals, the wages, are
+not unique, so the start basis and the first columns would pick the
+vertex.  The simplex therefore runs on b + 1e-9 w, with w_k = 1 + (k+1)/n
+on steady row k and 0 on the student rows (the right-hand-side
+perturbation of Charnes 1952, on the steady rows only).  The returned
+basis is optimal for this nudged LP, whose duals are the optimal duals of
+the true one that minimize sum_k w_k v_k: one minimal point of the
+optimal dual face, the same from every start.  The primal is reported at
+the true b, from the final basis inverse.  If it has an entry below
+-1e-9 max|b| there (the nudge moved the optimal basis), the solve is
+redone from the same start without the nudge, and LPSolution.nudged is
+False.  This solver is the trusted oracle for the fixed-point wage
+iteration.
 """
 from __future__ import annotations
 
@@ -54,11 +69,18 @@ __all__ = [
 
 # the first restricted solve takes the columns whose reduced cost under the
 # caller's prices is at least -_SEED_SLACK * max|objective|
-_SEED_SLACK = 1e-3
+_SEED_SLACK = 1e-5
+# the simplex runs on b + _NUDGE * w, with w_k = 1 + (k + 1)/n on steady row k
+# and 0 on the student rows; b is a unit-mass measure, so the nudge is absolute
+_NUDGE = 1e-9
+# a primal entry below -_FEAS_TOL * max|b| at the true b rejects the nudged basis
+_FEAS_TOL = 1e-9
 # a column whose reduced cost exceeds this improves the objective
 _OPT_TOL = 1e-9
-# a pivot element must exceed this; a ratio-test step at or below it is degenerate
+# a pivot element must exceed _PIV_TOL and _PIV_REL times the column's largest
+# |entry|; a ratio-test step at or below _PIV_TOL is degenerate
 _PIV_TOL = 1e-11
+_PIV_REL = 1e-7
 # pivots between refactorizations of the basis inverse
 _REFACTOR_EVERY = 100
 # consecutive degenerate pivots before Bland's rule takes over
@@ -104,6 +126,10 @@ class LPSolution:
     basis: np.ndarray      # final basic columns; solve_lp(lp, basis=...) restarts from it
     columns: int           # columns in the final restricted solve
     pricing_rounds: int    # restricted solves, each followed by a pass over all columns
+    degenerate_pivots: int  # pivots whose ratio-test step was at most _PIV_TOL
+    bland_switches: int    # runs of degenerate pivots handed to Bland's rule
+    refactorizations: int  # periodic re-inversions of the basis, one per _REFACTOR_EVERY pivots
+    nudged: bool           # the basis optimal for the nudged b was kept
 
 
 def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
@@ -172,12 +198,15 @@ def _reduced_costs(c: np.ndarray, rows: np.ndarray, vals: np.ndarray,
 
 
 def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarray,
-                 basis: np.ndarray):
-    """Revised simplex on max c@x, A@x = b, x >= 0 from a feasible basis,
-    with A given by its packed columns (rows, vals).
+                 shift: np.ndarray, basis: np.ndarray):
+    """Revised simplex on max c@x, A@x = b + shift, x >= 0 from a feasible
+    basis, with A given by its packed columns (rows, vals).
 
-    Returns (x, y, basis, status, iterations).  Pricing is deterministic:
-    Dantzig with first-index tie-break, falling back to Bland's least-index
+    Returns (x, y, basis, status, work): x is the final basis's primal at
+    b itself, not at b + shift, and may have slightly negative entries if
+    the shift moved the optimal basis; work is (pivots, degenerate pivots,
+    Bland switches, refactorizations).  Pricing is deterministic: Dantzig
+    with first-index tie-break, falling back to Bland's least-index
     anti-cycling rule after _BLAND_AFTER consecutive degenerate pivots.
     A pivot prices and runs its ratio test in buffers allocated once here,
     with the same operations in the same order as _reduced_costs.
@@ -188,13 +217,14 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     basis = np.array(basis, dtype=np.intp)
     if basis.shape != (m,):
         raise ValueError(f"a starting basis has {m} columns, not {basis.size}")
+    bs = b + shift
     Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
-    xB = Binv @ b
-    if xB.min() < -1e-9 * max(1.0, float(np.abs(b).max())):
+    xB = Binv @ bs
+    if xB.min() < -1e-9 * max(1.0, float(np.abs(bs).max())):
         raise ValueError("the starting basis is not primal feasible")
     xB[xB < 0] = 0.0
 
-    iterations = 0
+    iterations = degenerate = switches = refactors = 0
     degenerate_run = 0
     bland = False
     max_iter = 400 * m + 20000
@@ -205,8 +235,9 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     while True:
         if iterations and iterations % _REFACTOR_EVERY == 0:
             Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
-            xB = Binv @ b
+            xB = Binv @ bs
             xB[np.abs(xB) < 1e-14] = 0.0
+            refactors += 1
 
         np.matmul(cB, Binv, out=y)
         np.copyto(r, c)
@@ -229,7 +260,9 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
                 break
 
         d = Binv[:, rows[:, enter]] @ vals[:, enter]
-        if not np.greater(d, _PIV_TOL, out=pos).any():
+        # relative to the column's scale, so a round-off entry never pivots
+        piv_tol = max(_PIV_TOL, _PIV_REL * max(float(d.max()), -float(d.min())))
+        if not np.greater(d, piv_tol, out=pos).any():
             status = "unbounded"
             break
         ratios.fill(np.inf)
@@ -252,9 +285,11 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
         iterations += 1
 
         if theta <= _PIV_TOL:
+            degenerate += 1
             degenerate_run += 1
-            if degenerate_run >= _BLAND_AFTER:
+            if degenerate_run >= _BLAND_AFTER and not bland:
                 bland = True
+                switches += 1
         else:
             degenerate_run = 0
             bland = False
@@ -263,13 +298,40 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
             raise RuntimeError("simplex exceeded its iteration budget")
 
     Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
-    xB = Binv @ b
+    xB = Binv @ b                         # the primal at the true right-hand side
     xB[np.abs(xB) < 1e-13] = 0.0
-    xB[xB < 0] = 0.0
     y = c[basis] @ Binv
     x = np.zeros(nv)
     x[basis] = xB
-    return x, y, basis, status, iterations
+    return x, y, basis, status, (iterations, degenerate, switches, refactors)
+
+
+def _generate_columns(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray,
+                      active: np.ndarray, work: list):
+    """Column generation on A@x = b + shift from basis over the active
+    columns: restricted solves, each followed by pricing all columns under
+    its duals, until none improves the objective.  Adds each solve's work
+    counts to work; returns (x, y, basis, status, active, rounds)."""
+    c, rows, vals = lp.objective, lp.rows, lp.vals
+    rounds = 0
+    while True:
+        rounds += 1
+        xa, y, local, status, counts = _simplex_max(c[active], rows[:, active], vals[:, active],
+                                                    lp.b, shift, np.searchsorted(active, basis))
+        work[:] = [w + k for w, k in zip(work, counts)]
+        basis = active[local]
+        if status != "optimal" or active.size == c.size:
+            break
+        r = _reduced_costs(c, rows, vals, y)
+        r[active] = 0.0                   # the restricted solve priced these
+        grow = r > _OPT_TOL
+        if not grow.any():
+            break
+        grow[active] = True
+        active = np.flatnonzero(grow)
+    x = np.zeros(c.size)
+    x[active] = xa
+    return x, y, basis, status, active, rounds
 
 
 def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
@@ -283,7 +345,9 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
     the first solve to the columns they mark as near-tight plus the
     starting basis; columns are then added by pricing over all of them
     until none improves the objective.  Without prices every column is
-    active from the start.
+    active from the start.  The solve runs on the nudged right-hand side
+    and reports the primal at lp.b; if that primal is infeasible, it
+    re-solves from the same start without the nudge (nudged = False).
     """
     n = lp.n
     nn = n * n
@@ -303,25 +367,20 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
         seed[basis] = True
         active = np.flatnonzero(seed)
 
-    iters = rounds = 0
-    while True:
-        rounds += 1
-        xa, y, local, status, k = _simplex_max(c[active], rows[:, active], vals[:, active],
-                                               lp.b, np.searchsorted(active, basis))
-        iters += k
-        basis = active[local]
-        if status != "optimal" or active.size == c.size:
-            break
-        r = _reduced_costs(c, rows, vals, y)
-        r[active] = 0.0                   # the restricted solve priced these
-        grow = r > _OPT_TOL
-        if not grow.any():
-            break
-        grow[active] = True
-        active = np.flatnonzero(grow)
+    work = [0, 0, 0, 0]
+    floor = -_FEAS_TOL * float(np.abs(lp.b).max())
+    shift = np.zeros(lp.b.size)
+    shift[n:] = _NUDGE * (1.0 + np.arange(1, n + 1) / n)
+    x, y, final, status, active_end, rounds = _generate_columns(lp, shift, basis, active, work)
+    nudged = status != "optimal" or bool(x.min() >= floor)
+    if not nudged:
+        x, y, final, status, active_end, more = _generate_columns(lp, np.zeros(lp.b.size),
+                                                                  basis, active, work)
+        rounds += more
+        if status == "optimal" and x.min() < floor:
+            raise RuntimeError("the optimal basis is not primal feasible")
+    x[x < 0] = 0.0
 
-    x = np.zeros(c.size)
-    x[active] = xa
     xe = x[:nn].reshape(n, n)
     xl = x[nn:].reshape(n, n)
     eps = GridCoupling.from_dense(xe).canonical()
@@ -330,8 +389,10 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
     dual_value = float(y @ lp.b)
     Ax = np.bincount(rows.ravel(), weights=(vals * x).ravel(), minlength=lp.b.size)
     resid = float(np.abs(Ax - lp.b).max())
+    iters, degenerate, switches, refactors = work
     return LPSolution(eps, lam, y[:n].copy(), y[n:].copy(), value, dual_value,
-                      status, iters, resid, basis, int(active.size), rounds)
+                      status, iters, resid, final, int(active_end.size), rounds,
+                      degenerate, switches, refactors, nudged)
 
 
 @dataclass(eq=False)

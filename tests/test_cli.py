@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from pyramid_eq import cli, wages
+from pyramid_eq import cli, lp as lp_mod, wages
 from pyramid_eq.cli import ConfigError, load_scenario, main
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pyramid_eq", "schemas")
@@ -198,6 +198,13 @@ def test_determinism_bit_identical(tmp_path):
     solver = load_scenario(cfg_path).solver
     assert 0.0 <= polish["last_change"] < solver.tol
     assert polish["restarts"] >= 0 and 0.0 < polish["damping"] <= wages._POLISH_DAMPING
+    # so are the LP's work counters
+    lp = duality["lp"]
+    assert lp["nudged"] is True
+    assert 0 <= lp["degenerate_pivots"] <= lp["iterations"]
+    assert lp["bland_switches"] <= lp["degenerate_pivots"] // lp_mod._BLAND_AFTER
+    assert lp["refactorizations"] <= lp["iterations"] // lp_mod._REFACTOR_EVERY
+    jsonschema.validate(duality, load_schema("duality.schema.json"))
     for name in names:
         b1 = (out1 / name).read_bytes()
         b2 = (out2 / name).read_bytes()
@@ -218,6 +225,19 @@ def test_gurus_artifacts_and_inadmissible(tmp_path, capsys):
     assert main(["gurus", "--config", bad, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "nearest admissible" in err and "110" in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("population = 110", "population = 110\nN_prime = 1", r":33: census needs N' >= 2"),
+    ("population = 110", "population = 110\nN = 1", r":33: census needs N >= 2"),
+    # without [gurus] spans the census takes the [params] ones
+    ("N_prime = 10\n", "N_prime = 1\n", r":6: census needs N' >= 2"),
+    ("N = 10\n", "N = 1\n", r":5: census needs N >= 2"),
+])
+def test_gurus_reports_a_bad_census_span_at_its_line(tmp_path, capsys, old, new, message):
+    cfg_path = write_config(tmp_path, BASE.replace(old, new, 1))
+    assert main(["gurus", "--config", cfg_path, "--quiet"]) == 1
+    assert re.search(message, capsys.readouterr().err)
 
 
 SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.toml"))

@@ -1,3 +1,4 @@
+import itertools
 import os
 from dataclasses import replace
 
@@ -289,9 +290,9 @@ def _assert_same_optimum(a, b):
     assert a.status == b.status == "optimal"
     assert abs(a.value - b.value) <= 1e-12
     assert np.abs(a.u - b.u).max() <= 1e-12
-    # at delta = 0 the wages v are not unique and the start basis picks
-    # the vertex: both solves start from the diagonal basis, so they end
-    # on the same v
+    # at delta = 0 the optimal wages v are not unique; the nudge on the
+    # steady rows makes every solve end on the one that minimizes
+    # sum_k w_k v_k, whatever its start basis and first columns
     assert np.abs(a.v - b.v).max() <= 1e-12
 
 
@@ -318,3 +319,98 @@ def test_poor_prices_take_more_pricing_rounds():
     poor = solve_lp(lp, prices=prices)
     assert poor.pricing_rounds >= 2
     _assert_same_optimum(poor, full)
+
+
+def _crash_basis(lp, prof):
+    """A start basis from the wage solve: each education pair (a,
+    best_teacher[a]) and the labor diagonal on each non-teacher node,
+    forced into the diagonal basis one pivot each, at the row not yet
+    taken whose entry is largest."""
+    n, nn = lp.n, lp.n * lp.n
+    diag = np.arange(n)
+    basis = np.concatenate([diag * n + diag, nn + diag * n + diag])
+    Binv = np.linalg.inv(lp_mod._dense_columns(lp.rows, lp.vals, basis, 2 * n))
+    taken = np.zeros(2 * n, dtype=bool)
+    for col in np.concatenate([diag * n + prof.best_teacher,
+                               nn + (diag * n + diag)[prof.occupation != 2]]):
+        if (hit := np.flatnonzero(basis == col)).size:
+            taken[hit[0]] = True
+            continue
+        d = Binv @ lp_mod._dense_columns(lp.rows, lp.vals, np.array([col]), 2 * n)[:, 0]
+        r = int(np.where(taken, 0.0, np.abs(d)).argmax())
+        prow = Binv[r] / d[r]
+        Binv -= np.outer(d, prow)
+        Binv[r] = prow
+        basis[r], taken[r] = col, True
+    return basis
+
+
+@pytest.mark.parametrize("path", [os.path.join(CONFIGS, "phase_supercritical.toml"),
+                                  os.path.join(CONFIGS, "demo_small.toml")],
+                         ids=["supercritical", "demo_small"])
+def test_three_starts_end_on_the_same_duals(path):
+    # without the nudge the crash start ended 3.8e-4 away in v on the
+    # supercritical config, at the same value
+    lp, prof = _certificate_instance(path, 128)
+    prices = np.concatenate([prof.u, prof.v])
+    full = solve_lp(lp)
+    seeded = solve_lp(lp, prices=prices)
+    crash = solve_lp(lp, basis=_crash_basis(lp, prof), prices=prices)
+    for sol in (seeded, crash):
+        _assert_same_optimum(sol, full)
+        assert sol.nudged
+    assert crash.iterations < seeded.iterations < full.iterations
+
+
+def test_seeded_and_full_solves_agree_on_a_lattice():
+    # without the nudge 7 of these 48 instances ended on another v, at
+    # (N, theta, N', c, b_L amplitude) = (4, 0.25, 3, 0.5, 1) by 0.065
+    grid = SkillGrid(8, 1.0)
+    alpha = uniform_alpha(grid)
+    apart = []
+    for N, theta, N_prime, c, amp in itertools.product((1.0, 4.0, 10.0), (0.25, 0.75),
+                                                       (1.0, 3.0), (0.0, 0.5), (1.0, 0.2)):
+        params = make_params(N=N, theta=theta, N_prime=N_prime, c=c, bL_amp=amp)
+        prof = solve_wages(params, alpha, grid, SolverConfig())
+        lp = assemble_primal(params, alpha, grid, prof.delta)
+        full = solve_lp(lp)
+        seeded = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
+        gap = max(abs(seeded.value - full.value), np.abs(seeded.u - full.u).max(),
+                  np.abs(seeded.v - full.v).max())
+        if not (seeded.status == full.status == "optimal" and gap <= 1e-12):
+            apart.append((N, theta, N_prime, c, amp, gap))
+    assert apart == []
+
+
+def test_round_off_pivots_are_refused(monkeypatch):
+    # with the earlier seed and no nudge, a 2.8e-9 pivot entry against a
+    # largest |d| of 1 once made this price-seeded solve's basis singular
+    params = make_params(N=1.0, theta=0.25, N_prime=10.0, c=0.5, bL_amp=0.2)
+    grid = SkillGrid(32, 1.0)
+    alpha = linear_alpha(grid)
+    prof = solve_wages(params, alpha, grid, SolverConfig())
+    lp = assemble_primal(params, alpha, grid, prof.delta)
+    prices = np.concatenate([prof.u, prof.v])
+    full = solve_lp(lp)
+    _assert_same_optimum(solve_lp(lp, prices=prices), full)
+    monkeypatch.setattr(lp_mod, "_SEED_SLACK", 1e-3)
+    monkeypatch.setattr(lp_mod, "_NUDGE", 0.0)
+    plain = solve_lp(lp, prices=prices)
+    assert plain.status == "optimal" and abs(plain.value - full.value) <= 1e-12
+    assert plain.feasibility_residual <= 1e-12
+
+
+def test_a_nudge_that_moves_the_basis_falls_back_to_the_true_b(monkeypatch):
+    params = make_params(N=4.0, N_prime=2.0, c=0.7)
+    grid = SkillGrid(8, 1.0)
+    lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
+    ref = solve_lp(lp)
+    assert ref.nudged
+    monkeypatch.setattr(lp_mod, "_NUDGE", 0.1)
+    sol = solve_lp(lp)
+    # the basis optimal for the nudged b is infeasible at b, so the solve
+    # is redone without the nudge, and its pivots are counted as well
+    assert not sol.nudged
+    assert sol.status == "optimal" and sol.iterations > ref.iterations
+    assert abs(sol.value - ref.value) <= 1e-12 and sol.feasibility_residual <= 1e-12
+    assert sol.eps.weights.min() >= 0.0 and sol.lam.weights.min() >= 0.0
