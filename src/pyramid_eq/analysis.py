@@ -12,13 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lp import DiscreteLP, LPSolution, solve_lp
-from .model import (
-    GridCoupling,
-    GridMeasure,
-    SkillGrid,
-    TechnologyParams,
-    pushforward_z,
-)
+from .model import SUPPORT_FLOOR, GridCoupling, GridMeasure, SkillGrid, TechnologyParams, pushforward_z
 
 __all__ = [
     "OccupationSplit",
@@ -33,11 +27,10 @@ __all__ = [
     "coupling_from_profile",
     "labor_coupling_from_profile",
     "uniqueness_probe",
-    "SUPPORT_FLOOR",
 ]
 
-# separates simplex numerical dust from genuine support mass
-SUPPORT_FLOOR = 1e-12
+_STEADY_TOL = 1e-9  # largest steady-state residual of a consistent occupation split
+_PROBE_MAGNITUDE = 1e-7  # the uniqueness probe's objective noise is uniform on [-this, this)
 
 
 @dataclass(eq=False)
@@ -53,7 +46,7 @@ class OccupationSplit:
 
 
 def occupation_split(eps: GridCoupling, lam: GridCoupling, params: TechnologyParams,
-                     grid: SkillGrid, delta: float = 0.0, tol: float = 1e-9) -> OccupationSplit:
+                     grid: SkillGrid, delta: float = 0.0) -> OccupationSplit:
     """Split the adult distribution into workers, managers and teachers.
 
     kappa_w is the worker marginal of the labor coupling, kappa_m the
@@ -78,17 +71,17 @@ def occupation_split(eps: GridCoupling, lam: GridCoupling, params: TechnologyPar
     )
     return OccupationSplit(
         kappa_w, kappa_m, kappa_t, kappa,
-        steady_residual=resid, consistent=resid <= tol,
+        steady_residual=resid, consistent=resid <= _STEADY_TOL,
         masses=(kappa_w.mass, kappa_m.mass, kappa_t.mass),
         predicted_masses=predicted,
     )
 
 
-def assortativity_check(coupling: GridCoupling, weight_floor: float = SUPPORT_FLOOR):
+def assortativity_check(coupling: GridCoupling):
     """Positive assortativity of the support: every pair of support points
     (a,k), (a',k') must satisfy (a'-a)(k'-k) >= 0.  Returns the flag and a
     witness list of violating index pairs."""
-    sup = coupling.support(weight_floor).canonical()
+    sup = coupling.support().canonical()
     rows, cols = sup.rows, sup.cols
     violations = []
     best_col = -1
@@ -113,11 +106,11 @@ def assortativity_check(coupling: GridCoupling, weight_floor: float = SUPPORT_FL
 
 @dataclass(eq=False)
 class TeacherMap:
+    """Per student node, the teacher skill k_t and the acquired skill k_g
+    of a monotone teacher map (read by descendant_chain)."""
+
     k_t: np.ndarray          # assigned teacher skill per student node
     k_g: np.ndarray          # acquired skill z(a, k_t(a)) per student node
-    top_slope_t: float       # one-sided finite difference at the top node
-    top_slope_g: float
-    row_mass: np.ndarray
 
 
 def teacher_map_extract(eps: GridCoupling, params: TechnologyParams, grid: SkillGrid) -> TeacherMap:
@@ -145,13 +138,7 @@ def teacher_map_extract(eps: GridCoupling, params: TechnologyParams, grid: Skill
     k_t[filled] = wsum[filled] / mass[filled]
     if not np.all(filled):
         k_t[~filled] = np.interp(x[~filled], x[filled], k_t[filled])
-    k_g = x + params.theta * (k_t - x)
-    if n >= 2:
-        slope_t = float((k_t[-1] - k_t[-2]) / grid.h)
-        slope_g = float((k_g[-1] - k_g[-2]) / grid.h)
-    else:
-        slope_t = slope_g = float("nan")
-    return TeacherMap(k_t, k_g, slope_t, slope_g, mass)
+    return TeacherMap(k_t, x + params.theta * (k_t - x))
 
 
 @dataclass(eq=False)
@@ -163,19 +150,14 @@ class DensityReport:
     sup_bound_ok: bool            # ||kappa|| <= ||alpha|| / (1-theta) + tol
     tail_bounds: list             # (delta, kappa_tail, alpha_tail_wide, ok)
     tail_ok: bool
-    ma_residual_sup: float        # Jacobian identity alpha = (1+theta(kt'-1)) kappa(z)
 
 
-def adult_density(split: OccupationSplit, alpha: GridMeasure, tmap: TeacherMap | None,
-                  params: TechnologyParams, grid: SkillGrid, tol: float = 1e-6) -> DensityReport:
-    """Density-level checks on the endogenous adult distribution.
-
-    Verifies the sup-norm bound ||kappa|| <= ||alpha||/(1-theta) and the
-    tail bound kappa[k_top-D, k_top] <= alpha[k_top-D/(1-theta), k_top]
-    over dyadic windows D, and reports the sup residual of the change of
-    variables identity alpha(a) = (1 + theta (kt'(a)-1)) kappa(z(a, kt(a)))
-    as a diagnostic (finite differences, not asserted).
-    """
+def adult_density(split: OccupationSplit, alpha: GridMeasure, params: TechnologyParams,
+                  grid: SkillGrid, tol: float = 1e-6) -> DensityReport:
+    """Density-level checks on the endogenous adult distribution: the
+    sup-norm bound ||kappa|| <= ||alpha||/(1-theta) and the tail bound
+    kappa[k_top-D, k_top] <= alpha[k_top-D/(1-theta), k_top] over dyadic
+    windows D, each up to tol."""
     n, h = grid.n, grid.h
     kden = split.kappa.weights / h
     aden = alpha.weights / h
@@ -198,20 +180,11 @@ def adult_density(split: OccupationSplit, alpha: GridMeasure, tmap: TeacherMap |
         ok_all &= ok
         tails.append((delta, k_tail, a_tail, ok))
         m *= 2
-
-    if tmap is not None and n >= 3:
-        ktp = np.gradient(tmap.k_t, h)
-        idx = np.clip((tmap.k_g / h).astype(int), 0, n - 1)
-        ma = aden - (1.0 + params.theta * (ktp - 1.0)) * kden[idx]
-        ma_sup = float(np.abs(ma).max())
-    else:
-        ma_sup = float("nan")
-
-    return DensityReport(kden, aden, sup_k, sup_a, sup_ok, tails, ok_all, ma_sup)
+    return DensityReport(kden, aden, sup_k, sup_a, sup_ok, tails, ok_all)
 
 
-def _support_nodes(measure: GridMeasure, floor: float = SUPPORT_FLOOR) -> np.ndarray:
-    return np.nonzero(measure.weights > floor)[0]
+def _support_nodes(measure: GridMeasure) -> np.ndarray:
+    return np.nonzero(measure.weights > SUPPORT_FLOOR)[0]
 
 
 @dataclass(eq=False)
@@ -334,11 +307,11 @@ def _probe_noise(size: int, seed: int, magnitude: float) -> np.ndarray:
     return magnitude * ((bits >> 11) * 2.0 ** -52 - 1.0)
 
 
-def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0, magnitude: float = 1e-7):
+def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0):
     """Empirical uniqueness check of a certified LP solution.
 
     Solves a copy of lp whose objective carries a uniform random
-    perturbation in [-magnitude, magnitude) from _probe_noise (the packed
+    perturbation of size _PROBE_MAGNITUDE from _probe_noise (the packed
     columns are shared, lp is left unchanged), starting from base's
     optimal basis, which is feasible for the copy, and with base's duals
     as the prices that pick the first columns.  A generic perturbation
@@ -349,7 +322,7 @@ def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0, magnitude:
     value, and the perturbed solve's pivots, status, final column count
     and pricing rounds.
     """
-    noise = _probe_noise(lp.objective.size, seed, magnitude)
+    noise = _probe_noise(lp.objective.size, seed, _PROBE_MAGNITUDE)
     pert = solve_lp(replace(lp, objective=lp.objective + noise), basis=base.basis,
                     prices=np.concatenate([base.u, base.v]))
     nn = lp.n * lp.n

@@ -33,11 +33,13 @@ from typing import get_type_hints
 import numpy as np
 
 from .model import (
+    PARAM_BOUNDS,
     GridCoupling,
     GridMeasure,
     SkillGrid,
     TechnologyParams,
     UtilityCurve,
+    _bound_violation,
     discretize_density,
     doubling_check,
     pushforward_z,
@@ -52,7 +54,6 @@ from .analysis import (
     labor_coupling_from_profile,
     occupation_split,
     specialization_report,
-    teacher_map_extract,
     uniqueness_probe,
 )
 from .pyramid import (
@@ -80,7 +81,7 @@ _TYPE_NAMES = {float: "a number", int: "an integer", bool: "a boolean", str: "a 
 _CURVE_KEYS = {"kind": (str, "exponential"), "coeffs": (list, None), "file": (str, None)}
 # section -> key -> (type, default); a None default leaves the key unset
 _KEY_TABLE = {
-    "params": {key: (float, _REQUIRED) for key in ("theta", "theta_prime", "N", "N_prime", "c", "k_top")},
+    "params": {key: (float, _REQUIRED) for key in PARAM_BOUNDS},
     "bE": _CURVE_KEYS,
     "bL": _CURVE_KEYS,
     "grid": {"n": (int, 64)},
@@ -218,16 +219,9 @@ def load_scenario(path: str, *, out_override=None, grid_n_override=None,
     base_dir = os.path.dirname(os.path.abspath(path))
 
     pv = values["params"]
-    for key, bad, rule in (
-        ("theta", not 0.0 < pv["theta"] < 1.0, "0 < theta < 1"),
-        ("theta_prime", not 0.0 < pv["theta_prime"] < 1.0, "0 < theta_prime < 1"),
-        ("N", pv["N"] < 1.0, "N >= 1"),
-        ("N_prime", pv["N_prime"] <= 0.0, "N_prime > 0"),
-        ("c", pv["c"] < 0.0, "c >= 0"),
-        ("k_top", pv["k_top"] <= 0.0, "k_top > 0"),
-    ):
-        if bad:
-            raise ConfigError(f"{where('params', key)}: {key} = {pv[key]} violates {rule}")
+    for key in PARAM_BOUNDS:
+        if msg := _bound_violation(key, pv[key]):
+            raise ConfigError(f"{where('params', key)}: {msg}")
 
     k_top = pv["k_top"]
     bE = _curve_from_config("bE", values["bE"], k_top, where, base_dir)
@@ -278,6 +272,10 @@ def load_scenario(path: str, *, out_override=None, grid_n_override=None,
     if values["run"]["seed"] < 0:
         raise ConfigError(f"{where('run', 'seed')}: seed = {values['run']['seed']} violates seed >= 0")
     gurus, sweep = values["gurus"], values["sweep"]
+    for key, lattice in sweep.items():   # each point replaces that [params] key
+        for point in lattice or ():
+            if msg := _bound_violation(key, point):
+                raise ConfigError(f"{where('sweep', key)}: [sweep] {msg}")
     spans = tuple(round(pv[key]) if gurus[key] is None else gurus[key] for key in ("N", "N_prime"))
     spans_at = tuple(where("params" if gurus[key] is None else "gurus", key) for key in ("N", "N_prime"))
     return ScenarioConfig(params, grid, alpha, solver, out_dir, values["run"]["seed"],
@@ -331,13 +329,13 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     status and the wage profile."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     profile = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
-    sr = stability_residuals(profile, cfg.params, cfg.grid)
+    sr = stability_residuals(profile)
 
     lp_block = None
     if cfg.grid.n <= _LP_MAX_N:
         lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, profile.delta)
         sol = solve_lp(lp, prices=np.concatenate([profile.u, profile.v]))
-        rep = duality_report(sol, profile, cfg.params, cfg.grid)
+        rep = duality_report(sol, profile)
         eps, lam = sol.eps, sol.lam
         source = "lp"
         lp_block = {
@@ -366,8 +364,7 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     split = occupation_split(eps, lam, cfg.params, cfg.grid, delta=profile.delta)
     ok_eps, viol_eps = assortativity_check(eps)
     ok_lam, viol_lam = assortativity_check(lam)
-    tmap = teacher_map_extract(eps, cfg.params, cfg.grid) if ok_eps else None
-    dens = adult_density(split, cfg.alpha, tmap, cfg.params, cfg.grid)
+    dens = adult_density(split, cfg.alpha, cfg.params, cfg.grid)
     special = specialization_report(profile, split, cfg.params, cfg.grid, eps=eps)
     supports = {k: _span(v) for k, v in special.supports.items()}
 
@@ -381,7 +378,7 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
         "objective": profile.objective,
         "envelope_residual": profile.envelope_residual,
         "delta": profile.delta,
-        "c_used": profile.c_used,
+        "c_used": profile.operator.c,
         "couplings_source": source,
         "anneal": None if profile.anneal is None else profile.anneal.as_dict(),
         "polish": None if profile.polish is None else asdict(profile.polish),

@@ -188,13 +188,18 @@ def _dense_columns(rows: np.ndarray, vals: np.ndarray, cols: np.ndarray, m: int)
     return out
 
 
-def _reduced_costs(c: np.ndarray, rows: np.ndarray, vals: np.ndarray,
-                   y: np.ndarray) -> np.ndarray:
-    """c - y @ A over the packed columns: one gather from y per slot."""
-    r = c.copy()
+def _reduced_costs(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, y: np.ndarray,
+                   out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """c - y @ A over the packed columns, one gather from y per slot,
+    written into out with the gathers in scratch when both are given."""
+    if out is None:
+        out, scratch = np.empty(c.size), np.empty(c.size)
+    np.copyto(out, c)
     for s in range(rows.shape[0]):
-        r -= y.take(rows[s]) * vals[s]
-    return r
+        y.take(rows[s], out=scratch, mode="clip")  # rows < y.size: nothing clipped, no buffer for out
+        scratch *= vals[s]
+        out -= scratch
+    return out
 
 
 def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarray,
@@ -208,8 +213,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     Bland switches, refactorizations).  Pricing is deterministic: Dantzig
     with first-index tie-break, falling back to Bland's least-index
     anti-cycling rule after _BLAND_AFTER consecutive degenerate pivots.
-    A pivot prices and runs its ratio test in buffers allocated once here,
-    with the same operations in the same order as _reduced_costs.
+    A pivot prices and runs its ratio test in buffers allocated once here.
     """
     m = b.size
     nv = c.size
@@ -240,11 +244,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
             refactors += 1
 
         np.matmul(cB, Binv, out=y)
-        np.copyto(r, c)
-        for s in range(rows.shape[0]):
-            y.take(rows[s], out=Y, mode="clip")  # rows < m: nothing clipped, no buffer for out
-            Y *= vals[s]
-            r -= Y
+        _reduced_costs(c, rows, vals, y, out=r, scratch=Y)
         r[basis] = 0.0
 
         if bland:
@@ -408,20 +408,17 @@ class DualityReport:
     lp_own_slackness: float
 
 
-def duality_report(solution: LPSolution, profile, params: TechnologyParams,
-                   grid: SkillGrid) -> DualityReport:
+def duality_report(solution: LPSolution, profile) -> DualityReport:
     """Certify the LP value against a wage profile on the same instance.
 
     Reports the objective gap, the slackness integrals eps(f), lam(g)
-    evaluated with the profile's wages, the sup distance between the LP
-    row multipliers and the profile wages, and the LP's own complementary
-    slackness (using its own duals) as a solver self-check.
+    evaluated with the profile's wages and operator, the sup distance
+    between the LP row multipliers and the profile wages, and the LP's own
+    complementary slackness (using its own duals) as a solver self-check.
     """
-    if len(profile.v) != grid.n:
+    if len(profile.v) != len(solution.v):
         raise ValueError("profile and LP were built on different grids")
-    from .wages import profile_operator
-
-    op = profile_operator(profile, params, grid)
+    op = profile.operator
     v, u = profile.v, profile.u
 
     F, G = op.slacks(u, v)

@@ -28,9 +28,17 @@ __all__ = [
     "pushforward_z",
     "doubling_check",
     "split_positions",
+    "PARAM_BOUNDS",
+    "SUPPORT_FLOOR",
 ]
 
 _DOMAIN_SLACK = 1e-9
+# separates simplex numerical dust from genuine support mass
+SUPPORT_FLOOR = 1e-12
+# Gauss-Legendre points per cell when a density function is discretized
+_GAUSS_ORDER = 16
+# largest relative miss of a tabulated curve's derivative samples on its secants
+_CONSISTENCY_TOL = 1e-3
 
 
 class DiscretizationWarning(UserWarning):
@@ -127,6 +135,24 @@ class UtilityCurve:
 # technology and grid
 # ---------------------------------------------------------------------------
 
+# the bound on each TechnologyParams scalar: key -> (holds(value), rule)
+PARAM_BOUNDS = {
+    "theta": (lambda x: 0.0 < x < 1.0, "0 < theta < 1"),
+    "theta_prime": (lambda x: 0.0 < x < 1.0, "0 < theta_prime < 1"),
+    "N": (lambda x: x >= 1.0, "N >= 1"),
+    "N_prime": (lambda x: x > 0.0, "N_prime > 0"),
+    "c": (lambda x: x >= 0.0, "c >= 0"),
+    "k_top": (lambda x: x > 0.0, "k_top > 0"),
+}
+
+
+def _bound_violation(key: str, value: float) -> str | None:
+    """"key = value violates rule" when value breaks key's PARAM_BOUNDS
+    rule, else None."""
+    holds, rule = PARAM_BOUNDS[key]
+    return None if holds(value) else f"{key} = {value} violates {rule}"
+
+
 @dataclass(eq=False)
 class TechnologyParams:
     """All exogenous scalars plus the two utility curves.
@@ -146,16 +172,9 @@ class TechnologyParams:
     k_top: float
 
     def __post_init__(self):
-        if not (0.0 < self.theta < 1.0 and 0.0 < self.theta_prime < 1.0):
-            raise ValueError("theta and theta_prime must lie strictly in (0, 1)")
-        if self.N < 1.0:
-            raise ValueError("N must satisfy N >= 1")
-        if self.N_prime <= 0.0:
-            raise ValueError("N_prime must be positive")
-        if self.c < 0.0:
-            raise ValueError("c must be nonnegative")
-        if self.k_top <= 0.0:
-            raise ValueError("k_top must be positive")
+        for key in PARAM_BOUNDS:
+            if msg := _bound_violation(key, getattr(self, key)):
+                raise ValueError(msg)
         for name, curve in (("bE", self.bE), ("bL", self.bL)):
             if abs(curve.domain_top - self.k_top) > _DOMAIN_SLACK:
                 raise ValueError(f"{name}.domain_top must equal k_top")
@@ -230,8 +249,8 @@ class GridCoupling:
             raise ValueError("coupling weights must be nonnegative")
 
     @staticmethod
-    def from_dense(mat: np.ndarray, floor: float = 0.0) -> "GridCoupling":
-        rows, cols = np.nonzero(mat > floor)
+    def from_dense(mat: np.ndarray) -> "GridCoupling":
+        rows, cols = np.nonzero(mat > 0.0)
         return GridCoupling(rows, cols, mat[rows, cols])
 
     def total_mass(self) -> float:
@@ -245,8 +264,8 @@ class GridCoupling:
         w = np.bincount(self.cols, weights=self.weights, minlength=n)
         return GridMeasure.from_weights(w)
 
-    def support(self, floor: float = 1e-12) -> "GridCoupling":
-        keep = self.weights > floor
+    def support(self) -> "GridCoupling":
+        keep = self.weights > SUPPORT_FLOOR
         return GridCoupling(self.rows[keep], self.cols[keep], self.weights[keep])
 
     def canonical(self) -> "GridCoupling":
@@ -270,7 +289,7 @@ class UtilityValidation:
     failures: list
 
 
-def validate_utility(curve: UtilityCurve, grid: SkillGrid, *, consistency_tol: float = 1e-3) -> UtilityValidation:
+def validate_utility(curve: UtilityCurve, grid: SkillGrid) -> UtilityValidation:
     """Check the three strict lower bounds on value, slope and curvature.
 
     The curvature bound is probed by second differences over the grid nodes
@@ -305,14 +324,14 @@ def validate_utility(curve: UtilityCurve, grid: SkillGrid, *, consistency_tol: f
         slopes = np.diff(tvals) / np.diff(txs)
         mids = 0.5 * (tders[:-1] + tders[1:])
         scale = np.maximum(1.0, np.maximum(np.abs(tders[:-1]), np.abs(tders[1:])))
-        bad = np.nonzero(np.abs(slopes - mids) > consistency_tol * scale)[0]
+        bad = np.nonzero(np.abs(slopes - mids) > _CONSISTENCY_TOL * scale)[0]
         for i in bad:
             failures.append(("derivative sample inconsistent at node", int(i)))
 
     return UtilityValidation(b0, bprime0, inf_bpp, bbar_prime, not failures, failures)
 
 
-def discretize_density(density, grid: SkillGrid, *, gauss_order: int = 16) -> GridMeasure:
+def discretize_density(density, grid: SkillGrid) -> GridMeasure:
     """Turn a density on [0, k_top) into a probability GridMeasure.
 
     A callable density is integrated exactly per cell [x_i, x_i + h) by
@@ -323,7 +342,7 @@ def discretize_density(density, grid: SkillGrid, *, gauss_order: int = 16) -> Gr
     to be in the support).
     """
     if callable(density):
-        pts, gw = np.polynomial.legendre.leggauss(gauss_order)
+        pts, gw = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
         # map the reference points into every cell at once
         left = grid.nodes[:, None]
         x = left + (pts[None, :] + 1.0) * (grid.h / 2.0)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridMeasure, SkillGrid, TechnologyParams, pushforward_z
-from .analysis import OccupationSplit, TeacherMap, SUPPORT_FLOOR, assortativity_check, coupling_from_profile
+from .model import SUPPORT_FLOOR, GridMeasure, SkillGrid, TechnologyParams, pushforward_z
+from .analysis import OccupationSplit, TeacherMap, assortativity_check, coupling_from_profile
 
 __all__ = [
     "GuruHierarchy",
@@ -44,11 +44,14 @@ __all__ = [
 ]
 
 
-def regime_of(params: TechnologyParams, tol: float = 1e-12) -> str:
+_CRITICAL_TOL = 1e-12  # N theta within this of 1 is the critical regime
+
+
+def regime_of(params: TechnologyParams) -> str:
     nt = params.N * params.theta
-    if nt > 1.0 + tol:
+    if nt > 1.0 + _CRITICAL_TOL:
         return "supercritical"
-    if nt < 1.0 - tol:
+    if nt < 1.0 - _CRITICAL_TOL:
         return "subcritical"
     return "critical"
 
@@ -298,8 +301,7 @@ def _top_teacher_zone(occupation: np.ndarray) -> int:
     return zone
 
 
-def phase_fit(profile, params: TechnologyParams, grid: SkillGrid,
-              alpha: GridMeasure | None = None) -> PhaseReport:
+def phase_fit(profile, params: TechnologyParams, grid: SkillGrid, alpha: GridMeasure) -> PhaseReport:
     """Measure the wage-gradient behavior near the top skill type.
 
     Supercritical (N theta > 1): regress log(v' + c bL-side constant)
@@ -312,10 +314,11 @@ def phase_fit(profile, params: TechnologyParams, grid: SkillGrid,
     there.  Subcritical: report the top usable forward difference against
     the limiting slope c bE'(k_top)/(1/(N theta) - 1).  Critical: no fit.
 
-    Always reports the measured top-window density ratio kappa/alpha when
-    alpha is given, and the empirical hypothesis flags: (i) top nodes
-    teach, (ii) education coupling assortative, (iii)/(iv)
-    differentiability diagnostics (reported, never asserted).
+    Always reports the top-window density ratio kappa/alpha, with kappa
+    pushed forward from the profile's argmax education coupling, and the
+    empirical hypothesis flags: (i) top nodes teach, (ii) that coupling is
+    assortative, (iii)/(iv) differentiability diagnostics (reported, never
+    asserted).
     """
     n, x, h = grid.n, grid.nodes, grid.h
     p = params
@@ -328,33 +331,28 @@ def phase_fit(profile, params: TechnologyParams, grid: SkillGrid,
 
     zone = _top_teacher_zone(profile.occupation)
     hyp_i = zone <= n - 1  # at least the top node teaches
-    hyp_ii = kappa = None
-    if alpha is not None:
-        eps = coupling_from_profile(profile, alpha, grid)
-        hyp_ii, _ = assortativity_check(eps)
-        kappa = pushforward_z(eps, p, grid)
+    eps = coupling_from_profile(profile, alpha, grid)
+    hyp_ii, _ = assortativity_check(eps)
+    kappa = pushforward_z(eps, p, grid)
 
     vp = np.diff(profile.v) / h if n >= 2 else np.array([])
     dk = p.k_top - (x[:-1] + 0.5 * h)
 
     # density ratio over shrinking dyadic top windows
-    ratio = None
     windows = []
-    if kappa is not None:
-        w = 4
-        while w <= max(4, n // 16):
-            at = alpha.tail_mass(n - w)
-            if at > 0:
-                windows.append((w * h, kappa.tail_mass(n - w) / at))
-            w *= 2
-        if windows:
-            ratio = windows[-1][1]
+    w = 4
+    while w <= max(4, n // 16):
+        at = alpha.tail_mass(n - w)
+        if at > 0:
+            windows.append((w * h, kappa.tail_mass(n - w) / at))
+        w *= 2
+    ratio = windows[-1][1] if windows else None
 
     # differentiability diagnostics (reported, never asserted):
     # (iii) stability of the teacher-map top slope across two windows,
     # (iv) largest relative jump of v' over the top quarter
     hyp_iii = hyp_iv = None
-    if kappa is not None and n >= 16:
+    if n >= 16:
         tails = [kappa.tail_mass(n - m) for m in (n // 32 or 1, n // 16 or 2)]
         if all(t > 0 for t in tails):
             s1 = (n // 32 or 1) * h / tails[0]
@@ -451,29 +449,27 @@ class TopSlopeReport:
     declined: str | None
 
 
-def top_slopes(tmap: TeacherMap, params: TechnologyParams, grid: SkillGrid,
-               split: OccupationSplit | None = None, alpha: GridMeasure | None = None,
-               window: float | None = None) -> TopSlopeReport:
+def top_slopes(split: OccupationSplit, alpha: GridMeasure, params: TechnologyParams,
+               grid: SkillGrid) -> TopSlopeReport:
     """One-sided top slopes of k_t and k_g against their closed forms
     (1-theta)/(N-theta) and (1-theta)/(1-theta/N).
 
     The teacher map moves in whole grid steps (one teacher serves a block
     of student nodes), so per-node difference quotients are degenerate.
-    With the occupational split available the slopes come from the mass
-    balance of the maps over a top window D: the students feeding the top
-    D of teacher skills carry exactly N * kappa_t[k_top - D, k_top], so
+    The slopes come instead from the mass balance of the maps over the
+    top window D = max(4h, k_top/32), rounded to whole nodes: the students
+    feeding the top D of teacher skills carry exactly
+    N * kappa_t[k_top - D, k_top], so
     kt'(top) = D * alpha_density(top) / (N * kappa_t-tail), and likewise
-    kg'(top) = D * alpha_density(top) / kappa-tail.  Without the split the
-    slopes fall back to one-sided difference quotients of the inverse maps
-    over the window.
+    kg'(top) = D * alpha_density(top) / kappa-tail.
     """
     p = params
-    n, x = grid.n, grid.nodes
+    n = grid.n
     pred_t = (1.0 - p.theta) / (p.N - p.theta)
     pred_g = (1.0 - p.theta) / (1.0 - p.theta / p.N)
 
     declined = None
-    if split is not None and split.kappa_t.weights[-1] <= SUPPORT_FLOOR:
+    if split.kappa_t.weights[-1] <= SUPPORT_FLOOR:
         declined = "top node carries no teacher mass (hypothesis i fails)"
     if n < 8:
         declined = "grid too coarse for top-slope estimates"
@@ -482,42 +478,17 @@ def top_slopes(tmap: TeacherMap, params: TechnologyParams, grid: SkillGrid,
                               float("nan"), float("nan"), float("nan"),
                               0.0, declined)
 
-    W = window if window is not None else max(4 * grid.h, p.k_top / 32.0)
-
-    if split is not None and alpha is not None:
-        m = max(1, int(round(W / grid.h)))
-        W = m * grid.h
-        a_density = alpha.tail_mass(n - m) / W
-        kt_tail = split.kappa_t.tail_mass(n - m)
-        k_tail = split.kappa.tail_mass(n - m)
-        if kt_tail <= 0 or k_tail <= 0 or a_density <= 0:
-            return TopSlopeReport(float("nan"), float("nan"), pred_t, pred_g,
-                                  float("nan"), float("nan"), float("nan"),
-                                  W, "empty top window")
-        slope_t = float(W * a_density / (p.N * kt_tail))
-        slope_g = float(W * a_density / k_tail)
-    else:
-        def inverse_window_slope(arr: np.ndarray) -> float:
-            target = arr[-1] - W
-            i = int(np.searchsorted(arr, target, side="left"))
-            if i <= 0:
-                return float("nan")
-            if arr[i] > arr[i - 1]:
-                t = (target - arr[i - 1]) / (arr[i] - arr[i - 1])
-                a_star = x[i - 1] + t * (x[i] - x[i - 1])
-            else:
-                a_star = x[i]
-            run = x[-1] - a_star
-            return float(W / run) if run > 0 else float("nan")
-
-        slope_t = inverse_window_slope(np.asarray(tmap.k_t))
-        slope_g = inverse_window_slope(np.asarray(tmap.k_g))
-
-    if not (np.isfinite(slope_t) and np.isfinite(slope_g)):
-        return TopSlopeReport(slope_t, slope_g, pred_t, pred_g,
+    m = max(1, int(round(max(4 * grid.h, p.k_top / 32.0) / grid.h)))
+    W = m * grid.h
+    a_density = alpha.tail_mass(n - m) / W
+    kt_tail = split.kappa_t.tail_mass(n - m)
+    k_tail = split.kappa.tail_mass(n - m)
+    if kt_tail <= 0 or k_tail <= 0 or a_density <= 0:
+        return TopSlopeReport(float("nan"), float("nan"), pred_t, pred_g,
                               float("nan"), float("nan"), float("nan"),
-                              W, "teacher map window fell off the grid")
-
+                              W, "empty top window")
+    slope_t = float(W * a_density / (p.N * kt_tail))
+    slope_g = float(W * a_density / k_tail)
     return TopSlopeReport(
         slope_t=slope_t, slope_g=slope_g,
         predicted_t=pred_t, predicted_g=pred_g,

@@ -150,7 +150,6 @@ class WageComponents:
     v_t: np.ndarray
     u: np.ndarray
     best_teacher: np.ndarray  # per student node: argmax k in the u envelope
-    best_student: np.ndarray  # per teacher node: argmax a in the v_t envelope
     occupation: np.ndarray    # per node argmax of (v_w, v_m, v_t) as 0/1/2; ties within _TIE_REL go 2, then 0
 
 
@@ -241,15 +240,13 @@ class WageProfile:
     v_m: np.ndarray
     v_t: np.ndarray
     best_teacher: np.ndarray
-    best_student: np.ndarray
     occupation: np.ndarray
     converged: bool
     iterations: int
     objective: float
     envelope_residual: float
     delta: float
-    c_used: float
-    operator: WageOperator | None = None
+    operator: WageOperator
     anneal: AnnealWork | None = None
     polish: PolishWork | None = None
 
@@ -368,7 +365,6 @@ class WageOperator:
 
         cand_t = S - u[:, None]
         v_t = p.N * cand_t.max(axis=0)
-        best_student = cand_t.argmax(axis=0)
 
         stack = np.stack([v_w, v_m, v_t])
         top = stack.max(axis=0)
@@ -377,7 +373,7 @@ class WageOperator:
         # v decide no label: teaching wins a tie (the teacher zone and the
         # occupation split read only that label), then working over managing
         occupation = np.where(near[2], 2, near[:2].argmax(axis=0))
-        return WageComponents(v_w, v_m, v_t, u, best_teacher, best_student, occupation)
+        return WageComponents(v_w, v_m, v_t, u, best_teacher, occupation)
 
     def envelope(self, comp: WageComponents) -> np.ndarray:
         return np.maximum(np.maximum(comp.v_w, comp.v_m), comp.v_t)
@@ -417,11 +413,11 @@ class WageOperator:
         comp = self.components(v)
         return WageProfile(
             v=v, u=comp.u, v_w=comp.v_w, v_m=comp.v_m, v_t=comp.v_t,
-            best_teacher=comp.best_teacher, best_student=comp.best_student,
-            occupation=comp.occupation, converged=converged, iterations=iterations,
+            best_teacher=comp.best_teacher, occupation=comp.occupation,
+            converged=converged, iterations=iterations,
             objective=self.objective(comp.u, v, alpha, delta),
             envelope_residual=float(np.abs(v - self.envelope(comp)).max()),
-            delta=delta, c_used=self.c, operator=self, anneal=anneal, polish=polish,
+            delta=delta, operator=self, anneal=anneal, polish=polish,
         )
 
 
@@ -745,26 +741,18 @@ class StabilityReport:
     upper_bound_worst: float
 
 
-def profile_operator(profile: WageProfile, params: TechnologyParams, grid: SkillGrid) -> WageOperator:
-    """The operator the profile was evaluated with when it was built for
-    (params, grid), else a new one for that pair."""
-    op = profile.operator
-    if op is not None and op.params is params and op.grid == grid:
-        return op
-    return WageOperator(params, grid)
-
-
-def stability_residuals(profile: WageProfile, params: TechnologyParams, grid: SkillGrid) -> StabilityReport:
-    """Exhaustive stability check over all grid pairs.
+def stability_residuals(profile: WageProfile) -> StabilityReport:
+    """Exhaustive stability check over all grid pairs of the profile's
+    operator.
 
     f(a,k) = u(a) + v(k)/N - c b_E(z) - v(z) and
     g(k',k) = v(k') + v(k)/N' - b_L((1-t')k' + t'k)
     must both be nonnegative (up to tolerance) at equilibrium, alongside
     the node-wise wage bounds N/(N-1) (u - c b_E) >= v >= N'/(N'+1) b_L.
     """
-    op = profile_operator(profile, params, grid)
+    op = profile.operator
     v, u = profile.v, profile.u
-    p = params
+    p = op.params
 
     F, G = op.slacks(u, v)
     i, j = np.unravel_index(int(F.argmin()), F.shape)
@@ -779,7 +767,7 @@ def stability_residuals(profile: WageProfile, params: TechnologyParams, grid: Sk
     lower_worst = float((v - floor).min())
 
     if p.N > 1.0:
-        cap = (p.N / (p.N - 1.0)) * (u - op.c * np.asarray(p.bE.value(grid.nodes)))
+        cap = (p.N / (p.N - 1.0)) * (u - op.c * np.asarray(p.bE.value(op.grid.nodes)))
         upper_worst = float((cap - v).min())
     else:
         upper_worst = np.inf  # the bound is vacuous when every adult teaches

@@ -26,7 +26,6 @@ from pyramid_eq import (
     solve_wages,
     specialization_report,
     stability_residuals,
-    teacher_map_extract,
     top_slopes,
 )
 from pyramid_eq.cli import main as cli_main
@@ -143,7 +142,7 @@ def test_criterion_4_duality_and_slackness(lattice):
     for (N, Np, c, n), (params, grid, alpha, sol, prof) in lattice.items():
         scale = max(1.0, abs(sol.value))
         worst_lp = max(worst_lp, abs(sol.value - sol.dual_value) / scale)
-        rep = duality_report(sol, prof, params, grid)
+        rep = duality_report(sol, prof)
         worst_gap = max(worst_gap, rep.gap / scale)
         worst_slack = max(worst_slack, abs(rep.eps_f), abs(rep.lam_g))
     ok = worst_lp <= 1e-9 and worst_gap <= 1e-6 and worst_slack <= 1e-6
@@ -205,9 +204,7 @@ def test_criterion_7_tail_and_density_bounds(lattice):
     checked = 0
     for (N, Np, c, n), (params, grid, alpha, sol, prof) in lattice.items():
         split = occupation_split(sol.eps, sol.lam, params, grid)
-        ok_e, _ = assortativity_check(sol.eps)
-        tmap = teacher_map_extract(sol.eps, params, grid) if ok_e else None
-        rep = adult_density(split, alpha, tmap, params, grid, tol=1e-6)
+        rep = adult_density(split, alpha, params, grid, tol=1e-6)
         all_tails &= rep.tail_ok
         worst_sup = max(worst_sup, rep.sup_kappa - rep.sup_alpha / (1 - params.theta))
         checked += 1
@@ -263,8 +260,7 @@ def test_criterion_9_top_slope_identities():
     if split.kappa_t.weights[-1] <= 1e-12:
         report(9, True, "not applicable: hypothesis (i) fails on this instance")
         return
-    tmap = teacher_map_extract(sol.eps, params, grid)
-    rep = top_slopes(tmap, params, grid, split=split, alpha=alpha)
+    rep = top_slopes(split, alpha, params, grid)
     ok = (rep.declined is None and rep.identity_rel_err <= 0.05
           and rep.rel_err_t <= 0.10 and rep.rel_err_g <= 0.10)
     report(9, ok, f"N kt'={params.N * rep.slope_t:.5f} vs kg'={rep.slope_g:.5f} "

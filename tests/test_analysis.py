@@ -162,8 +162,7 @@ def test_density_identity_for_diagonal_coupling():
     eps = GridCoupling(np.arange(16), np.arange(16), alpha.weights)
     lam = GridCoupling([0], [0], [0.0])
     split = occupation_split(eps, lam, params, grid)
-    tmap = teacher_map_extract(eps, params, grid)
-    rep = adult_density(split, alpha, tmap, params, grid)
+    rep = adult_density(split, alpha, params, grid)
     assert np.allclose(rep.kappa_density, rep.alpha_density, atol=1e-12)
     assert rep.sup_bound_ok and rep.tail_ok
 
@@ -175,8 +174,7 @@ def test_tail_and_sup_bounds_on_solved_instances():
         alpha = mk_alpha(grid)
         sol, _ = solve_instance(params, grid, alpha)
         split = occupation_split(sol.eps, sol.lam, params, grid)
-        tmap = teacher_map_extract(sol.eps, params, grid)
-        rep = adult_density(split, alpha, tmap, params, grid)
+        rep = adult_density(split, alpha, params, grid)
         assert rep.tail_ok
         assert rep.sup_bound_ok
         assert rep.sup_kappa <= rep.sup_alpha / (1 - params.theta) + 1e-6

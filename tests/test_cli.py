@@ -358,6 +358,9 @@ def test_config_rejects_unknown_density(tmp_path):
     ("theta = [0.5]", "theta = [0.5, true]",
      r":36: key 'theta' in \[sweep\] must be a list of numbers, got \[0.5, true\]"),
     ("seed = 3", "seed = -1", r":29: seed = -1 violates seed >= 0"),
+    ("c = 0.5", "c = nan", r":7: c = nan violates c >= 0"),  # a bound NaN cannot meet
+    # each sweep point replaces that [params] key, so it is held to the same bound
+    ("theta = [0.5]", "theta = [0.25, 1.5]", r":36: \[sweep\] theta = 1.5 violates 0 < theta < 1"),
 ])
 def test_config_rejects_unknown_keys_and_bad_syntax(tmp_path, capsys, old, new, message):
     cfg_path = write_config(tmp_path, BASE.replace(old, new, 1))

@@ -131,12 +131,12 @@ def test_lp_own_slackness_and_perturbed_v_flags():
     alpha = uniform_alpha(grid)
     sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
     prof = solve_wages(params, alpha, grid, SolverConfig())
-    rep = duality_report(sol, prof, params, grid)
+    rep = duality_report(sol, prof)
     assert abs(rep.lp_own_slackness) <= 1e-9 * max(1.0, abs(sol.value))
     assert rep.gap <= 1e-6 * max(1.0, abs(sol.value))
     # deliberately lift v: the labor slackness integral must go positive
     prof.v = prof.v + 0.05
-    rep2 = duality_report(sol, prof, params, grid)
+    rep2 = duality_report(sol, prof)
     assert rep2.lam_g > 1e-3
 
 
@@ -148,7 +148,7 @@ def test_duality_report_rejects_mismatched_grids():
     other = solve_wages(params, uniform_alpha(SkillGrid(4, 1.0)), SkillGrid(4, 1.0),
                         SolverConfig())
     with pytest.raises(ValueError):
-        duality_report(sol, other, params, grid)
+        duality_report(sol, other)
 
 
 def test_lp_arrays_stay_packed_at_n_513():

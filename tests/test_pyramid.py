@@ -271,16 +271,12 @@ def test_top_slopes_on_lp_instance():
     alpha = uniform_alpha(grid)
     sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
     split = occupation_split(sol.eps, sol.lam, params, grid)
-    tmap = teacher_map_extract(sol.eps, params, grid)
-    rep = top_slopes(tmap, params, grid, split=split, alpha=alpha)
+    rep = top_slopes(split, alpha, params, grid)
     assert rep.declined is None
     assert rep.rel_err_g <= 0.05
     assert rep.rel_err_t <= 0.05
     assert rep.identity_rel_err <= 0.01
     assert rep.slope_g >= (1 - params.theta) - 1e-9
-    # without the split the inverse-map fallback still lands in the ballpark
-    fb = top_slopes(tmap, params, grid)
-    assert fb.rel_err_g <= 0.25 and fb.rel_err_t <= 0.30
 
 
 def test_top_slopes_decline_without_top_teacher():
@@ -291,8 +287,7 @@ def test_top_slopes_decline_without_top_teacher():
     lam = GridCoupling([31], [31], [1.0])
     split = occupation_split(eps, GridCoupling([0], [0], [0.0]), params, grid)
     split.kappa_t.weights[-1] = 0.0
-    tmap = teacher_map_extract(eps, params, grid)
-    rep = top_slopes(tmap, params, grid, split=split)
+    rep = top_slopes(split, uniform_alpha(grid), params, grid)
     assert rep.declined is not None
 
 

@@ -240,7 +240,7 @@ def test_solve_wages_matches_lp(N, N_prime, c, n):
     prof = solve_wages(params, alpha, grid, SolverConfig())
     assert prof.converged
     sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
-    rep = duality_report(sol, prof, params, grid)
+    rep = duality_report(sol, prof)
     scale = max(1.0, abs(sol.value))
     assert rep.gap <= 1e-6 * scale
     assert abs(rep.eps_f) <= 1e-6
@@ -269,7 +269,7 @@ def test_converged_profile_structure():
         assert np.all(np.isfinite(arr))
         assert np.all(np.diff(arr) >= -1e-9)
         assert np.all(np.diff(arr, 2) >= -1e-9)
-    sr = stability_residuals(prof, params, grid)
+    sr = stability_residuals(prof)
     assert sr.min_f >= -1e-7
     assert sr.min_g >= -1e-7
     assert sr.lower_bound_ok
@@ -643,7 +643,7 @@ def test_stability_residuals_flag_lowered_wage():
     prof = solve_wages(params, alpha, grid, SolverConfig())
     prof.v = prof.v.copy()
     prof.v[4] -= 0.1
-    sr = stability_residuals(prof, params, grid)
+    sr = stability_residuals(prof)
     assert sr.min_g < -1e-3
     assert 4 in sr.argmin_g
 
@@ -660,7 +660,7 @@ def test_direct_solve_objective_matches_lp(exp_curve):
     alpha = uniform_alpha(grid)
     sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
     direct = solve_wages(params, alpha, grid, SolverConfig())
-    rep = duality_report(sol, direct, params, grid)
+    rep = duality_report(sol, direct)
     assert rep.gap <= 1e-8
     assert abs(rep.eps_f) <= 1e-8 and abs(rep.lam_g) <= 1e-8
 
@@ -680,7 +680,7 @@ def test_c_zero_solve_meets_the_certificate_gates(N, N_prime, n):
         assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps + 2 * len(prof.anneal.stages)
     else:
         assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps
-    rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof, params, grid)
+    rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof)
     assert rep.gap_rel <= 1e-6
     assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
 
@@ -695,7 +695,7 @@ def test_single_teacher_class_solve_meets_the_certificate_gates(N_prime, c):
     alpha = uniform_alpha(grid)
     prof = solve_wages(params, alpha, grid, SolverConfig())
     assert prof.converged
-    rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof, params, grid)
+    rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof)
     assert rep.gap_rel <= 1e-6
     assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
 
@@ -715,9 +715,9 @@ def test_single_teacher_class_solve_takes_the_minimal_wage_level(N_prime, c, n):
     if c == 0.0:
         assert np.abs(prof.v - sol.v).max() <= 1e-9
     else:
-        sr = stability_residuals(prof, params, grid)
+        sr = stability_residuals(prof)
         assert -1e-9 <= sr.min_g <= 1e-12
-        rep = duality_report(sol, prof, params, grid)
+        rep = duality_report(sol, prof)
         assert rep.gap_rel <= 1e-6
         assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
 
@@ -753,7 +753,7 @@ def test_single_node_stability_binds_exactly():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
     alpha = uniform_alpha(grid)
-    sr = stability_residuals(solve_wages(params, alpha, grid, SolverConfig()), params, grid)
+    sr = stability_residuals(solve_wages(params, alpha, grid, SolverConfig()))
     assert sr.min_f == pytest.approx(0.0, abs=1e-9)
     assert sr.min_g == pytest.approx(0.0, abs=1e-9)
 
@@ -801,7 +801,7 @@ def test_oracle_equivalence_degenerate_instance_certificate_level():
     delta = 1e-3
     prof = solve_wages(params, alpha, grid, SolverConfig(delta=delta))
     sol = solve_lp(assemble_primal(params, alpha, grid, delta))
-    rep = duality_report(sol, prof, params, grid)
+    rep = duality_report(sol, prof)
     assert rep.gap <= 1e-9
     assert abs(rep.eps_f) <= 1e-9 and abs(rep.lam_g) <= 1e-9
     assert prof.envelope_residual <= 1e-9
