@@ -45,7 +45,7 @@ from .model import (
     pushforward_z,
     validate_utility,
 )
-from .wages import SolverConfig, WageOperator, WageProfile, solve_wages, stability_residuals
+from .wages import IterationDiverged, SolverConfig, WageOperator, WageProfile, solve_wages, stability_residuals
 from .lp import assemble_primal, duality_report, solve_lp
 from .analysis import (
     adult_density,
@@ -625,6 +625,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except IterationDiverged as exc:  # the solver did not converge
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

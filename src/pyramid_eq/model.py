@@ -312,11 +312,12 @@ def validate_utility(curve: UtilityCurve, grid: SkillGrid) -> UtilityValidation:
         pv = np.asarray(curve.value(probe), dtype=float)
         inf_bpp = float((pv[2] - 2.0 * pv[1] + pv[0]) / (0.5 * grid.k_top) ** 2)
 
-    if b0 <= 0:
+    # each check is the bound that must hold, so a NaN probe fails it
+    if not b0 > 0:
         failures.append(("b(0)", b0))
-    if bprime0 <= 0:
+    if not bprime0 > 0:
         failures.append(("b'(0)", bprime0))
-    if inf_bpp <= 0:
+    if not inf_bpp > 0:
         failures.append(("inf b''", inf_bpp))
 
     if curve.kind == "tabulated":
@@ -324,7 +325,7 @@ def validate_utility(curve: UtilityCurve, grid: SkillGrid) -> UtilityValidation:
         slopes = np.diff(tvals) / np.diff(txs)
         mids = 0.5 * (tders[:-1] + tders[1:])
         scale = np.maximum(1.0, np.maximum(np.abs(tders[:-1]), np.abs(tders[1:])))
-        bad = np.nonzero(np.abs(slopes - mids) > _CONSISTENCY_TOL * scale)[0]
+        bad = np.nonzero(~(np.abs(slopes - mids) <= _CONSISTENCY_TOL * scale))[0]
         for i in bad:
             failures.append(("derivative sample inconsistent at node", int(i)))
 

@@ -65,10 +65,19 @@ stationary to machine precision and the stage ends.
 A ladder rung only starts the next, colder one, so it need only be
 centered (path following): it ends "centered" after the step whose
 squared Newton decrement grad . H^-1 grad is at most _CENTERED eta.  The
-three Richardson stages feed the answer and run to gtol.  Exponents below
--_EXP_CUT are set to -inf before each exp, so the coldest stages' pair
-weights below e^-300 are exact zeros, not subnormals that slow the
-arithmetic; the value and gradient keep every bit.
+three Richardson stages feed the answer and run to gtol.  On an even grid
+of at least _HALF_GRID_MIN_N nodes, all rungs but the coldest _FINE_RUNGS
+run at the same temperatures on the half grid, whose nodes are the even
+nodes and whose marginals are the cell-pair sums; its wages are
+interpolated linearly onto the full grid for the rest of the anneal (a
+two-level version of the multiscale entropic solves of Schmitzer 2016).
+As the Richardson stages still run to gtol on the full grid, only the
+path to their minimizers changes.
+
+Exponents below -_EXP_CUT are set to -inf before each exp, so the
+coldest stages' pair weights below e^-300 are exact zeros, not
+subnormals that slow the arithmetic; the value and gradient keep every
+bit.
 
 Every solve starts at the top of the ladder, at any c: the entropic
 term keeps each stage strictly convex, so c = 0 needs no further
@@ -117,6 +126,8 @@ _EXP_CUT = 300.0  # exponents below -_EXP_CUT give weight 0, not a subnormal
 _TIE_REL = 1e-10  # wage components this close to the max (relative) tie for the occupation label
 _TRIAL_RADIUS = 10.0  # first Armijo trial moves no wage by more than this many temperatures
 _CENTERED = 1e-2  # a ladder rung ends after the step whose grad . H^-1 grad is at most this times eta
+_FINE_RUNGS = 3  # the coldest ladder rungs run on the full grid, the hotter ones on the half grid
+_HALF_GRID_MIN_N = 64  # smallest even grid whose hot rungs run on the half grid
 _ETA_FLOOR = 2e-5  # smallest annealing temperature, relative to the payoff scale
 _POLISH_MAX_ITER = 100_000  # envelope polish budget, counted across its restarts
 _POLISH_DAMPING = 0.5  # the polish's starting damping, halved at each stall restart
@@ -155,16 +166,18 @@ class WageComponents:
 
 @dataclass
 class AnnealStage:
-    """One temperature stage of the smoothed-dual anneal: eta relative to
-    the payoff scale, the level step s / eta (0.0 when skipped or
-    rejected), Newton systems solved, dual evaluations, why the stage
-    ended and |grad|_inf at the wages it returned.  A stage ends on
-    "gtol" (gradient below tolerance), "centered" (a ladder rung, after
-    the step whose squared Newton decrement is at most _CENTERED eta),
-    "stationary" (the full step no longer lowers |grad|_inf where the
-    dual value cannot resolve the decrease), "line_search" (50 halvings
-    without Armijo decrease) or "newton_limit"."""
+    """One temperature stage of the smoothed-dual anneal: the nodes of the
+    grid it ran on, eta relative to the payoff scale, the level step
+    s / eta (0.0 when skipped or rejected), Newton systems solved, dual
+    evaluations, why the stage ended and |grad|_inf at the wages it
+    returned.  A stage ends on "gtol" (gradient below tolerance),
+    "centered" (a ladder rung, after the step whose squared Newton
+    decrement is at most _CENTERED eta), "stationary" (the full step no
+    longer lowers |grad|_inf where the dual value cannot resolve the
+    decrease), "line_search" (50 halvings without Armijo decrease) or
+    "newton_limit"."""
 
+    n: int
     eta: float
     level: float
     newton_steps: int
@@ -456,17 +469,20 @@ class _SmoothedDual:
     evaluation nor a Newton step allocates an n x n array.
     """
 
-    def __init__(self, op: WageOperator, m: np.ndarray, d: np.ndarray):
+    def __init__(self, op: WageOperator, m: np.ndarray, d: np.ndarray,
+                 scale: float | None = None, work: AnnealWork | None = None):
         self.op = op
         self.m = m
         self.d = d
         self.live = m > 0.0
         self.logm = np.where(self.live, np.log(np.where(self.live, m, 1.0)), 0.0)
-        self.scale = max(1.0, float(np.abs(op.E).max()), float(np.abs(op.BL).max()))
+        # the payoff scale the stage records give eta in: op's own unless
+        # the anneal's ladder was built on another grid's
+        self.scale = _payoff_scale(op) if scale is None else scale
         p = op.params
         self._level_a = (1.0 - 1.0 / p.N) * float(m.sum()) + float(d.sum())
         self._level_kappa = 1.0 + 1.0 / p.N_prime
-        self.work = AnnealWork()
+        self.work = AnnealWork() if work is None else work
 
         n = op.grid.n
         idx, frac = op._idx, op._frac
@@ -630,30 +646,66 @@ class _SmoothedDual:
                 break
         if stop == "newton_limit" and gmax <= gtol:
             stop = "gtol"
-        self.work.stages.append(AnnealStage(eta / self.scale, level, steps, evals, stop, gmax))
+        self.work.stages.append(AnnealStage(self.op.grid.n, eta / self.scale, level, steps, evals, stop, gmax))
         return v
+
+
+def _payoff_scale(op: WageOperator) -> float:
+    """The payoff scale the anneal's temperatures are relative to."""
+    return max(1.0, float(np.abs(op.E).max()), float(np.abs(op.BL).max()))
 
 
 def _anneal(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray):
     """Anneal the smoothed dual from v0 down a geometric temperature ladder
     and Richardson-extrapolate the zero-temperature wage vector from the
-    last three stages (error O(eta^3)).  Returns the wages with the
-    anneal's work."""
-    sd = _SmoothedDual(op, m, d)
-    eta = 0.25 * sd.scale
-    eta_floor = _ETA_FLOOR * sd.scale
-    v = v0
-    while eta > eta_floor:
-        v = sd.minimize(v, eta, rung=True)
+    last three stages (error O(eta^3)).  On an even grid of at least
+    _HALF_GRID_MIN_N nodes all but the coldest _FINE_RUNGS rungs run on
+    the half grid (_half_grid_rungs).  Returns the wages with the anneal's
+    work."""
+    scale = _payoff_scale(op)
+    ladder = []
+    eta = 0.25 * scale
+    while eta > _ETA_FLOOR * scale:
+        ladder.append(eta)
         eta *= 0.2
+    work = AnnealWork()
+    v = v0
+    if op.grid.n % 2 == 0 and op.grid.n >= _HALF_GRID_MIN_N:
+        v = _half_grid_rungs(op, m, d, v0, ladder[:-_FINE_RUNGS], scale, work)
+        ladder = ladder[-_FINE_RUNGS:]
+    sd = _SmoothedDual(op, m, d, scale, work)
+    for rung in ladder:
+        v = sd.minimize(v, rung, rung=True)
     f0 = sd.minimize(v, eta)
     f1 = sd.minimize(f0, eta / 2.0)
     f2 = sd.minimize(f1, eta / 4.0)
     v = (8.0 * f2 - 6.0 * f1 + f0) / 3.0
-    sd.work.richardson = float(np.abs(v - f2).max())
+    work.richardson = float(np.abs(v - f2).max())
     if sd._level_a == 0.0:  # no level step anchored v: cut it to the minimal level
         v = v + float(op.minus_g(v, out=sd._L).max()) / sd._level_kappa
-    return v, sd.work
+    return v, work
+
+
+def _half_grid_rungs(op: WageOperator, m: np.ndarray, d: np.ndarray, v0: np.ndarray,
+                     ladder: list, scale: float, work: AnnealWork) -> np.ndarray:
+    """Run the ladder rungs at the temperatures ladder on the half grid
+    SkillGrid(n / 2, k_top), whose nodes are the even nodes of op's grid
+    and whose marginals are the cell aggregates of m and d, from v0 at
+    those nodes; return the wages interpolated linearly onto op's nodes,
+    the top node extrapolated from the last half-grid segment.  The half
+    grid's operator and dual are freed on return, before the caller
+    builds the full grid's dual."""
+    half = SkillGrid(op.grid.n // 2, op.grid.k_top)
+    sd = _SmoothedDual(WageOperator(op.params, half), m.reshape(-1, 2).sum(axis=1),
+                       d.reshape(-1, 2).sum(axis=1), scale, work)
+    vh = v0[::2]
+    for eta in ladder:
+        vh = sd.minimize(vh, eta, rung=True)
+    v = np.empty(op.grid.n)
+    v[::2] = vh
+    v[1:-1:2] = 0.5 * (vh[:-1] + vh[1:])
+    v[-1] = 1.5 * vh[-1] - 0.5 * vh[-2]
+    return v
 
 
 def _damped_step(op: WageOperator, v: np.ndarray, damping: float) -> np.ndarray:

@@ -13,6 +13,7 @@ from pyramid_eq import cli, lp as lp_mod, wages
 from pyramid_eq.cli import ConfigError, load_scenario, main
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pyramid_eq", "schemas")
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 BASE = """
 [params]
@@ -86,6 +87,19 @@ def test_solve_writes_artifacts_and_validates_schemas(tmp_path):
     jsonschema.validate(spec, load_schema("specialization.schema.json"))
     wages = np.loadtxt(out / "wages.csv", delimiter=",", skiprows=1)
     assert wages.shape == (12, 7)
+    assert all(s["n"] == 12 for s in anneal["stages"])
+    # on an even grid of 64 nodes or more the hot ladder rungs run on the
+    # half grid; the totals still sum over every stage
+    out = tmp_path / "super64"
+    assert main(["solve", "--config", os.path.join(CONFIG_DIR, "phase_supercritical.toml"),
+                 "--grid-n", "64", "--out", str(out), "--quiet"]) == 0
+    duality = json.loads((out / "duality.json").read_text())
+    jsonschema.validate(duality, load_schema("duality.schema.json"))
+    anneal = duality["anneal"]
+    ns = [s["n"] for s in anneal["stages"]]
+    assert len(ns) > 6 and ns == [32] * (len(ns) - 6) + [64] * 6
+    for total in ("newton_steps", "dual_evals"):
+        assert anneal[total] == sum(s[total] for s in anneal["stages"])
 
 
 def test_grid_above_the_lp_size_rule_writes_argmax_couplings(tmp_path, monkeypatch, capsys):
@@ -323,6 +337,29 @@ def test_validate_subcommand(tmp_path, capsys):
     assert main(["validate", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
     assert "doubling" in out and "ok" in out
+
+
+def _overflowing_demo(tmp_path):
+    """configs/demo_small.toml at k_top = 800, where its exponential
+    curves overflow."""
+    with open(os.path.join(CONFIG_DIR, "demo_small.toml"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "k_top = 1.0\n" in text
+    return write_config(tmp_path, text.replace("k_top = 1.0\n", "k_top = 800.0\n"))
+
+
+@pytest.mark.filterwarnings("ignore")  # the overflow's RuntimeWarnings
+def test_validate_rejects_a_curve_whose_curvature_probe_is_nan(tmp_path, capsys):
+    assert main(["validate", "--config", _overflowing_demo(tmp_path)]) == 1
+    assert "FAIL [(\"inf b''\", nan)]" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_diverged_solve_exits_two_with_one_error_line(tmp_path, capsys):
+    code = main(["solve", "--config", _overflowing_demo(tmp_path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: wage component overflowed; iteration diverged"]
 
 
 def test_config_rejects_unknown_density(tmp_path):

@@ -1,5 +1,7 @@
+import itertools
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -618,6 +620,61 @@ def test_centered_rungs_give_the_fully_solved_ladder_answer(monkeypatch, config,
     assert prof.anneal.newton_steps < full.anneal.newton_steps
     assert np.abs(prof.v - full.v).max() <= 1e-9
     assert abs(prof.objective - full.objective) <= 1e-12 * abs(full.objective)
+
+
+@pytest.mark.parametrize("config, n", [("phase_supercritical.toml", 64), ("phase_supercritical.toml", 256),
+                                       ("demo_small.toml", 128)])
+def test_two_level_anneal_gives_the_single_grid_answer(monkeypatch, config, n):
+    # the hot rungs only hand the next rung a centered start, so running
+    # them on the half grid moves the path, not the answer
+    cfg = load_scenario(os.path.join(CONFIG_DIR, config), grid_n_override=n)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    monkeypatch.setattr(wages, "_HALF_GRID_MIN_N", n + 1)  # every rung on the full grid
+    single = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    assert prof.converged and single.converged
+    ns = [s.n for s in prof.anneal.stages]
+    assert ns == [n // 2] * (len(ns) - wages._FINE_RUNGS - 3) + [n] * (wages._FINE_RUNGS + 3)
+    assert len(ns) > wages._FINE_RUNGS + 3
+    assert [s.n for s in single.anneal.stages] == [n] * len(ns)
+    assert [s.eta for s in prof.anneal.stages] == [s.eta for s in single.anneal.stages]
+    assert np.abs(prof.v - single.v).max() <= 1e-9
+    assert abs(prof.objective - single.objective) <= 1e-12 * abs(single.objective)
+
+
+def test_two_level_anneal_converges_on_a_lattice_without_more_full_grid_steps(monkeypatch):
+    grid = SkillGrid(64, 1.0)
+    alpha = uniform_alpha(grid)
+    for N, theta, N_prime, c in itertools.product((1.0, 4.0, 10.0), (0.25, 0.75), (1.0, 10.0), (0.0, 0.5)):
+        params = make_params(theta=theta, N=N, N_prime=N_prime, c=c)
+        monkeypatch.setattr(wages, "_HALF_GRID_MIN_N", 64)
+        prof = solve_wages(params, alpha, grid, SolverConfig())
+        monkeypatch.setattr(wages, "_HALF_GRID_MIN_N", 65)
+        single = solve_wages(params, alpha, grid, SolverConfig())
+        assert prof.converged, params
+        assert prof.anneal.newton_limit_stops == 0 and prof.anneal.line_search_failures == 0
+        assert any(s.n == 32 for s in prof.anneal.stages)
+        full_steps = sum(s.newton_steps for s in prof.anneal.stages if s.n == 64)
+        assert full_steps <= single.anneal.newton_steps, params
+
+
+def test_half_grid_dual_is_freed_before_the_full_grid_dual_is_built(monkeypatch):
+    # the two grids' work arrays are never alive together, so the half grid
+    # adds nothing to the anneal's peak memory
+    duals = []  # (n, weak reference) per dual built
+    alive_at_build = {}
+    init = _SmoothedDual.__init__
+
+    def tracking_init(self, op, *args, **kwargs):
+        n = op.grid.n
+        alive_at_build[n] = [m for m, ref in duals if ref() is not None]
+        duals.append((n, weakref.ref(self)))
+        init(self, op, *args, **kwargs)
+
+    monkeypatch.setattr(_SmoothedDual, "__init__", tracking_init)
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=128)
+    assert solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver).converged
+    assert [n for n, _ in duals] == [64, 128]
+    assert alive_at_build[128] == []
 
 
 def test_anneal_never_stalls_on_supercritical_config():
