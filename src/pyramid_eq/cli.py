@@ -320,7 +320,17 @@ def _span(t):
 # pipelines
 # ---------------------------------------------------------------------------
 
+def _check_curves(cfg: ScenarioConfig):
+    """Reject curves that `validate` rejects, before anything is solved or
+    written."""
+    for name in ("bE", "bL"):
+        rep = validate_utility(getattr(cfg.params, name), cfg.grid)
+        if not rep.passed:
+            raise ConfigError(f"{cfg.where(name)}: [{name}] curve fails validation on the grid: {rep.failures}")
+
+
 def run_solve(cfg: ScenarioConfig, quiet: bool = False) -> int:
+    _check_curves(cfg)
     return _solve_and_write(cfg, quiet)[0]
 
 
@@ -486,6 +496,8 @@ def _phase_plots(cfg: ScenarioConfig, profile, report):
 
 def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
                  solve_on_demand: bool = False) -> int:
+    if which == "sweep" or solve_on_demand:
+        _check_curves(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     if which == "gurus":
         if cfg.population is None:

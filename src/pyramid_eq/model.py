@@ -296,21 +296,23 @@ def validate_utility(curve: UtilityCurve, grid: SkillGrid) -> UtilityValidation:
     plus the endpoint k_top (uniformly spaced, step h).  Tabulated curves
     additionally get a finite-difference consistency check between their
     value and derivative samples; an inconsistent node fails validation.
+    A probe that overflows fails its check rather than warning.
     """
     failures = []
     xs = np.append(grid.nodes, grid.k_top)
-    vals = np.asarray(curve.value(xs), dtype=float)
-    b0 = float(vals[0])
-    bprime0 = float(curve.deriv(0.0))
-    bbar_prime = float(curve.deriv(grid.k_top))
-    if len(xs) >= 3:
-        d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / grid.h ** 2
-        inf_bpp = float(d2.min())
-    else:
-        # single-node grid: fall back to a 3-point probe across [0, k_top]
-        probe = np.array([0.0, 0.5 * grid.k_top, grid.k_top])
-        pv = np.asarray(curve.value(probe), dtype=float)
-        inf_bpp = float((pv[2] - 2.0 * pv[1] + pv[0]) / (0.5 * grid.k_top) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(curve.value(xs), dtype=float)
+        b0 = float(vals[0])
+        bprime0 = float(curve.deriv(0.0))
+        bbar_prime = float(curve.deriv(grid.k_top))
+        if len(xs) >= 3:
+            d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / grid.h ** 2
+            inf_bpp = float(d2.min())
+        else:
+            # single-node grid: fall back to a 3-point probe across [0, k_top]
+            probe = np.array([0.0, 0.5 * grid.k_top, grid.k_top])
+            pv = np.asarray(curve.value(probe), dtype=float)
+            inf_bpp = float((pv[2] - 2.0 * pv[1] + pv[0]) / (0.5 * grid.k_top) ** 2)
 
     # each check is the bound that must hold, so a NaN probe fails it
     if not b0 > 0:

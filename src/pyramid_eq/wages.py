@@ -76,8 +76,23 @@ path to their minimizers changes.
 
 Exponents below -_EXP_CUT are set to -inf before each exp, so the
 coldest stages' pair weights below e^-300 are exact zeros, not
-subnormals that slow the arithmetic; the value and gradient keep every
-bit.
+subnormals that slow the arithmetic.
+
+At the cold stages most pair weights are negligible, so a stage's
+Newton loop runs on its kept pairs only (kernel truncation, Schmitzer,
+"Stabilized sparse scaling algorithms for entropy regularized transport
+problems", 2019).  The stage's opening evaluation and level step are
+dense; from the state they accept it keeps the education pairs above
+e^-_KEEP_MARGIN _DROP_REL of their student's largest weight and the
+labor pairs above e^-_KEEP_MARGIN _DROP_REL of the largest labor
+weight, rules a uniform wage shift leaves alone.  If each kept set is at
+most _KEPT_MAX of its n x n table (a property of the weights, not of
+n), value, gradient and Hessian deposits run over the kept pairs
+(_KeptPairs); X^T X and the Newton solve stay dense.  The loop then
+ends with one dense evaluation at its answer: if a dropped pair there
+weighs more than _DROP_REL of its maximum, the kept set is rebuilt from
+that state and the loop goes on.  The stage reports the dense
+|grad|_inf.
 
 Every solve starts at the top of the ladder, at any c: the entropic
 term keeps each stage strictly convex, so c = 0 needs no further
@@ -126,6 +141,9 @@ _EXP_CUT = 300.0  # exponents below -_EXP_CUT give weight 0, not a subnormal
 _TIE_REL = 1e-10  # wage components this close to the max (relative) tie for the occupation label
 _TRIAL_RADIUS = 10.0  # first Armijo trial moves no wage by more than this many temperatures
 _CENTERED = 1e-2  # a ladder rung ends after the step whose grad . H^-1 grad is at most this times eta
+_DROP_REL = 1e-16  # a dropped pair may weigh at most this fraction of its maximum when its stage ends
+_KEEP_MARGIN = 20.0  # a stage keeps the pairs above e^-_KEEP_MARGIN _DROP_REL of their maximum
+_KEPT_MAX = 0.4  # a stage runs on its kept pairs only if they are at most this fraction of each n x n table
 _FINE_RUNGS = 3  # the coldest ladder rungs run on the full grid, the hotter ones on the half grid
 _HALF_GRID_MIN_N = 64  # smallest even grid whose hot rungs run on the half grid
 _ETA_FLOOR = 2e-5  # smallest annealing temperature, relative to the payoff scale
@@ -169,13 +187,16 @@ class AnnealStage:
     """One temperature stage of the smoothed-dual anneal: the nodes of the
     grid it ran on, eta relative to the payoff scale, the level step
     s / eta (0.0 when skipped or rejected), Newton systems solved, dual
-    evaluations, why the stage ended and |grad|_inf at the wages it
-    returned.  A stage ends on "gtol" (gradient below tolerance),
-    "centered" (a ladder rung, after the step whose squared Newton
-    decrement is at most _CENTERED eta), "stationary" (the full step no
-    longer lowers |grad|_inf where the dual value cannot resolve the
-    decrease), "line_search" (50 halvings without Armijo decrease) or
-    "newton_limit"."""
+    evaluations, why the stage ended, |grad|_inf at the wages it
+    returned (of the full dual), the (student, teacher) plus (worker,
+    manager) pairs its last Newton loop evaluated (2 n^2 when it ran on
+    every pair) and how often its closing check found a dropped pair
+    above the cut and rebuilt the kept set.  A stage ends on "gtol"
+    (gradient below tolerance), "centered" (a ladder rung, after the step
+    whose squared Newton decrement is at most _CENTERED eta),
+    "stationary" (the full step no longer lowers |grad|_inf where the
+    dual value cannot resolve the decrease), "line_search" (50 halvings
+    without Armijo decrease) or "newton_limit"."""
 
     n: int
     eta: float
@@ -184,6 +205,8 @@ class AnnealStage:
     dual_evals: int
     stop: str
     grad_inf: float
+    kept_pairs: int
+    rebuilds: int
 
 
 @dataclass
@@ -441,10 +464,11 @@ class WageOperator:
 class _DualState(NamedTuple):
     """The pair weights of one dual evaluation and the sums the gradient
     took of them: the splat kappa and column sums of eps, row and column
-    sums of lam.  eps and lam are the dual's work arrays, valid until its
-    next evaluation, and so is the split of eps that the splat left in the
-    dual's _split, which the Hessian deposits from: a state is only ever
-    passed on from the dual's last evaluation."""
+    sums of lam.  eps and lam are the dual's n x n work arrays, or the
+    per-pair arrays of its kept pairs, valid until its next evaluation,
+    and so is the split of eps that the splat left behind, which the
+    Hessian deposits from: a state is only ever passed on from the dual's
+    last evaluation."""
 
     eps: np.ndarray
     lam: np.ndarray
@@ -466,7 +490,9 @@ class _SmoothedDual:
     by student and the split weight frac (1-frac)) are built once here,
     and every evaluation and Hessian writes into n x n work arrays owned
     by the dual, so one anneal allocates them once and neither a dual
-    evaluation nor a Newton step allocates an n x n array.
+    evaluation nor a Newton step allocates an n x n array.  A cold
+    stage's kept pairs (_KeptPairs) lay their tables out in the same work
+    arrays.
     """
 
     def __init__(self, op: WageOperator, m: np.ndarray, d: np.ndarray,
@@ -494,11 +520,14 @@ class _SmoothedDual:
         self._w01 = frac * (1.0 - frac)
         # rows of the row-mean term are scaled by 1/sqrt(m); massless rows are zero
         self._rsqrt_m = np.divide(1.0, np.sqrt(m), out=np.zeros_like(m), where=self.live)[:, None]
-        self._P = np.empty((n, n))  # S, then the row softmax eps
-        self._L = np.empty((n, n))  # -G/eta, then lam = exp(-G/eta)
+        # _split, _P and _L are one block, which a cold stage's kept pairs
+        # lay their tables out in (_KeptPairs)
+        self._block = np.empty((4, n * n))
+        self._split = self._block[:2]  # eps (1-frac), eps frac
+        self._P = self._block[2].reshape(n, n)  # S, then the row softmax eps
+        self._L = self._block[3].reshape(n, n)  # -G/eta, then lam = exp(-G/eta)
         self._H = np.empty((n, n))
         self._T = np.empty((n, n))  # scratch: v at idx + 1, then Hessian terms
-        self._split = np.empty((2, n * n))  # eps (1-frac), eps frac
         self._Q = np.empty((n, n))  # the deposits of eps by teacher, then by student
         self._cut = np.empty((n, n), dtype=bool)  # exponents below -_EXP_CUT
 
@@ -516,37 +545,45 @@ class _SmoothedDual:
         u = Smax + eta * (np.log(rs) - self.logm)
         P *= (self.m / rs)[:, None]
         lam = op.minus_g(v, out=self._L)
+        self._exp_labor(lam, eta)
+        return u, P, lam
+
+    def _exp_labor(self, lam: np.ndarray, eta: float):
+        """-G into lam = exp(-G/eta), in place, clamped at _EXP_CAP."""
         lam /= eta
         np.minimum(lam, _EXP_CAP, out=lam)
         self._flush(lam)
         np.exp(lam, out=lam)
-        return u, P, lam
 
     def _flush(self, X: np.ndarray):
         """Set exponents below -_EXP_CUT to -inf, so their weights are exact
         zeros rather than subnormals, on which arithmetic runs slowly."""
-        np.less(X, -_EXP_CUT, out=self._cut)
-        np.copyto(X, -np.inf, where=self._cut)
+        cut = self._cut.reshape(-1)[:X.size].reshape(X.shape)
+        np.less(X, -_EXP_CUT, out=cut)
+        np.copyto(X, -np.inf, where=cut)
+
+    def _value_grad(self, v: np.ndarray, eta: float, mu: float, st: _DualState):
+        """The dual value from mu = m . u over the live students, and the
+        gradient from the sums of st."""
+        p = self.op.params
+        val = float(mu + self.d @ v) + eta * float(st.lam.sum())
+        grad = self.d + st.kappa - st.eps_col / p.N - st.lam_row - st.lam_col / p.N_prime
+        return val, grad, st
 
     def value_grad(self, v: np.ndarray, eta: float):
-        p = self.op.params
         u, eps, lam = self.state(v, eta)
-        val = float(self.m[self.live] @ u[self.live] + self.d @ v) + eta * float(lam.sum())
         kappa = self.op.splat_from_z(eps, split=self._split)
         st = _DualState(eps, lam, kappa, eps.sum(axis=0), lam.sum(axis=1), lam.sum(axis=0))
-        grad = self.d + kappa - st.eps_col / p.N - st.lam_row - st.lam_col / p.N_prime
-        return val, grad, st
+        return self._value_grad(v, eta, self.m[self.live] @ u[self.live], st)
 
     def hessian(self, eta: float, st: _DualState) -> np.ndarray:
         """Newton matrix at the state st of the last evaluation, written into
         the dual's work array H; it deposits the split of eps that
         evaluation's splat left in _split."""
         op, p = self.op, self.op.params
-        n = op.grid.n
         eps, H, T = st.eps, self._H, self._T
         np.add(st.lam, st.lam.T, out=H)
         H /= p.N_prime
-        diag = st.lam_row + st.lam_col / p.N_prime ** 2
 
         # education block sum_aj eps w w^T - row-mean correction, where the
         # pair vector w has entries w0 = 1-frac at idx, w1 = frac at idx+1
@@ -555,51 +592,68 @@ class _SmoothedDual:
         # kappa less the off-diagonal deposit at both ends.  The j-j part is
         # diagonal; the (node, j) cross part is C + C^T with
         # C[j, k] = sum_a eps[a, j] w_k, a deposit of eps by teacher.
-        off = np.bincount(op._idx.ravel(), np.multiply(eps, self._w01, out=T).ravel(), minlength=n)
-        diag += st.kappa - off
-        diag[1:] -= off[:-1]
-        diag += st.eps_col / p.N ** 2
-        H.flat[::n + 1] += diag
-        H.flat[1::n + 1] += off[:-1]
-        H.flat[n::n + 1] += off[:-1]
+        off = np.bincount(op._idx.ravel(), np.multiply(eps, self._w01, out=T).ravel(), minlength=op.grid.n)
+        self._add_tridiagonal(H, st, off)
         lo, hi = self._split
         C = self._Q
         _deposit_into(C.ravel(), T.ravel(), self._by_teacher, lo, hi)
         H -= np.divide(np.add(C, C.T, out=T), p.N, out=T)
 
         # row means: student a contributes x x^T with x = sum_j eps[a, j] w / sqrt(m_a),
-        # row a of X = (D - eps/N)/sqrt(m) for D the deposit of eps by student;
-        # X^T X runs as one symmetric product
+        # row a of X = (D - eps/N)/sqrt(m) for D the deposit of eps by student
         X = self._Q
         _deposit_into(X.ravel(), T.ravel(), self._by_student, lo, hi)
         X -= np.divide(eps, p.N, out=T)
         X *= self._rsqrt_m
-        H -= np.matmul(X.T, X, out=T)
+        return self._finish_hessian(eta, X)
 
+    def _add_tridiagonal(self, H: np.ndarray, st: _DualState, off: np.ndarray):
+        """Add the diagonal terms and the (idx, idx+1) deposit off to H."""
+        p, n = self.op.params, self.op.grid.n
+        diag = st.lam_row + st.lam_col / p.N_prime ** 2
+        diag += st.kappa - off
+        diag[1:] -= off[:-1]
+        diag += st.eps_col / p.N ** 2
+        H.flat[::n + 1] += diag
+        H.flat[1::n + 1] += off[:-1]
+        H.flat[n::n + 1] += off[:-1]
+
+    def _finish_hessian(self, eta: float, X: np.ndarray) -> np.ndarray:
+        """H less X^T X (one symmetric product), over eta, with the
+        diagonal lifted by 1e-12 of its largest entry."""
+        H = self._H
+        n = self.op.grid.n
+        H -= np.matmul(X.T, X, out=self._T)
         H /= eta
         H.flat[::n + 1] += 1e-12 * max(1.0, float(H.max()), -float(H.min()))
         return H
 
-    def newton_step(self, eta: float, grad: np.ndarray, st: _DualState):
-        """The Newton direction at the state st and its slope grad . step;
-        steepest descent when the Newton matrix is singular or the
-        direction does not descend."""
-        try:
-            step = -np.linalg.solve(self.hessian(eta, st), grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        slope = float(grad @ step)
-        if slope >= 0:
-            step = -grad
-            slope = float(grad @ step)
-        return step, slope
+    def _heavy(self, st: _DualState, rel: float):
+        """In turn, the masks of the education pairs of the dense state st
+        above rel times their student's largest weight and of the labor
+        pairs above rel times the largest labor weight, each in _cut."""
+        for X, top in ((st.eps, st.eps.max(axis=1)[:, None]), (st.lam, st.lam.max())):
+            yield np.greater(X, rel * top, out=self._cut)
+
+    def kept_pairs(self, st: _DualState) -> _KeptPairs | None:
+        """The pairs of the dense state st above e^-_KEEP_MARGIN _DROP_REL
+        of their maximum (_heavy); None if either set is more than
+        _KEPT_MAX of its table."""
+        flats = []
+        for heavy in self._heavy(st, _DROP_REL * np.exp(-_KEEP_MARGIN)):
+            if np.count_nonzero(heavy) > _KEPT_MAX * heavy.size:
+                return None
+            flats.append(np.flatnonzero(heavy).astype(np.int32))
+        return _KeptPairs(self, st, *flats)
 
     def minimize(self, v: np.ndarray, eta: float, gtol: float = 1e-12, max_newton: int = 80,
                  rung: bool = False) -> np.ndarray:
         """The level step, then damped Newton on the smoothed dual at
         temperature eta, with the step acceptance of the module docstring;
-        a ladder rung (rung=True) also ends once centered.  The stage's
-        record goes to self.work."""
+        a ladder rung (rung=True) also ends once centered.  The Newton loop
+        runs on the kept pairs where there are few enough, and is then
+        checked densely, as the module docstring says.  The stage's record
+        goes to self.work."""
         val, grad, st = self.value_grad(v, eta)
         evals, level = 1, 0.0
         lam_sum = float(st.lam_row.sum())
@@ -614,40 +668,207 @@ class _SmoothedDual:
                 val, grad, st = self.value_grad(v, eta)
                 evals += 1
         gmax = float(np.abs(grad).max())
-        steps, stop = 0, "newton_limit"
-        for _ in range(max_newton):
-            if gmax <= gtol:
-                break
-            steps += 1
-            step, slope = self.newton_step(eta, grad, st)
-            if -slope <= 4.0 * _ULP * max(1.0, abs(val)):
-                v_new = v + step
-                val_new, grad_new, st_new = self.value_grad(v_new, eta)
-                evals += 1
-                if not float(np.abs(grad_new).max()) < gmax:
-                    stop = "stationary"
-                    break
-            else:
-                t = min(1.0, _TRIAL_RADIUS * eta / float(np.abs(step).max()))
-                for _ in range(50):
-                    v_new = v + t * step
-                    val_new, grad_new, st_new = self.value_grad(v_new, eta)
+        steps, stop, rebuilds, pairs = 0, "newton_limit", 0, 2 * self.op.E.size
+        while True:
+            kept = self.kept_pairs(st) if gmax > gtol and steps < max_newton else None
+            if kept is not None:
+                st = st._replace(eps=kept.eps, lam=kept.lam)
+            ev = self if kept is None else kept
+            start = steps
+            while gmax > gtol and steps < max_newton:
+                steps += 1
+                step, slope = _newton_step(ev.hessian(eta, st), grad)
+                if -slope <= 4.0 * _ULP * max(1.0, abs(val)):
+                    v_new = v + step
+                    val_new, grad_new, st_new = ev.value_grad(v_new, eta)
                     evals += 1
-                    if val_new <= val + 1e-4 * t * slope:
+                    if not float(np.abs(grad_new).max()) < gmax:
+                        stop = "stationary"
                         break
-                    t *= 0.5
                 else:
-                    stop = "line_search"
+                    t = min(1.0, _TRIAL_RADIUS * eta / float(np.abs(step).max()))
+                    for _ in range(50):
+                        v_new = v + t * step
+                        val_new, grad_new, st_new = ev.value_grad(v_new, eta)
+                        evals += 1
+                        if val_new <= val + 1e-4 * t * slope:
+                            break
+                        t *= 0.5
+                    else:
+                        stop = "line_search"
+                        break
+                v, val, grad, st = v_new, val_new, grad_new, st_new
+                gmax = float(np.abs(grad).max())
+                if rung and -slope <= _CENTERED * eta:
+                    stop = "centered"
                     break
-            v, val, grad, st = v_new, val_new, grad_new, st_new
-            gmax = float(np.abs(grad).max())
-            if rung and -slope <= _CENTERED * eta:
-                stop = "centered"
+            if stop == "newton_limit" and gmax <= gtol:
+                stop = "gtol"
+            if steps > start:
+                pairs = 2 * self.op.E.size if kept is None else kept.flat_e.size + kept.flat_l.size
+            if kept is None or steps == start:
                 break
-        if stop == "newton_limit" and gmax <= gtol:
-            stop = "gtol"
-        self.work.stages.append(AnnealStage(self.op.grid.n, eta / self.scale, level, steps, evals, stop, gmax))
+            val, grad, st = self.value_grad(v, eta)
+            evals += 1
+            gmax = float(np.abs(grad).max())
+            if kept.covers(st):
+                break
+            rebuilds += 1
+            stop = "newton_limit"
+        self.work.stages.append(AnnealStage(self.op.grid.n, eta / self.scale, level, steps, evals, stop,
+                                            gmax, pairs, rebuilds))
         return v
+
+
+class _Arena:
+    """Typed arrays laid end to end in the bytes of a borrowed work array;
+    an array that does not fit in what is left is allocated."""
+
+    def __init__(self, buffer: np.ndarray):
+        self._free = buffer.reshape(-1).view(np.uint8)
+
+    def take(self, size: int, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = size * dtype.itemsize
+        if nbytes > self._free.size:
+            return np.empty(size, dtype)
+        out = self._free[:nbytes].view(dtype)
+        self._free = self._free[-(-nbytes // 8) * 8:]  # the next array starts 8-byte aligned
+        return out
+
+
+class _KeptPairs:
+    """The pairs a cold stage's Newton loop evaluates, with their tables.
+
+    flat_e and flat_l are the kept (student, teacher) and (worker,
+    manager) pairs as row-major flat int32 indices.  Per pair the tables
+    hold E, frac, idx, the flat deposit bins by teacher, by student and by
+    node, and b_L.  They, the per-pair weights eps and lam, the split of
+    eps and the scratch are laid out in the dual's block of _split, _P and
+    _L, whose dense contents the next dense evaluation rebuilds, and the
+    flush mask in its _cut, so a warm kept-pair evaluation or Hessian
+    allocates no n x n array.  eps and lam start as the dense state st's
+    weights at the kept pairs, so the Newton loop can start from st."""
+
+    def __init__(self, sd: _SmoothedDual, st: _DualState, flat_e: np.ndarray, flat_l: np.ndarray):
+        op, n = sd.op, sd.op.grid.n
+        self.sd, self.flat_e, self.flat_l = sd, flat_e, flat_l
+        ke, kl = flat_e.size, flat_l.size
+        # eps and lam fit in the block's _split part, ahead of what overwrites st
+        arena = _Arena(sd._block)
+        self.eps = np.take(st.eps, flat_e, out=arena.take(ke), mode="clip")
+        self.lam = np.take(st.lam, flat_l, out=arena.take(kl), mode="clip")
+        self.lo, self.hi = arena.take(ke), arena.take(ke)
+        self.scratch, self.scratch2 = arena.take(max(ke, kl)), arena.take(ke)
+        self.E = np.take(op.E, flat_e, out=arena.take(ke), mode="clip")
+        self.frac = np.take(op._frac, flat_e, out=arena.take(ke), mode="clip")
+        self.idx = np.take(op._idx, flat_e, out=arena.take(ke, np.intp), mode="clip")
+        self.col = np.remainder(flat_e, n, out=arena.take(ke, np.intp))
+        self.by_teacher = np.take(sd._by_teacher, flat_e, out=arena.take(ke, np.int32), mode="clip")  # j n + idx
+        self.by_student = np.take(sd._by_student, flat_e, out=arena.take(ke, np.int32), mode="clip")  # a n + idx
+        self.by_node = np.multiply(self.idx, n, out=arena.take(ke, np.int32))  # idx n + j
+        self.by_node += self.col
+        self.BL = np.take(op.BL, flat_l, out=arena.take(kl), mode="clip")
+        self.row_l = np.floor_divide(flat_l, n, out=arena.take(kl, np.intp))
+        self.col_l = np.remainder(flat_l, n, out=arena.take(kl, np.intp))
+        self.flat_lt = np.multiply(self.col_l, n, out=arena.take(kl, np.int32))  # the transposed pairs
+        self.flat_lt += self.row_l
+        np.multiply(self.eps, np.subtract(1.0, self.frac, out=self.scratch2), out=self.lo)
+        np.multiply(self.eps, self.frac, out=self.hi)
+
+        # the students with kept pairs (flat_e runs row by row): where each
+        # one's pairs start, and each pair's student among them
+        rows = flat_e // n
+        first = np.empty(ke, dtype=bool)
+        first[:1] = True
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        self.starts = np.flatnonzero(first)
+        self.slot = np.cumsum(first, out=arena.take(ke, np.intp))
+        self.slot -= 1
+        rows = rows[self.starts]
+        self.m, self.logm, self.rsqrt_m = sd.m[rows], sd.logm[rows], sd._rsqrt_m[rows, 0]
+
+    def value_grad(self, v: np.ndarray, eta: float):
+        """The dual's value_grad over the kept pairs: the same arithmetic
+        pair by pair, with per-student maxima and sums over each student's
+        kept pairs and bincount sums by node."""
+        sd, p, n = self.sd, self.sd.op.params, self.sd.op.grid.n
+        S, x, omf = self.eps, self.scratch[:self.eps.size], np.subtract(1.0, self.frac, out=self.scratch2)
+        np.take(v, self.idx, out=S, mode="clip")
+        S *= omf
+        S += np.multiply(np.take(v[1:], self.idx, out=x, mode="clip"), self.frac, out=x)
+        S += self.E
+        S -= np.divide(np.take(v, self.col, out=x, mode="clip"), p.N, out=x)
+        Smax = np.maximum.reduceat(S, self.starts)
+        S -= np.take(Smax, self.slot, out=x, mode="clip")
+        S /= eta
+        sd._flush(S)
+        np.exp(S, out=S)
+        rs = np.bincount(self.slot, S, minlength=self.starts.size)
+        u = Smax + eta * (np.log(rs) - self.logm)
+        S *= np.take(self.m / rs, self.slot, out=x, mode="clip")  # eps
+
+        lam, y = self.lam, self.scratch[:self.lam.size]
+        np.take(v, self.col_l, out=lam, mode="clip")
+        lam /= p.N_prime
+        lam += np.take(v, self.row_l, out=y, mode="clip")
+        np.subtract(self.BL, lam, out=lam)  # -G
+        sd._exp_labor(lam, eta)
+
+        np.multiply(S, omf, out=self.lo)
+        np.multiply(S, self.frac, out=self.hi)
+        st = _DualState(S, lam, _deposit_split(self.idx, self.lo, self.hi, n),
+                        np.bincount(self.col, S, minlength=n),
+                        np.bincount(self.row_l, lam, minlength=n), np.bincount(self.col_l, lam, minlength=n))
+        return sd._value_grad(v, eta, self.m @ u, st)
+
+    def hessian(self, eta: float, st: _DualState) -> np.ndarray:
+        """The dual's Newton matrix over the kept pairs, deposited pair by
+        pair: the labor block and C + C^T straight into H, the row-mean
+        rows X scaled by 1/sqrt(m) per pair."""
+        sd, p, n = self.sd, self.sd.op.params, self.sd.op.grid.n
+        H, X = sd._H, sd._Q
+        Hf, Xf = H.reshape(-1), X.reshape(-1)
+        x, y = self.scratch[:self.eps.size], self.scratch2
+        H.fill(0.0)
+        z = np.divide(st.lam, p.N_prime, out=self.scratch[:self.lam.size])
+        np.add.at(Hf, self.flat_l, z)
+        np.add.at(Hf, self.flat_lt, z)
+        np.multiply(self.hi, np.subtract(1.0, self.frac, out=y), out=x)
+        sd._add_tridiagonal(H, st, np.bincount(self.idx, x, minlength=n))
+        X.fill(0.0)
+        r = np.take(self.rsqrt_m, self.slot, out=x, mode="clip")
+        for w, shift in ((self.lo, 0), (self.hi, 1)):  # w lands on node idx + shift
+            np.divide(w, p.N, out=y)
+            np.subtract.at(Hf[shift:], self.by_teacher, y)  # C[j, idx + shift]
+            np.subtract.at(Hf[shift * n:], self.by_node, y)  # C^T[idx + shift, j]
+            np.add.at(Xf[shift:], self.by_student, np.multiply(w, r, out=y))
+        np.subtract.at(Xf, self.flat_e, np.multiply(np.divide(st.eps, p.N, out=y), r, out=y))
+        return sd._finish_hessian(eta, X)
+
+    def covers(self, st: _DualState) -> bool:
+        """Whether every pair of the dense state st that weighs more than
+        _DROP_REL of its maximum is kept."""
+        for heavy, flat in zip(self.sd._heavy(st, _DROP_REL), (self.flat_e, self.flat_l)):
+            heavy.reshape(-1)[flat] = False
+            if heavy.any():
+                return False
+        return True
+
+
+def _newton_step(H: np.ndarray, grad: np.ndarray):
+    """The Newton direction for the matrix H and its slope grad . step;
+    steepest descent when H is singular or the direction does not
+    descend."""
+    try:
+        step = -np.linalg.solve(H, grad)
+    except np.linalg.LinAlgError:
+        step = -grad
+    slope = float(grad @ step)
+    if slope >= 0:
+        step = -grad
+        slope = float(grad @ step)
+    return step, slope
 
 
 def _payoff_scale(op: WageOperator) -> float:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -348,15 +349,32 @@ def _overflowing_demo(tmp_path):
     return write_config(tmp_path, text.replace("k_top = 1.0\n", "k_top = 800.0\n"))
 
 
-@pytest.mark.filterwarnings("ignore")  # the overflow's RuntimeWarnings
+@pytest.mark.filterwarnings("ignore")  # the density renormalization warning at k_top = 800
 def test_validate_rejects_a_curve_whose_curvature_probe_is_nan(tmp_path, capsys):
     assert main(["validate", "--config", _overflowing_demo(tmp_path)]) == 1
     assert "FAIL [(\"inf b''\", nan)]" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore")
-def test_diverged_solve_exits_two_with_one_error_line(tmp_path, capsys):
-    code = main(["solve", "--config", _overflowing_demo(tmp_path), "--out", str(tmp_path / "out"), "--quiet"])
+@pytest.mark.parametrize("command", [["solve"], ["phase", "--solve"], ["sweep"]])
+def test_solving_commands_reject_the_curves_validate_rejects(tmp_path, capsys, command):
+    # the curve check runs before any solve and before anything is written,
+    # and a probe that overflows fails it without a numpy warning
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(command + ["--config", _overflowing_demo(tmp_path), "--out", str(out), "--quiet"])
+    assert code == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "[bE] curve fails validation" in err[0]
+    assert list(out.iterdir()) == []
+
+
+def test_diverged_solve_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # an envelope that overflows, as on curves at the edge of the float range
+    monkeypatch.setattr(wages.WageOperator, "envelope", lambda self, comp: np.full(self.grid.n, np.inf))
+    code = main(["solve", "--config", write_config(tmp_path), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: wage component overflowed; iteration diverged"]

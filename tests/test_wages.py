@@ -486,39 +486,84 @@ def test_smoothed_dual_hessian_matches_dense_reference(n, theta):
     assert np.array_equal(H, H.T)
 
 
-def test_warm_hessian_allocates_no_n_by_n_array():
-    # the Hessian deposits into buffers the dual owns: a Newton step
-    # allocates nothing of n^2 doubles
-    n = 128
-    op, m, d, v = _dual_instance(n, 0.5)
-    sd = _SmoothedDual(op, m, d)
-    _, _, st = sd.value_grad(v, 0.05)
-    sd.hessian(0.05, st)
+def _cold_dual(n, theta):
+    """A dual at a solved v and the temperature of its anneal's next to
+    last stage, where few pairs carry weight; with a massless student node
+    and a delta term, as _dual_instance."""
+    params = make_params(theta=theta, N=4.0, N_prime=2.0)
+    grid = SkillGrid(n, 1.0)
+    prof = solve_wages(params, uniform_alpha(grid), grid, SolverConfig())
+    m = uniform_alpha(grid).weights.copy()
+    m[1] = 0.0
+    sd = _SmoothedDual(prof.operator, m, np.full(n, 0.01))
+    return sd, prof.v, prof.anneal.stages[-2].eta * sd.scale
+
+
+def _warm_peak(call):
+    """Bytes allocated at the peak of call() above what was live before."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sd.hessian(0.05, st)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak - base < n * n * 8
+
+
+def _warm_evaluators(n):
+    """(evaluator, v, eta) for a dense dual and for the kept pairs of a
+    cold one, each warmed up by one evaluation and one Hessian."""
+    op, m, d, v = _dual_instance(n, 0.5)
+    dense = _SmoothedDual(op, m, d)
+    sd, v_cold, eta = _cold_dual(n, 0.5)
+    kept = sd.kept_pairs(sd.value_grad(v_cold, eta)[2])
+    assert kept is not None
+    out = [(dense, v, 0.05), (kept, v_cold, eta)]
+    for ev, x, t in out:
+        ev.hessian(t, ev.value_grad(x, t)[2])
+    return out
+
+
+def test_warm_hessian_allocates_no_n_by_n_array():
+    # the Hessian deposits into buffers the dual owns: a Newton step
+    # allocates nothing of n^2 doubles, over every pair or the kept ones
+    n = 128
+    for ev, v, eta in _warm_evaluators(n):
+        _, _, st = ev.value_grad(v, eta)
+        assert _warm_peak(lambda: ev.hessian(eta, st)) < n * n * 8
 
 
 def test_warm_value_grad_allocates_no_n_by_n_array():
     # an evaluation gathers v at idx + 1 and forms the split it deposits in
-    # buffers the dual owns: it allocates nothing of n^2 doubles
+    # buffers the dual owns: it allocates nothing of n^2 doubles, and the
+    # kept pairs' tables and weights sit in the same buffers
     n = 128
-    op, m, d, v = _dual_instance(n, 0.5)
-    sd = _SmoothedDual(op, m, d)
-    sd.value_grad(v, 0.05)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sd.value_grad(v, 0.05)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base < n * n * 8
+    for ev, v, eta in _warm_evaluators(n):
+        assert _warm_peak(lambda: ev.value_grad(v, eta)) < n * n * 8
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n", [8, 33, 64])
+def test_kept_pair_evaluation_matches_the_dense_one(monkeypatch, n, theta):
+    # at a cold state the dropped pairs weigh below round-off, so the
+    # value, gradient and Newton matrix over the kept pairs are the dense
+    # ones to round-off
+    monkeypatch.setattr(wages, "_KEPT_MAX", 1.0)  # keep the set on the small grids too
+    sd, v, eta = _cold_dual(n, theta)
+    p = sd.op.params
+    val, grad, st = sd.value_grad(v, eta)
+    eps, lam = st.eps.copy(), st.lam.copy()
+    scale = max(1.0, float((st.kappa + st.eps_col / p.N + st.lam_row + st.lam_col / p.N_prime).max()))
+    H = sd.hessian(eta, st).copy()
+    kept = sd.kept_pairs(sd.value_grad(v, eta)[2])
+    assert kept.flat_e.size < n * n and kept.flat_l.size < n * n  # pairs were dropped
+    val_k, grad_k, st_k = kept.value_grad(v, eta)
+    assert abs(val_k - val) <= 1e-13 * max(1.0, abs(val))
+    assert np.abs(grad_k - grad).max() <= 1e-13 * scale
+    assert np.abs(st_k.eps - eps.ravel()[kept.flat_e]).max() <= 1e-13 * np.abs(eps).max()
+    assert np.abs(st_k.lam - lam.ravel()[kept.flat_l]).max() <= 1e-13 * np.abs(lam).max()
+    H_k = kept.hessian(eta, st_k)
+    assert np.abs(H_k - H).max() <= 1e-12 * np.abs(H).max()
 
 
 def test_level_step_zeroes_the_slope_along_one():
@@ -639,6 +684,41 @@ def test_two_level_anneal_gives_the_single_grid_answer(monkeypatch, config, n):
     assert [s.eta for s in prof.anneal.stages] == [s.eta for s in single.anneal.stages]
     assert np.abs(prof.v - single.v).max() <= 1e-9
     assert abs(prof.objective - single.objective) <= 1e-12 * abs(single.objective)
+
+
+@pytest.mark.parametrize("config, n", [("phase_supercritical.toml", 64), ("phase_supercritical.toml", 256),
+                                       ("demo_small.toml", 128), ("demo_small.toml", 127),
+                                       (os.path.join("..", "perfbench", "configs", "demo_small_c0.toml"), 32)])
+def test_kept_pair_stages_give_the_all_dense_answer(monkeypatch, config, n):
+    # the cold stages' Newton loops run on the kept pairs, whose dropped
+    # weights are below round-off: the answer is the all-dense one, in no
+    # more Newton steps per stage
+    cfg = load_scenario(os.path.join(CONFIG_DIR, config), grid_n_override=n)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    monkeypatch.setattr(wages, "_KEPT_MAX", 0.0)  # every stage on every pair
+    dense = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    assert prof.converged and dense.converged
+    assert any(s.kept_pairs < 2 * n * n for s in prof.anneal.stages)
+    assert all(s.kept_pairs == 2 * s.n ** 2 for s in dense.anneal.stages)
+    assert np.abs(prof.v - dense.v).max() <= 1e-12
+    assert abs(prof.objective - dense.objective) <= 1e-12 * abs(dense.objective)
+    for s, t in zip(prof.anneal.stages, dense.anneal.stages, strict=True):
+        assert s.newton_steps <= t.newton_steps
+
+
+def test_a_dropped_pair_that_rises_is_put_back(monkeypatch):
+    # with no margin the kept set is the pairs above the check's cut, so
+    # Newton steps lift dropped pairs above it; the check finds them and
+    # the stage goes on from a rebuilt set to the all-dense answer
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=64)
+    monkeypatch.setattr(wages, "_KEEP_MARGIN", 0.0)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    monkeypatch.setattr(wages, "_KEPT_MAX", 0.0)
+    dense = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    assert prof.converged
+    assert sum(s.rebuilds for s in prof.anneal.stages) >= 1
+    assert all(s.rebuilds == 0 for s in dense.anneal.stages)
+    assert np.abs(prof.v - dense.v).max() <= 1e-12
 
 
 def test_two_level_anneal_converges_on_a_lattice_without_more_full_grid_steps(monkeypatch):
