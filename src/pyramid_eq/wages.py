@@ -81,18 +81,33 @@ subnormals that slow the arithmetic.
 At the cold stages most pair weights are negligible, so a stage's
 Newton loop runs on its kept pairs only (kernel truncation, Schmitzer,
 "Stabilized sparse scaling algorithms for entropy regularized transport
-problems", 2019).  The stage's opening evaluation and level step are
-dense; from the state they accept it keeps the education pairs above
-e^-_KEEP_MARGIN _DROP_REL of their student's largest weight and the
-labor pairs above e^-_KEEP_MARGIN _DROP_REL of the largest labor
-weight, rules a uniform wage shift leaves alone.  If each kept set is at
-most _KEPT_MAX of its n x n table (a property of the weights, not of
-n), value, gradient and Hessian deposits run over the kept pairs
-(_KeptPairs); X^T X and the Newton solve stay dense.  The loop then
-ends with one dense evaluation at its answer: if a dropped pair there
-weighs more than _DROP_REL of its maximum, the kept set is rebuilt from
-that state and the loop goes on.  The stage reports the dense
-|grad|_inf.
+problems", 2019).  From the state its opening evaluation and level step
+accept, a stage keeps the education pairs above e^-_KEEP_MARGIN
+_DROP_REL of their student's largest weight and the labor pairs above
+e^-_KEEP_MARGIN _DROP_REL of the largest labor weight, rules a uniform
+wage shift leaves alone.  If each kept set is at most _KEPT_MAX of its
+n x n table (a property of the weights, not of n), value, gradient and
+Hessian run over the kept pairs (_KeptPairs).  The loop then ends with
+one dense evaluation at its answer: if a dropped pair there weighs more
+than _DROP_REL of its maximum, the kept set is rebuilt from that state
+and the loop goes on.  The stage reports the dense |grad|_inf.
+
+A kept Hessian couples only the nodes K that a kept education pair
+touches (its teacher, idx and idx + 1) or an off-diagonal kept labor
+pair joins; every other node has a diagonal entry alone.  The Newton
+system is solved on K, and each other node k steps by -g_k / h_kk.  A
+dense Hessian is the case K = every node.
+
+A passed check shows every dropped pair's slack gap (to its student's
+best pair, or to the smallest labor slack) to be at least
+ln(1/_DROP_REL) eta, while a stage at eta' keeps only the gaps below
+(ln(1/_DROP_REL) + _KEEP_MARGIN) eta'.  So when eta' / eta is at most
+ln(1/_DROP_REL) / (ln(1/_DROP_REL) + _KEEP_MARGIN), as the ladder's 0.2
+and the Richardson stages' 0.5 are, the next stage keeps a subset of the
+checked set.  It opens on that set (_SmoothedDual._carried): its opening
+evaluation, level step and kept-set selection skip the dense pass.  A
+stage that opened on a carried set always ends with the check, which
+would put back any pair a larger ratio had left out.
 
 Every solve starts at the top of the ladder, at any c: the entropic
 term keeps each stage strictly convex, so c = 0 needs no further
@@ -190,13 +205,15 @@ class AnnealStage:
     evaluations, why the stage ended, |grad|_inf at the wages it
     returned (of the full dual), the (student, teacher) plus (worker,
     manager) pairs its last Newton loop evaluated (2 n^2 when it ran on
-    every pair) and how often its closing check found a dropped pair
-    above the cut and rebuilt the kept set.  A stage ends on "gtol"
-    (gradient below tolerance), "centered" (a ladder rung, after the step
-    whose squared Newton decrement is at most _CENTERED eta),
-    "stationary" (the full step no longer lowers |grad|_inf where the
-    dual value cannot resolve the decrease), "line_search" (50 halvings
-    without Armijo decrease) or "newton_limit"."""
+    every pair), the order of the dense block of its last Newton system
+    (n on every pair, or when it took no step) and how often its closing
+    check found a dropped pair above the cut and rebuilt the kept set.  A
+    stage ends on "gtol" (gradient below tolerance), "centered" (a ladder
+    rung, after the step whose squared Newton decrement is at most
+    _CENTERED eta), "stationary" (the full step no longer lowers
+    |grad|_inf where the dual value cannot resolve the decrease),
+    "line_search" (50 halvings without Armijo decrease) or
+    "newton_limit"."""
 
     n: int
     eta: float
@@ -206,6 +223,7 @@ class AnnealStage:
     stop: str
     grad_inf: float
     kept_pairs: int
+    newton_n: int
     rebuilds: int
 
 
@@ -478,6 +496,25 @@ class _DualState(NamedTuple):
     lam_col: np.ndarray
 
 
+class _Layout(NamedTuple):
+    """Where a Newton matrix sits in the dual's work array _H: a dense
+    block of order k on the coupled nodes, stored first, then the
+    diagonal entries h of the other (decoupled) nodes, in node order,
+    whose rows hold nothing else.  diag is the flat position of each
+    node's diagonal entry, and upper and lower those of the entries
+    (i, i + 1) and (i + 1, i) for the nodes i in sup.  The dense layout
+    (every node coupled) gives the node sets and positions as slices."""
+
+    k: int
+    coupled: np.ndarray | slice
+    decoupled: np.ndarray | slice
+    h: np.ndarray
+    diag: np.ndarray | slice
+    sup: np.ndarray | slice
+    upper: np.ndarray | slice
+    lower: np.ndarray | slice
+
+
 class _SmoothedDual:
     """Smooth strictly convex relaxation of the wage minimization.
 
@@ -492,7 +529,8 @@ class _SmoothedDual:
     by the dual, so one anneal allocates them once and neither a dual
     evaluation nor a Newton step allocates an n x n array.  A cold
     stage's kept pairs (_KeptPairs) lay their tables out in the same work
-    arrays.
+    arrays.  _carried is the last stage's checked kept set, as (flat_e,
+    flat_l), or None.
     """
 
     def __init__(self, op: WageOperator, m: np.ndarray, d: np.ndarray,
@@ -530,6 +568,9 @@ class _SmoothedDual:
         self._T = np.empty((n, n))  # scratch: v at idx + 1, then Hessian terms
         self._Q = np.empty((n, n))  # the deposits of eps by teacher, then by student
         self._cut = np.empty((n, n), dtype=bool)  # exponents below -_EXP_CUT
+        self.layout = _Layout(n, slice(None), slice(0, 0), self._H.reshape(-1)[n * n:], slice(None, None, n + 1),
+                              slice(0, n - 1), slice(1, None, n + 1), slice(n, None, n + 1))
+        self._carried = None
 
     def state(self, v: np.ndarray, eta: float):
         op, p = self.op, self.op.params
@@ -593,7 +634,7 @@ class _SmoothedDual:
         # diagonal; the (node, j) cross part is C + C^T with
         # C[j, k] = sum_a eps[a, j] w_k, a deposit of eps by teacher.
         off = np.bincount(op._idx.ravel(), np.multiply(eps, self._w01, out=T).ravel(), minlength=op.grid.n)
-        self._add_tridiagonal(H, st, off)
+        self._add_tridiagonal(H.reshape(-1), st, off, self.layout)
         lo, hi = self._split
         C = self._Q
         _deposit_into(C.ravel(), T.ravel(), self._by_teacher, lo, hi)
@@ -605,27 +646,34 @@ class _SmoothedDual:
         _deposit_into(X.ravel(), T.ravel(), self._by_student, lo, hi)
         X -= np.divide(eps, p.N, out=T)
         X *= self._rsqrt_m
-        return self._finish_hessian(eta, X)
+        return self._finish_hessian(eta, X, op.grid.n)
 
-    def _add_tridiagonal(self, H: np.ndarray, st: _DualState, off: np.ndarray):
-        """Add the diagonal terms and the (idx, idx+1) deposit off to H."""
-        p, n = self.op.params, self.op.grid.n
+    def _add_tridiagonal(self, Hf: np.ndarray, st: _DualState, off: np.ndarray, lay: _Layout):
+        """Add the diagonal terms and the (idx, idx+1) deposit off to the
+        Newton matrix laid out in the flat Hf as lay says."""
+        p = self.op.params
         diag = st.lam_row + st.lam_col / p.N_prime ** 2
         diag += st.kappa - off
         diag[1:] -= off[:-1]
         diag += st.eps_col / p.N ** 2
-        H.flat[::n + 1] += diag
-        H.flat[1::n + 1] += off[:-1]
-        H.flat[n::n + 1] += off[:-1]
+        Hf[lay.diag] += diag
+        off = off[lay.sup]
+        Hf[lay.upper] += off
+        Hf[lay.lower] += off
 
-    def _finish_hessian(self, eta: float, X: np.ndarray) -> np.ndarray:
-        """H less X^T X (one symmetric product), over eta, with the
-        diagonal lifted by 1e-12 of its largest entry."""
-        H = self._H
+    def _finish_hessian(self, eta: float, X: np.ndarray, k: int) -> np.ndarray:
+        """The Newton matrix laid out in _H with a coupled block of order k:
+        the block less X^T X (one symmetric product), all over eta, with
+        the diagonal lifted by 1e-12 of the largest entry.  Returns the
+        block."""
         n = self.op.grid.n
-        H -= np.matmul(X.T, X, out=self._T)
-        H /= eta
-        H.flat[::n + 1] += 1e-12 * max(1.0, float(H.max()), -float(H.min()))
+        flat = self._H.reshape(-1)[:k * k + n - k]
+        H = flat[:k * k].reshape(k, k)
+        H -= np.matmul(X.T, X, out=self._T.reshape(-1)[:k * k].reshape(k, k))
+        flat /= eta
+        lift = 1e-12 * max(1.0, float(flat.max()), -float(flat.min()))
+        flat[:k * k:k + 1] += lift
+        flat[k * k:] += lift
         return H
 
     def _heavy(self, st: _DualState, rel: float):
@@ -644,40 +692,48 @@ class _SmoothedDual:
             if np.count_nonzero(heavy) > _KEPT_MAX * heavy.size:
                 return None
             flats.append(np.flatnonzero(heavy).astype(np.int32))
-        return _KeptPairs(self, st, *flats)
+        return _KeptPairs(self, *flats, st, *flats)  # in a dense state a pair's position is its flat index
+
+    def _opening(self):
+        """The evaluator a stage opens on: the kept set the last stage
+        checked and carried, else the dense dual."""
+        carried, self._carried = self._carried, None
+        return self if carried is None else _KeptPairs(self, *carried)
 
     def minimize(self, v: np.ndarray, eta: float, gtol: float = 1e-12, max_newton: int = 80,
                  rung: bool = False) -> np.ndarray:
         """The level step, then damped Newton on the smoothed dual at
         temperature eta, with the step acceptance of the module docstring;
-        a ladder rung (rung=True) also ends once centered.  The Newton loop
-        runs on the kept pairs where there are few enough, and is then
-        checked densely, as the module docstring says.  The stage's record
-        goes to self.work."""
-        val, grad, st = self.value_grad(v, eta)
+        a ladder rung (rung=True) also ends once centered.  The stage opens
+        on the last stage's carried kept set where it may, its Newton loop
+        runs on the kept pairs where there are few enough, and a stage that
+        evaluated kept pairs ends with the dense check, as the module
+        docstring says.  The stage's record goes to self.work."""
+        ev = self._opening()
+        val, grad, st = ev.value_grad(v, eta)
         evals, level = 1, 0.0
         lam_sum = float(st.lam_row.sum())
         if self._level_a > 0.0 and lam_sum > 0.0:
             s = eta / self._level_kappa * float(np.log(self._level_kappa * lam_sum / self._level_a))
             v_new = v + s
-            val_new, grad_new, st_new = self.value_grad(v_new, eta)
+            val_new, grad_new, st_new = ev.value_grad(v_new, eta)
             evals += 1
             if val_new <= val:
                 v, val, grad, st, level = v_new, val_new, grad_new, st_new, s / eta
             else:  # st_new overwrote the work arrays st points into
-                val, grad, st = self.value_grad(v, eta)
+                val, grad, st = ev.value_grad(v, eta)
                 evals += 1
         gmax = float(np.abs(grad).max())
-        steps, stop, rebuilds, pairs = 0, "newton_limit", 0, 2 * self.op.E.size
+        steps, stop, rebuilds, pairs, newton_n = 0, "newton_limit", 0, 2 * self.op.E.size, self.op.grid.n
         while True:
-            kept = self.kept_pairs(st) if gmax > gtol and steps < max_newton else None
-            if kept is not None:
-                st = st._replace(eps=kept.eps, lam=kept.lam)
-            ev = self if kept is None else kept
+            if gmax > gtol and steps < max_newton:
+                kept = ev.kept_pairs(st)
+                if kept is not None:
+                    ev, st = kept, st._replace(eps=kept.eps, lam=kept.lam)
             start = steps
             while gmax > gtol and steps < max_newton:
                 steps += 1
-                step, slope = _newton_step(ev.hessian(eta, st), grad)
+                step, slope = _newton_step(ev.hessian(eta, st), grad, ev.layout)
                 if -slope <= 4.0 * _ULP * max(1.0, abs(val)):
                     v_new = v + step
                     val_new, grad_new, st_new = ev.value_grad(v_new, eta)
@@ -705,18 +761,21 @@ class _SmoothedDual:
             if stop == "newton_limit" and gmax <= gtol:
                 stop = "gtol"
             if steps > start:
-                pairs = 2 * self.op.E.size if kept is None else kept.flat_e.size + kept.flat_l.size
-            if kept is None or steps == start:
+                pairs = 2 * self.op.E.size if ev is self else ev.flat_e.size + ev.flat_l.size
+                newton_n = ev.layout.k
+            if ev is self:
                 break
             val, grad, st = self.value_grad(v, eta)
             evals += 1
             gmax = float(np.abs(grad).max())
-            if kept.covers(st):
+            if ev.covers(st):
+                self._carried = (ev.flat_e, ev.flat_l)
                 break
+            ev = self
             rebuilds += 1
             stop = "newton_limit"
         self.work.stages.append(AnnealStage(self.op.grid.n, eta / self.scale, level, steps, evals, stop,
-                                            gmax, pairs, rebuilds))
+                                            gmax, pairs, newton_n, rebuilds))
         return v
 
 
@@ -738,43 +797,47 @@ class _Arena:
 
 
 class _KeptPairs:
-    """The pairs a cold stage's Newton loop evaluates, with their tables.
+    """The pairs a cold stage evaluates, with their tables.
 
     flat_e and flat_l are the kept (student, teacher) and (worker,
     manager) pairs as row-major flat int32 indices.  Per pair the tables
-    hold E, frac, idx, the flat deposit bins by teacher, by student and by
-    node, and b_L.  They, the per-pair weights eps and lam, the split of
-    eps and the scratch are laid out in the dual's block of _split, _P and
-    _L, whose dense contents the next dense evaluation rebuilds, and the
-    flush mask in its _cut, so a warm kept-pair evaluation or Hessian
-    allocates no n x n array.  eps and lam start as the dense state st's
-    weights at the kept pairs, so the Newton loop can start from st."""
+    hold E, frac, idx, the teacher, b_L and, for a Newton loop's set, the
+    flat positions of its Hessian deposits in its layout (_Layout: the
+    coupled nodes are every teacher, idx and idx + 1 of a kept education
+    pair and both ends of an off-diagonal kept labor pair).  They, the
+    per-pair weights eps and lam, the split of eps and the scratch are
+    laid out in the dual's block of _split, _P and _L, whose dense
+    contents the next dense evaluation rebuilds, and the flush mask in
+    its _cut, so a warm kept-pair evaluation or Hessian allocates no
+    n x n array.
 
-    def __init__(self, sd: _SmoothedDual, st: _DualState, flat_e: np.ndarray, flat_l: np.ndarray):
+    A Newton loop's set is chosen from a state st (the dense one, or one
+    of a larger kept set): eps and lam start as st's weights at the
+    positions at_e and at_l of its pair arrays, so the loop can start from
+    st.  A set made without st (a stage's carried opening) only
+    evaluates."""
+
+    def __init__(self, sd: _SmoothedDual, flat_e: np.ndarray, flat_l: np.ndarray,
+                 st: _DualState | None = None, at_e: np.ndarray | None = None, at_l: np.ndarray | None = None):
         op, n = sd.op, sd.op.grid.n
         self.sd, self.flat_e, self.flat_l = sd, flat_e, flat_l
         ke, kl = flat_e.size, flat_l.size
-        # eps and lam fit in the block's _split part, ahead of what overwrites st
+        # eps and lam come first, ahead of what overwrites st; np.take
+        # buffers a gather from a set laid out in the same bytes
         arena = _Arena(sd._block)
-        self.eps = np.take(st.eps, flat_e, out=arena.take(ke), mode="clip")
-        self.lam = np.take(st.lam, flat_l, out=arena.take(kl), mode="clip")
+        self.eps, self.lam = arena.take(ke), arena.take(kl)
+        if st is not None:
+            np.take(st.eps, at_e, out=self.eps, mode="clip")
+            np.take(st.lam, at_l, out=self.lam, mode="clip")
         self.lo, self.hi = arena.take(ke), arena.take(ke)
-        self.scratch, self.scratch2 = arena.take(max(ke, kl)), arena.take(ke)
+        self.scratch = arena.take(max(ke, kl))
         self.E = np.take(op.E, flat_e, out=arena.take(ke), mode="clip")
         self.frac = np.take(op._frac, flat_e, out=arena.take(ke), mode="clip")
         self.idx = np.take(op._idx, flat_e, out=arena.take(ke, np.intp), mode="clip")
         self.col = np.remainder(flat_e, n, out=arena.take(ke, np.intp))
-        self.by_teacher = np.take(sd._by_teacher, flat_e, out=arena.take(ke, np.int32), mode="clip")  # j n + idx
-        self.by_student = np.take(sd._by_student, flat_e, out=arena.take(ke, np.int32), mode="clip")  # a n + idx
-        self.by_node = np.multiply(self.idx, n, out=arena.take(ke, np.int32))  # idx n + j
-        self.by_node += self.col
         self.BL = np.take(op.BL, flat_l, out=arena.take(kl), mode="clip")
         self.row_l = np.floor_divide(flat_l, n, out=arena.take(kl, np.intp))
         self.col_l = np.remainder(flat_l, n, out=arena.take(kl, np.intp))
-        self.flat_lt = np.multiply(self.col_l, n, out=arena.take(kl, np.int32))  # the transposed pairs
-        self.flat_lt += self.row_l
-        np.multiply(self.eps, np.subtract(1.0, self.frac, out=self.scratch2), out=self.lo)
-        np.multiply(self.eps, self.frac, out=self.hi)
 
         # the students with kept pairs (flat_e runs row by row): where each
         # one's pairs start, and each pair's student among them
@@ -787,13 +850,58 @@ class _KeptPairs:
         self.slot -= 1
         rows = rows[self.starts]
         self.m, self.logm, self.rsqrt_m = sd.m[rows], sd.logm[rows], sd._rsqrt_m[rows, 0]
+        self.layout = None
+        if st is not None:
+            self._lay_out(arena)
+            np.subtract(1.0, self.frac, out=self.lo)
+            self.lo *= self.eps
+            np.multiply(self.eps, self.frac, out=self.hi)
+
+    def _lay_out(self, arena: _Arena):
+        """The layout of this set's Newton matrix, and the flat positions in
+        it of each pair's deposits as int32 tables in the arena.  Its
+        integer arithmetic runs in the scratch and in lo and hi (filled
+        after it), so it allocates no per-pair integer array."""
+        sd, n = self.sd, self.sd.op.grid.n
+        ke, kl = self.eps.size, self.lam.size
+        t = self.scratch.view(np.intp)[:kl]
+        on_diag = self.row_l == self.col_l
+        coupled = np.zeros(n + 1, dtype=bool)  # node n marks nothing: (k, k) labor pairs point there
+        coupled[self.col] = True
+        coupled[self.idx] = True
+        coupled[1:][self.idx] = True  # idx + 1
+        for ends in (self.row_l, self.col_l):
+            np.copyto(t, ends)
+            np.copyto(t, n, where=on_diag)
+            coupled[t] = True
+        coupled = coupled[:n]
+        pos = np.cumsum(coupled)
+        k = int(pos[-1])
+        pos -= 1  # a coupled node's row in the block
+        diag = np.where(coupled, pos * (k + 1), np.cumsum(~coupled) + (k * k - 1))
+        sup = np.flatnonzero(coupled[:-1] & coupled[1:])
+        upper = pos[sup] * (k + 1) + 1
+        self.layout = _Layout(k, np.flatnonzero(coupled), np.flatnonzero(~coupled),
+                              sd._H.reshape(-1)[k * k:k * k + n - k], diag, sup, upper, upper + (k - 1))
+
+        pi = np.take(pos, self.idx, out=self.lo.view(np.intp), mode="clip")
+        pj = np.take(pos, self.col, out=self.hi.view(np.intp), mode="clip")
+        self.by_teacher = np.multiply(pj, k, out=arena.take(ke, np.int32))
+        self.by_teacher += pi  # C[j, idx]
+        self.by_student = np.multiply(self.slot, k, out=arena.take(ke, np.int32))
+        self.by_student += pi  # X[a, idx]
+        self.by_col = np.multiply(self.slot, k, out=arena.take(ke, np.int32))
+        self.by_col += pj  # X[a, j]
+        self.by_labor = np.multiply(np.take(pos, self.row_l, out=t, mode="clip"), k, out=arena.take(kl, np.int32))
+        self.by_labor += np.take(pos, self.col_l, out=t, mode="clip")
+        np.copyto(self.by_labor, np.take(diag, self.row_l, out=t, mode="clip"), where=on_diag)
 
     def value_grad(self, v: np.ndarray, eta: float):
         """The dual's value_grad over the kept pairs: the same arithmetic
         pair by pair, with per-student maxima and sums over each student's
         kept pairs and bincount sums by node."""
         sd, p, n = self.sd, self.sd.op.params, self.sd.op.grid.n
-        S, x, omf = self.eps, self.scratch[:self.eps.size], np.subtract(1.0, self.frac, out=self.scratch2)
+        S, x, omf = self.eps, self.scratch[:self.eps.size], np.subtract(1.0, self.frac, out=self.lo)
         np.take(v, self.idx, out=S, mode="clip")
         S *= omf
         S += np.multiply(np.take(v[1:], self.idx, out=x, mode="clip"), self.frac, out=x)
@@ -815,7 +923,7 @@ class _KeptPairs:
         np.subtract(self.BL, lam, out=lam)  # -G
         sd._exp_labor(lam, eta)
 
-        np.multiply(S, omf, out=self.lo)
+        self.lo *= S  # omf
         np.multiply(S, self.frac, out=self.hi)
         st = _DualState(S, lam, _deposit_split(self.idx, self.lo, self.hi, n),
                         np.bincount(self.col, S, minlength=n),
@@ -823,28 +931,54 @@ class _KeptPairs:
         return sd._value_grad(v, eta, self.m @ u, st)
 
     def hessian(self, eta: float, st: _DualState) -> np.ndarray:
-        """The dual's Newton matrix over the kept pairs, deposited pair by
-        pair: the labor block and C + C^T straight into H, the row-mean
-        rows X scaled by 1/sqrt(m) per pair."""
+        """The dual's Newton matrix over the kept pairs in its layout, with
+        the dense Hessian's arithmetic: the labor block (lam + lam^T) / N'
+        and C + C^T from pair-by-pair deposits into the block and the
+        decoupled diagonal, the row-mean rows X (one per student with kept
+        pairs, over the coupled nodes) likewise.  Returns the coupled
+        block."""
         sd, p, n = self.sd, self.sd.op.params, self.sd.op.grid.n
-        H, X = sd._H, sd._Q
-        Hf, Xf = H.reshape(-1), X.reshape(-1)
-        x, y = self.scratch[:self.eps.size], self.scratch2
-        H.fill(0.0)
-        z = np.divide(st.lam, p.N_prime, out=self.scratch[:self.lam.size])
-        np.add.at(Hf, self.flat_l, z)
-        np.add.at(Hf, self.flat_lt, z)
-        np.multiply(self.hi, np.subtract(1.0, self.frac, out=y), out=x)
-        sd._add_tridiagonal(H, st, np.bincount(self.idx, x, minlength=n))
+        k = self.layout.k
+        kk, ke = k * k, self.eps.size
+        Hf, Tf = sd._H.reshape(-1)[:kk + n - k], sd._T.reshape(-1)[:kk + n - k]
+        H, T, Q = Hf[:kk].reshape(k, k), Tf[:kk].reshape(k, k), sd._Q.reshape(-1)[:kk].reshape(k, k)
+        x = self.scratch[:ke]
+        Tf.fill(0.0)
+        np.add.at(Tf, self.by_labor, st.lam)
+        np.add(T, T.T, out=H)
+        np.add(Tf[kk:], Tf[kk:], out=Hf[kk:])
+        Hf /= p.N_prime
+        sd._add_tridiagonal(Hf, st, np.bincount(self.idx, np.multiply(self.lo, self.frac, out=x), minlength=n),
+                            self.layout)
+        T.fill(0.0)  # C
+        np.add.at(Tf, self.by_teacher, self.lo)
+        np.add.at(Tf[1:], self.by_teacher, self.hi)
+        H -= np.divide(np.add(T, T.T, out=Q), p.N, out=Q)
+        X = sd._Q.reshape(-1)[:self.starts.size * k]
         X.fill(0.0)
-        r = np.take(self.rsqrt_m, self.slot, out=x, mode="clip")
-        for w, shift in ((self.lo, 0), (self.hi, 1)):  # w lands on node idx + shift
-            np.divide(w, p.N, out=y)
-            np.subtract.at(Hf[shift:], self.by_teacher, y)  # C[j, idx + shift]
-            np.subtract.at(Hf[shift * n:], self.by_node, y)  # C^T[idx + shift, j]
-            np.add.at(Xf[shift:], self.by_student, np.multiply(w, r, out=y))
-        np.subtract.at(Xf, self.flat_e, np.multiply(np.divide(st.eps, p.N, out=y), r, out=y))
-        return sd._finish_hessian(eta, X)
+        np.add.at(X, self.by_student, self.lo)
+        np.add.at(X[1:], self.by_student, self.hi)
+        np.subtract.at(X, self.by_col, np.divide(st.eps, p.N, out=x))
+        X = X.reshape(self.starts.size, k)
+        X *= self.rsqrt_m[:, None]
+        return sd._finish_hessian(eta, X, k)
+
+    def _heavy(self, st: _DualState, rel: float):
+        """In turn, the masks of this set's education pairs above rel times
+        their student's largest weight in its state st and of its labor
+        pairs above rel times its largest labor weight, each in the dual's
+        _cut."""
+        cut = self.sd._cut.reshape(-1)
+        top = np.maximum.reduceat(st.eps, self.starts)
+        yield np.greater(st.eps, rel * np.take(top, self.slot), out=cut[:st.eps.size])
+        yield np.greater(st.lam, rel * st.lam.max(initial=0.0), out=cut[:st.lam.size])
+
+    def kept_pairs(self, st: _DualState) -> _KeptPairs:
+        """The pairs of this set above e^-_KEEP_MARGIN _DROP_REL of their
+        maximum in its state st (_heavy); where the set was carried, the
+        ones the dense state would give (see the module docstring)."""
+        at = [np.flatnonzero(heavy) for heavy in self._heavy(st, _DROP_REL * np.exp(-_KEEP_MARGIN))]
+        return _KeptPairs(self.sd, self.flat_e[at[0]], self.flat_l[at[1]], st, *at)
 
     def covers(self, st: _DualState) -> bool:
         """Whether every pair of the dense state st that weighs more than
@@ -856,14 +990,19 @@ class _KeptPairs:
         return True
 
 
-def _newton_step(H: np.ndarray, grad: np.ndarray):
-    """The Newton direction for the matrix H and its slope grad . step;
-    steepest descent when H is singular or the direction does not
-    descend."""
+def _newton_step(H: np.ndarray, grad: np.ndarray, lay: _Layout):
+    """The Newton direction for the matrix laid out as lay, whose coupled
+    block is H, and its slope grad . step: a solve on the coupled nodes
+    and -g_k / h_kk on the others; steepest descent when H is singular or
+    the direction does not descend."""
+    step = np.empty_like(grad)
     try:
-        step = -np.linalg.solve(H, grad)
+        step[lay.coupled] = np.linalg.solve(H, grad[lay.coupled])
     except np.linalg.LinAlgError:
-        step = -grad
+        step[...] = grad
+    else:
+        step[lay.decoupled] = grad[lay.decoupled] / lay.h
+    np.negative(step, out=step)
     slope = float(grad @ step)
     if slope >= 0:
         step = -grad

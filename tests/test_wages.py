@@ -499,6 +499,20 @@ def _cold_dual(n, theta):
     return sd, prof.v, prof.anneal.stages[-2].eta * sd.scale
 
 
+def _cold_supercritical(n):
+    """The supercritical config's dual at its anneal's answer (before the
+    envelope polish) and the temperature of its next to last stage.  Its
+    students' kept pairs reach only part of the grid there, so a kept
+    Hessian leaves nodes decoupled, where the uniform instance of
+    _cold_dual couples every node."""
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=n)
+    op = WageOperator(cfg.params, cfg.grid)
+    m, d = cfg.alpha.weights, np.zeros(n)
+    v, work = wages._anneal(op, m, d, op.lower_bound())
+    sd = _SmoothedDual(op, m, d)
+    return sd, v, work.stages[-2].eta * sd.scale
+
+
 def _warm_peak(call):
     """Bytes allocated at the peak of call() above what was live before."""
     tracemalloc.start()
@@ -511,14 +525,15 @@ def _warm_peak(call):
 
 
 def _warm_evaluators(n):
-    """(evaluator, v, eta) for a dense dual and for the kept pairs of a
-    cold one, each warmed up by one evaluation and one Hessian."""
+    """(evaluator, v, eta) for a dense dual and for the kept pairs of two
+    cold ones, the second with decoupled nodes, each warmed up by one
+    evaluation and one Hessian."""
     op, m, d, v = _dual_instance(n, 0.5)
-    dense = _SmoothedDual(op, m, d)
-    sd, v_cold, eta = _cold_dual(n, 0.5)
-    kept = sd.kept_pairs(sd.value_grad(v_cold, eta)[2])
-    assert kept is not None
-    out = [(dense, v, 0.05), (kept, v_cold, eta)]
+    out = [(_SmoothedDual(op, m, d), v, 0.05)]
+    for sd, v_cold, eta in (_cold_dual(n, 0.5), _cold_supercritical(n)):
+        kept = sd.kept_pairs(sd.value_grad(v_cold, eta)[2])
+        assert kept is not None
+        out.append((kept, v_cold, eta))
     for ev, x, t in out:
         ev.hessian(t, ev.value_grad(x, t)[2])
     return out
@@ -526,11 +541,17 @@ def _warm_evaluators(n):
 
 def test_warm_hessian_allocates_no_n_by_n_array():
     # the Hessian deposits into buffers the dual owns: a Newton step
-    # allocates nothing of n^2 doubles, over every pair or the kept ones
+    # allocates nothing of n^2 doubles, over every pair or the kept ones,
+    # and a step on fewer coupled nodes than n solves no n x n system
     n = 128
+    reduced = 0
     for ev, v, eta in _warm_evaluators(n):
-        _, _, st = ev.value_grad(v, eta)
+        _, grad, st = ev.value_grad(v, eta)
         assert _warm_peak(lambda: ev.hessian(eta, st)) < n * n * 8
+        if ev.layout.k < n:
+            reduced += 1
+            assert _warm_peak(lambda: wages._newton_step(ev.hessian(eta, st), grad, ev.layout)) < n * n * 8
+    assert reduced
 
 
 def test_warm_value_grad_allocates_no_n_by_n_array():
@@ -562,8 +583,108 @@ def test_kept_pair_evaluation_matches_the_dense_one(monkeypatch, n, theta):
     assert np.abs(grad_k - grad).max() <= 1e-13 * scale
     assert np.abs(st_k.eps - eps.ravel()[kept.flat_e]).max() <= 1e-13 * np.abs(eps).max()
     assert np.abs(st_k.lam - lam.ravel()[kept.flat_l]).max() <= 1e-13 * np.abs(lam).max()
-    H_k = kept.hessian(eta, st_k)
-    assert np.abs(H_k - H).max() <= 1e-12 * np.abs(H).max()
+    H_k, lay = kept.hessian(eta, st_k), kept.layout
+    coupled = np.ix_(lay.coupled, lay.coupled)
+    assert np.abs(H_k - H[coupled]).max() <= 1e-12 * np.abs(H).max()
+    assert np.abs(lay.h - np.diag(H)[lay.decoupled]).max(initial=0.0) <= 1e-12 * np.abs(H).max()
+    H[coupled] = 0.0
+    H[lay.decoupled, lay.decoupled] = 0.0
+    assert np.abs(H).max() <= 1e-12 * np.abs(H_k).max()  # no entry outside the layout
+
+
+@pytest.mark.parametrize("cold", [(n, theta) for n in (8, 33, 64) for theta in (0.25, 0.5, 0.75)]
+                         + [(64, None), (128, None)])
+def test_reduced_newton_step_is_the_dense_one(monkeypatch, cold):
+    # a kept Hessian couples only the nodes its pairs touch; the Newton
+    # step solved on them, with -g_k / h_kk on the other nodes, is the
+    # dense step to round-off.  Only the supercritical cold states
+    # (theta None) leave nodes decoupled.
+    monkeypatch.setattr(wages, "_KEPT_MAX", 1.0)
+    n, theta = cold
+    sd, v, eta = _cold_supercritical(n) if theta is None else _cold_dual(n, theta)
+    _, grad, st = sd.value_grad(v, eta)
+    H = sd.hessian(eta, st).copy()
+    kept = sd.kept_pairs(sd.value_grad(v, eta)[2])
+    _, grad_k, st_k = kept.value_grad(v, eta)
+    H_k, lay = kept.hessian(eta, st_k), kept.layout
+    step, slope = wages._newton_step(H_k, grad_k, lay)
+    assert (lay.k < n) == (theta is None)
+    # the same Newton matrix assembled n x n, and solved whole
+    full = np.zeros((n, n))
+    full[np.ix_(lay.coupled, lay.coupled)] = H_k
+    full[lay.decoupled, lay.decoupled] = lay.h
+    whole = -np.linalg.solve(full, grad_k)
+    assert np.abs(step - whole).max() <= 1e-12 * np.abs(whole).max()
+    assert slope == float(grad_k @ step) < 0.0
+    # it solves the dense evaluation's system to round-off; these states
+    # have condition numbers up to 1e12, so the dense solve's own answer
+    # is only as close as the two Newton matrices times that
+    assert np.abs(H @ step + grad).max() <= 1e-12 * np.abs(H).max() * np.abs(step).max()
+
+
+def test_a_kept_set_that_couples_no_node_steps_on_the_diagonal():
+    # with no education pair and only (k, k) labor pairs no Hessian entry
+    # joins two nodes: the Newton block is empty, and each node steps by
+    # -g_k / h_kk with the dense lift
+    n = 12
+    op, m, d, v = _dual_instance(n, 0.5)
+    sd = _SmoothedDual(op, m, d)
+    eta = 0.05
+    st = sd.value_grad(v, eta)[2]
+    on_diag = (np.arange(n) * (n + 1)).astype(np.int32)
+    kept = wages._KeptPairs(sd, np.empty(0, np.int32), on_diag, st, np.empty(0, np.intp), on_diag)
+    _, grad, st_k = kept.value_grad(v, eta)
+    H = kept.hessian(eta, st_k)
+    assert kept.layout.k == 0 and H.shape == (0, 0)
+    lam = np.zeros((n, n))
+    lam.flat[on_diag] = st_k.lam
+    ref = _dense_hessian(sd, np.zeros((n, n)), lam, eta)
+    assert np.abs(kept.layout.h - np.diag(ref)).max() <= 1e-12 * np.abs(ref).max()
+    step, slope = wages._newton_step(H, grad, kept.layout)
+    assert np.abs(step + grad / np.diag(ref)).max() <= 1e-12 * np.abs(grad / np.diag(ref)).max()
+    assert slope < 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kept_newton_matrix_is_the_pair_formula_over_its_pairs(seed):
+    # for any kept set, the Newton matrix in its layout is the explicit
+    # pair-vector formula over the kept pairs alone: its block on the
+    # coupled nodes, its diagonal on the others, and nothing else
+    n = 12
+    op, m, d, v = _dual_instance(n, 0.5)
+    sd = _SmoothedDual(op, m, d)
+    eta = 0.05
+    rng = np.random.default_rng(seed)
+    _, _, st = sd.value_grad(v, eta)
+    students = np.flatnonzero((m > 0) & (rng.random(n) < 0.3))
+    flat_e = np.unique(np.concatenate([a * n + np.concatenate([[st.eps[a].argmax()], rng.integers(0, n, 1)])
+                                       for a in students])).astype(np.int32)
+    flat_l = np.unique(np.concatenate([rng.integers(0, n * n, 2), rng.integers(0, n, 2) * (n + 1)])).astype(np.int32)
+    kept = wages._KeptPairs(sd, flat_e, flat_l, st, flat_e, flat_l)
+    _, grad, st_k = kept.value_grad(v, eta)
+    H, lay = kept.hessian(eta, st_k), kept.layout
+    assert 0 < lay.k < n
+    eps, lam = np.zeros((n, n)), np.zeros((n, n))
+    eps.flat[flat_e], lam.flat[flat_l] = st_k.eps, st_k.lam
+    ref = _dense_hessian(sd, eps, lam, eta)
+    coupled = np.ix_(lay.coupled, lay.coupled)
+    assert np.abs(H - ref[coupled]).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(lay.h - np.diag(ref)[lay.decoupled]).max() <= 1e-12 * np.abs(ref).max()
+    ref[coupled] = 0.0
+    ref[lay.decoupled, lay.decoupled] = 0.0
+    assert not ref.any()
+
+
+def test_a_carried_set_without_labor_pairs_keeps_none(monkeypatch):
+    # the carried filter takes its labor cut from the set's largest labor
+    # weight, which an empty labor set does not have
+    monkeypatch.setattr(wages, "_KEPT_MAX", 1.0)
+    sd, v, eta = _cold_dual(33, 0.5)
+    kept = sd.kept_pairs(sd.value_grad(v, eta)[2])
+    carried = wages._KeptPairs(sd, kept.flat_e, np.empty(0, np.int32))
+    again = carried.kept_pairs(carried.value_grad(v, eta)[2])
+    assert again.flat_l.size == 0
+    assert np.array_equal(again.flat_e, kept.flat_e)
 
 
 def test_level_step_zeroes_the_slope_along_one():
@@ -706,13 +827,90 @@ def test_kept_pair_stages_give_the_all_dense_answer(monkeypatch, config, n):
         assert s.newton_steps <= t.newton_steps
 
 
+_OPENING, _MINIMIZE = _SmoothedDual._opening, _SmoothedDual.minimize
+
+
+def _record_stages(monkeypatch, carry=True):
+    """Per anneal stage, [whether it opened on a carried kept set, the
+    kept set it hands on as (flat_e, flat_l) or None], filled in as
+    the solves run; with carry=False every stage opens densely."""
+    stages = []
+
+    def opening(self):
+        if not carry:
+            self._carried = None
+        ev = _OPENING(self)
+        stages.append([ev is not self])
+        return ev
+
+    def minimize(self, *args, **kwargs):
+        v = _MINIMIZE(self, *args, **kwargs)
+        stages[-1].append(self._carried)
+        return v
+
+    monkeypatch.setattr(_SmoothedDual, "_opening", opening)
+    monkeypatch.setattr(_SmoothedDual, "minimize", minimize)
+    return stages
+
+
+@pytest.mark.parametrize("config, n", [("phase_supercritical.toml", 64), ("phase_supercritical.toml", 256),
+                                       ("demo_small.toml", 128), ("demo_small.toml", 127),
+                                       (os.path.join("..", "perfbench", "configs", "demo_small_c0.toml"), 32)])
+def test_carried_openings_keep_the_pairs_a_dense_opening_keeps(monkeypatch, config, n):
+    # a stage that opens on the kept set its predecessor checked chooses
+    # from it the very pairs a dense opening chooses, stage by stage
+    cfg = load_scenario(os.path.join(CONFIG_DIR, config), grid_n_override=n)
+    carried = _record_stages(monkeypatch)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    dense = _record_stages(monkeypatch, carry=False)
+    ref = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    assert prof.converged and ref.converged
+    assert any(opened for opened, _ in carried) and not any(opened for opened, _ in dense)
+    for (_, got), (_, want) in zip(carried, dense, strict=True):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for s, t in zip(prof.anneal.stages, ref.anneal.stages, strict=True):
+        assert (s.kept_pairs, s.newton_n) == (t.kept_pairs, t.newton_n)
+        assert s.newton_steps <= t.newton_steps
+    assert np.abs(prof.v - ref.v).max() <= 1e-12
+
+
+def test_every_stage_may_open_on_the_set_its_predecessor_checked():
+    # a checked set holds every pair of the next stage's kept set when
+    # eta' / eta <= ln(1/_DROP_REL) / (ln(1/_DROP_REL) + _KEEP_MARGIN)
+    # (module docstring): the ladder's rungs and the Richardson stages
+    # both step that far at most, so every carried opening keeps the
+    # pairs a dense one would
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=256)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    drop = np.log(1.0 / wages._DROP_REL)
+    etas = [s.eta for s in prof.anneal.stages]
+    assert len(etas) >= 8
+    assert all(b / a <= drop / (drop + wages._KEEP_MARGIN) for a, b in zip(etas, etas[1:]))
+
+
+def test_kept_stages_solve_on_their_coupled_nodes():
+    # at n = 256 the supercritical students leave nodes that no kept pair
+    # couples, so every kept stage's Newton systems are smaller than n
+    cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=256)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    stages = prof.anneal.stages
+    kept = [s for s in stages if s.kept_pairs < 2 * s.n ** 2]
+    assert len(kept) >= 5
+    assert all(s.newton_n < s.n for s in kept)
+    assert all(s.newton_n == s.n for s in stages if s not in kept)
+
+
 def test_a_dropped_pair_that_rises_is_put_back(monkeypatch):
     # with no margin the kept set is the pairs above the check's cut, so
     # Newton steps lift dropped pairs above it; the check finds them and
     # the stage goes on from a rebuilt set to the all-dense answer
     cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=64)
     monkeypatch.setattr(wages, "_KEEP_MARGIN", 0.0)
+    stages = _record_stages(monkeypatch)
     prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    assert any(opened for opened, _ in stages)  # with no margin a checked set still holds the next one
     monkeypatch.setattr(wages, "_KEPT_MAX", 0.0)
     dense = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
     assert prof.converged
