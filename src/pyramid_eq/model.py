@@ -409,21 +409,6 @@ def _deposit_split(flat: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) 
     return out
 
 
-def _deposit_into(out: np.ndarray, scratch: np.ndarray, flat: np.ndarray,
-                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """_deposit_split into the caller's flat buffers: lo at flat into
-    out, hi at flat into scratch, then scratch shifted one bin into out.
-    np.add.at adds in the pairs' order into zeroed bins, as bincount
-    does, so the result equals _deposit_split bitwise; nothing of the
-    size of out is allocated."""
-    out.fill(0.0)
-    scratch.fill(0.0)
-    np.add.at(out, flat, lo)
-    np.add.at(scratch, flat, hi)
-    out[1:] += scratch[:-1]
-    return out
-
-
 def pushforward_z(eps: GridCoupling, params: TechnologyParams, grid: SkillGrid) -> GridMeasure:
     """Push the education coupling through the skill technology: every
     entry (a, k, w) deposits w at z(a, k), split linearly between the two

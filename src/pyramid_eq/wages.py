@@ -95,8 +95,10 @@ and the loop goes on.  The stage reports the dense |grad|_inf.
 A kept Hessian couples only the nodes K that a kept education pair
 touches (its teacher, idx and idx + 1) or an off-diagonal kept labor
 pair joins; every other node has a diagonal entry alone.  The Newton
-system is solved on K, and each other node k steps by -g_k / h_kk.  A
-dense Hessian is the case K = every node.
+system is solved on K, and each other node k steps by -g_k / h_kk.
+One routine (_newton_matrix) assembles the Newton matrix of dense and
+kept stages alike: the dense dual is the set of every pair, whose K is
+every node.
 
 A passed check shows every dropped pair's slack gap (to its student's
 best pair, or to the smallest labor slack) to be at least
@@ -134,7 +136,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import GridMeasure, SkillGrid, TechnologyParams, _deposit_into, _deposit_split, split_positions
+from .model import GridMeasure, SkillGrid, TechnologyParams, _deposit_split, split_positions
 
 __all__ = [
     "SolverConfig",
@@ -485,8 +487,8 @@ class _DualState(NamedTuple):
     sums of lam.  eps and lam are the dual's n x n work arrays, or the
     per-pair arrays of its kept pairs, valid until its next evaluation,
     and so is the split of eps that the splat left behind, which the
-    Hessian deposits from: a state is only ever passed on from the dual's
-    last evaluation."""
+    Newton matrix deposits from: a state is only ever passed on from the
+    dual's last evaluation."""
 
     eps: np.ndarray
     lam: np.ndarray
@@ -523,14 +525,15 @@ class _SmoothedDual:
     with gradient equal to the steady-state excess supply, and is driven to
     its minimum by damped Newton steps.
 
-    The pair tables the Hessian needs (flat deposit indices by teacher and
-    by student and the split weight frac (1-frac)) are built once here,
-    and every evaluation and Hessian writes into n x n work arrays owned
-    by the dual, so one anneal allocates them once and neither a dual
-    evaluation nor a Newton step allocates an n x n array.  A cold
-    stage's kept pairs (_KeptPairs) lay their tables out in the same work
-    arrays.  _carried is the last stage's checked kept set, as (flat_e,
-    flat_l), or None.
+    Its Newton matrix is the one a kept set (_KeptPairs) has, over every
+    pair (_newton_matrix): the dual holds the same pair tables (idx, frac,
+    the split lo, hi that each evaluation's splat leaves, the deposit
+    positions and the layout), built once here.  Every evaluation and
+    Newton matrix writes into n x n work arrays owned by the dual, so one
+    anneal allocates them once and neither a dual evaluation nor a Newton
+    step allocates an n x n array.  A cold stage's kept pairs lay their
+    tables out in the same work arrays.  _carried is the last stage's
+    checked kept set, as (flat_e, flat_l), or None.
     """
 
     def __init__(self, op: WageOperator, m: np.ndarray, d: np.ndarray,
@@ -549,45 +552,30 @@ class _SmoothedDual:
         self.work = AnnealWork() if work is None else work
 
         n = op.grid.n
-        idx, frac = op._idx, op._frac
-        # flat bins (j, node) and (a, node) of pair (a, j), as int32 to halve
-        # the tables (np.add.at casts indices in fixed-size chunks, never as a
-        # whole); n^2 < 2^31 for any grid whose n x n tables fit in memory
-        self._by_teacher = (idx + n * np.arange(n)).astype(np.int32).ravel()
-        self._by_student = (idx + n * np.arange(n)[:, None]).astype(np.int32).ravel()
-        self._w01 = frac * (1.0 - frac)
+        # every pair's tables for _newton_matrix, as a kept set has its own:
+        # a pair's labor and X[a, j] positions are its flat index, and its
+        # C[j, idx] and X[a, idx] the flat bins (j, idx) and (a, idx), as
+        # int32 to halve the tables (np.add.at casts indices in fixed-size
+        # chunks); n^2 < 2^31 for any grid whose n x n tables fit in memory
+        self.idx, self.frac = op._idx.reshape(-1), op._frac.reshape(-1)
+        self.by_teacher = (op._idx + n * np.arange(n)).astype(np.int32).ravel()
+        self.by_student = (op._idx + n * np.arange(n)[:, None]).astype(np.int32).ravel()
+        self.by_labor = self.by_col = slice(None)
         # rows of the row-mean term are scaled by 1/sqrt(m); massless rows are zero
-        self._rsqrt_m = np.divide(1.0, np.sqrt(m), out=np.zeros_like(m), where=self.live)[:, None]
-        # _split, _P and _L are one block, which a cold stage's kept pairs
-        # lay their tables out in (_KeptPairs)
+        self.rsqrt_m = np.divide(1.0, np.sqrt(m), out=np.zeros_like(m), where=self.live)
+        # the split, _P and _L are one block, which a cold stage's kept
+        # pairs lay their tables out in (_KeptPairs)
         self._block = np.empty((4, n * n))
-        self._split = self._block[:2]  # eps (1-frac), eps frac
+        self.lo, self.hi = self._block[:2]  # eps (1-frac), eps frac
         self._P = self._block[2].reshape(n, n)  # S, then the row softmax eps
         self._L = self._block[3].reshape(n, n)  # -G/eta, then lam = exp(-G/eta)
         self._H = np.empty((n, n))
-        self._T = np.empty((n, n))  # scratch: v at idx + 1, then Hessian terms
-        self._Q = np.empty((n, n))  # the deposits of eps by teacher, then by student
+        self._T = np.empty((n, n))  # scratch: v at idx + 1, then Newton-matrix terms
+        self._Q = np.empty((n, n))  # Newton-matrix terms: C + C^T, then the row-mean rows X
         self._cut = np.empty((n, n), dtype=bool)  # exponents below -_EXP_CUT
         self.layout = _Layout(n, slice(None), slice(0, 0), self._H.reshape(-1)[n * n:], slice(None, None, n + 1),
                               slice(0, n - 1), slice(1, None, n + 1), slice(n, None, n + 1))
         self._carried = None
-
-    def state(self, v: np.ndarray, eta: float):
-        op, p = self.op, self.op.params
-        P = op.interp_at_z(v, out=self._P, scratch=self._T)
-        P += op.E
-        P -= v / p.N  # S: (student, teacher) surplus net of the teacher's wage share
-        Smax = P.max(axis=1)
-        P -= Smax[:, None]
-        P /= eta  # <= 0, so the exponent needs no clamp
-        self._flush(P)
-        np.exp(P, out=P)
-        rs = P.sum(axis=1)
-        u = Smax + eta * (np.log(rs) - self.logm)
-        P *= (self.m / rs)[:, None]
-        lam = op.minus_g(v, out=self._L)
-        self._exp_labor(lam, eta)
-        return u, P, lam
 
     def _exp_labor(self, lam: np.ndarray, eta: float):
         """-G into lam = exp(-G/eta), in place, clamped at _EXP_CAP."""
@@ -612,69 +600,28 @@ class _SmoothedDual:
         return val, grad, st
 
     def value_grad(self, v: np.ndarray, eta: float):
-        u, eps, lam = self.state(v, eta)
-        kappa = self.op.splat_from_z(eps, split=self._split)
-        st = _DualState(eps, lam, kappa, eps.sum(axis=0), lam.sum(axis=1), lam.sum(axis=0))
+        op, p = self.op, self.op.params
+        P = op.interp_at_z(v, out=self._P, scratch=self._T)
+        P += op.E
+        P -= v / p.N  # S: (student, teacher) surplus net of the teacher's wage share
+        Smax = P.max(axis=1)
+        P -= Smax[:, None]
+        P /= eta  # <= 0, so the exponent needs no clamp
+        self._flush(P)
+        np.exp(P, out=P)
+        rs = P.sum(axis=1)
+        u = Smax + eta * (np.log(rs) - self.logm)
+        P *= (self.m / rs)[:, None]  # eps
+        lam = op.minus_g(v, out=self._L)
+        self._exp_labor(lam, eta)
+        kappa = op.splat_from_z(P, split=self._block[:2])
+        st = _DualState(P, lam, kappa, P.sum(axis=0), lam.sum(axis=1), lam.sum(axis=0))
         return self._value_grad(v, eta, self.m[self.live] @ u[self.live], st)
 
     def hessian(self, eta: float, st: _DualState) -> np.ndarray:
-        """Newton matrix at the state st of the last evaluation, written into
-        the dual's work array H; it deposits the split of eps that
-        evaluation's splat left in _split."""
-        op, p = self.op, self.op.params
-        eps, H, T = st.eps, self._H, self._T
-        np.add(st.lam, st.lam.T, out=H)
-        H /= p.N_prime
-
-        # education block sum_aj eps w w^T - row-mean correction, where the
-        # pair vector w has entries w0 = 1-frac at idx, w1 = frac at idx+1
-        # and -1/N at j.  The (idx, idx+1) part is tridiagonal: with
-        # w0^2 = w0 - w0 w1 and w1^2 = w1 - w0 w1 its diagonal is the splat
-        # kappa less the off-diagonal deposit at both ends.  The j-j part is
-        # diagonal; the (node, j) cross part is C + C^T with
-        # C[j, k] = sum_a eps[a, j] w_k, a deposit of eps by teacher.
-        off = np.bincount(op._idx.ravel(), np.multiply(eps, self._w01, out=T).ravel(), minlength=op.grid.n)
-        self._add_tridiagonal(H.reshape(-1), st, off, self.layout)
-        lo, hi = self._split
-        C = self._Q
-        _deposit_into(C.ravel(), T.ravel(), self._by_teacher, lo, hi)
-        H -= np.divide(np.add(C, C.T, out=T), p.N, out=T)
-
-        # row means: student a contributes x x^T with x = sum_j eps[a, j] w / sqrt(m_a),
-        # row a of X = (D - eps/N)/sqrt(m) for D the deposit of eps by student
-        X = self._Q
-        _deposit_into(X.ravel(), T.ravel(), self._by_student, lo, hi)
-        X -= np.divide(eps, p.N, out=T)
-        X *= self._rsqrt_m
-        return self._finish_hessian(eta, X, op.grid.n)
-
-    def _add_tridiagonal(self, Hf: np.ndarray, st: _DualState, off: np.ndarray, lay: _Layout):
-        """Add the diagonal terms and the (idx, idx+1) deposit off to the
-        Newton matrix laid out in the flat Hf as lay says."""
-        p = self.op.params
-        diag = st.lam_row + st.lam_col / p.N_prime ** 2
-        diag += st.kappa - off
-        diag[1:] -= off[:-1]
-        diag += st.eps_col / p.N ** 2
-        Hf[lay.diag] += diag
-        off = off[lay.sup]
-        Hf[lay.upper] += off
-        Hf[lay.lower] += off
-
-    def _finish_hessian(self, eta: float, X: np.ndarray, k: int) -> np.ndarray:
-        """The Newton matrix laid out in _H with a coupled block of order k:
-        the block less X^T X (one symmetric product), all over eta, with
-        the diagonal lifted by 1e-12 of the largest entry.  Returns the
-        block."""
-        n = self.op.grid.n
-        flat = self._H.reshape(-1)[:k * k + n - k]
-        H = flat[:k * k].reshape(k, k)
-        H -= np.matmul(X.T, X, out=self._T.reshape(-1)[:k * k].reshape(k, k))
-        flat /= eta
-        lift = 1e-12 * max(1.0, float(flat.max()), -float(flat.min()))
-        flat[:k * k:k + 1] += lift
-        flat[k * k:] += lift
-        return H
+        """Newton matrix at the state st of the last evaluation, over every
+        pair (_newton_matrix)."""
+        return _newton_matrix(self, self, eta, st)
 
     def _heavy(self, st: _DualState, rel: float):
         """In turn, the masks of the education pairs of the dense state st
@@ -802,14 +749,17 @@ class _KeptPairs:
     flat_e and flat_l are the kept (student, teacher) and (worker,
     manager) pairs as row-major flat int32 indices.  Per pair the tables
     hold E, frac, idx, the teacher, b_L and, for a Newton loop's set, the
-    flat positions of its Hessian deposits in its layout (_Layout: the
-    coupled nodes are every teacher, idx and idx + 1 of a kept education
-    pair and both ends of an off-diagonal kept labor pair).  They, the
-    per-pair weights eps and lam, the split of eps and the scratch are
-    laid out in the dual's block of _split, _P and _L, whose dense
+    flat positions of its Newton-matrix deposits in its layout (_Layout:
+    the coupled nodes are every teacher, idx and idx + 1 of a kept
+    education pair and both ends of an off-diagonal kept labor pair), the
+    tables _newton_matrix reads.  No two kept labor pairs share a
+    position, a (k, k) pair sitting on its node's diagonal, and no two
+    kept education pairs share an X[a, j] position.  The tables, the
+    per-pair weights eps and lam, the split lo, hi of eps and the scratch
+    are laid out in the dual's block of split, _P and _L, whose dense
     contents the next dense evaluation rebuilds, and the flush mask in
-    its _cut, so a warm kept-pair evaluation or Hessian allocates no
-    n x n array.
+    its _cut, so a warm kept-pair evaluation or Newton matrix allocates
+    no n x n array.
 
     A Newton loop's set is chosen from a state st (the dense one, or one
     of a larger kept set): eps and lam start as st's weights at the
@@ -849,7 +799,7 @@ class _KeptPairs:
         self.slot = np.cumsum(first, out=arena.take(ke, np.intp))
         self.slot -= 1
         rows = rows[self.starts]
-        self.m, self.logm, self.rsqrt_m = sd.m[rows], sd.logm[rows], sd._rsqrt_m[rows, 0]
+        self.m, self.logm, self.rsqrt_m = sd.m[rows], sd.logm[rows], sd.rsqrt_m[rows]
         self.layout = None
         if st is not None:
             self._lay_out(arena)
@@ -931,37 +881,9 @@ class _KeptPairs:
         return sd._value_grad(v, eta, self.m @ u, st)
 
     def hessian(self, eta: float, st: _DualState) -> np.ndarray:
-        """The dual's Newton matrix over the kept pairs in its layout, with
-        the dense Hessian's arithmetic: the labor block (lam + lam^T) / N'
-        and C + C^T from pair-by-pair deposits into the block and the
-        decoupled diagonal, the row-mean rows X (one per student with kept
-        pairs, over the coupled nodes) likewise.  Returns the coupled
-        block."""
-        sd, p, n = self.sd, self.sd.op.params, self.sd.op.grid.n
-        k = self.layout.k
-        kk, ke = k * k, self.eps.size
-        Hf, Tf = sd._H.reshape(-1)[:kk + n - k], sd._T.reshape(-1)[:kk + n - k]
-        H, T, Q = Hf[:kk].reshape(k, k), Tf[:kk].reshape(k, k), sd._Q.reshape(-1)[:kk].reshape(k, k)
-        x = self.scratch[:ke]
-        Tf.fill(0.0)
-        np.add.at(Tf, self.by_labor, st.lam)
-        np.add(T, T.T, out=H)
-        np.add(Tf[kk:], Tf[kk:], out=Hf[kk:])
-        Hf /= p.N_prime
-        sd._add_tridiagonal(Hf, st, np.bincount(self.idx, np.multiply(self.lo, self.frac, out=x), minlength=n),
-                            self.layout)
-        T.fill(0.0)  # C
-        np.add.at(Tf, self.by_teacher, self.lo)
-        np.add.at(Tf[1:], self.by_teacher, self.hi)
-        H -= np.divide(np.add(T, T.T, out=Q), p.N, out=Q)
-        X = sd._Q.reshape(-1)[:self.starts.size * k]
-        X.fill(0.0)
-        np.add.at(X, self.by_student, self.lo)
-        np.add.at(X[1:], self.by_student, self.hi)
-        np.subtract.at(X, self.by_col, np.divide(st.eps, p.N, out=x))
-        X = X.reshape(self.starts.size, k)
-        X *= self.rsqrt_m[:, None]
-        return sd._finish_hessian(eta, X, k)
+        """Newton matrix at the state st of the last evaluation, over the
+        kept pairs (_newton_matrix)."""
+        return _newton_matrix(self.sd, self, eta, st)
 
     def _heavy(self, st: _DualState, rel: float):
         """In turn, the masks of this set's education pairs above rel times
@@ -988,6 +910,68 @@ class _KeptPairs:
             if heavy.any():
                 return False
         return True
+
+
+def _newton_matrix(sd: _SmoothedDual, pairs, eta: float, st: _DualState) -> np.ndarray:
+    """The Newton matrix of the dual sd at the state st of its last
+    evaluation, over the pairs that pairs holds (sd itself holds every
+    pair, a _KeptPairs its kept ones), laid out as pairs.layout in sd's
+    work array _H, with the diagonal lifted by 1e-12 of the largest
+    entry.  Returns the coupled block.
+
+    With the pair vectors w (1-frac at idx, frac at idx + 1, -1/N at j)
+    it is [(lam + lam^T) / N' + sum eps w w^T - X^T X] / eta.  The
+    education sum is tridiagonal on (idx, idx + 1): as (1-frac)^2 =
+    (1-frac) - frac (1-frac) and frac^2 = frac - frac (1-frac), its
+    diagonal is the splat kappa less the off-diagonal deposit of
+    eps frac (1-frac) at both ends; it is diagonal on j, and C + C^T
+    across, C[j, idx] the deposit of eps by teacher.  Row a of X, the
+    row-mean term, is the deposit of eps by student less eps/N at the
+    teachers, over sqrt(m_a).  The split lo = eps (1-frac), hi = eps frac
+    that the evaluation left in pairs goes to the positions by_teacher
+    and by_student (hi one position on, at idx + 1) with np.add.at; lam
+    goes to by_labor and -eps/N to by_col by assignment, as no two pairs
+    share one of those positions."""
+    p, n = sd.op.params, sd.op.grid.n
+    lay = pairs.layout
+    k = lay.k
+    kk = k * k
+    Hf, Tf = sd._H.reshape(-1)[:kk + n - k], sd._T.reshape(-1)[:kk + n - k]
+    H, T, Q = Hf[:kk].reshape(k, k), Tf[:kk].reshape(k, k), sd._Q.reshape(-1)[:kk].reshape(k, k)
+    x = sd._T.reshape(-1)[:pairs.idx.size]  # scratch, while _T holds neither the labor block nor C
+    up = min(1, n - 1)  # idx + 1; a one-node grid has none, and there eps frac = 0
+    Tf.fill(0.0)
+    Tf[pairs.by_labor] = st.lam.reshape(-1)
+    np.add(T, T.T, out=H)
+    np.add(Tf[kk:], Tf[kk:], out=Hf[kk:])
+    Hf /= p.N_prime
+    off = np.bincount(pairs.idx, np.multiply(pairs.lo, pairs.frac, out=x), minlength=n)
+    diag = st.lam_row + st.lam_col / p.N_prime ** 2
+    diag += st.kappa - off
+    diag[1:] -= off[:-1]
+    diag += st.eps_col / p.N ** 2
+    Hf[lay.diag] += diag
+    off = off[lay.sup]
+    Hf[lay.upper] += off
+    Hf[lay.lower] += off
+    T.fill(0.0)  # C
+    np.add.at(Tf, pairs.by_teacher, pairs.lo)
+    np.add.at(Tf[up:], pairs.by_teacher, pairs.hi)
+    H -= np.divide(np.add(T, T.T, out=Q), p.N, out=Q)
+    rows = pairs.rsqrt_m.size
+    X = sd._Q.reshape(-1)[:rows * k]
+    X.fill(0.0)
+    np.add.at(X, pairs.by_student, pairs.lo)
+    np.add.at(X[up:], pairs.by_student, pairs.hi)
+    X[pairs.by_col] -= np.divide(st.eps.reshape(-1), p.N, out=x)
+    X = X.reshape(rows, k)
+    X *= pairs.rsqrt_m[:, None]
+    H -= np.matmul(X.T, X, out=T)
+    Hf /= eta
+    lift = 1e-12 * max(1.0, float(Hf.max()), -float(Hf.min()))
+    Hf[:kk:k + 1] += lift
+    Hf[kk:] += lift
+    return H
 
 
 def _newton_step(H: np.ndarray, grad: np.ndarray, lay: _Layout):

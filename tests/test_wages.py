@@ -19,7 +19,7 @@ from pyramid_eq import (
     stability_residuals,
 )
 from pyramid_eq.cli import load_scenario
-from pyramid_eq.model import _deposit_into, _deposit_split, split_positions
+from pyramid_eq.model import split_positions
 from pyramid_eq import wages
 from pyramid_eq.wages import IterationDiverged, WageOperator, _POLISH_DAMPING, _SmoothedDual, _damped_step
 from conftest import make_params, uniform_alpha
@@ -347,25 +347,6 @@ def test_splat_is_adjoint_of_interp(n, theta):
         float(v @ op.splat_from_z(w)), abs=1e-13)
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.intp])
-@pytest.mark.parametrize("theta", [0.5, 0.7])
-@pytest.mark.parametrize("n", [1, 2, 7, 12, 33])
-def test_deposit_into_buffers_equals_deposit_bitwise(n, theta, dtype):
-    # the Hessian's n^2-bin deposits, by teacher and by student, into dirty
-    # caller-owned buffers against the allocating bincount deposit
-    op = WageOperator(make_params(theta=theta), SkillGrid(n, 1.0))
-    rng = np.random.default_rng(n)
-    w = rng.exponential(size=(n, n))
-    lo = (w * (1.0 - op._frac)).ravel()
-    hi = (w * op._frac).ravel()
-    for flat in (op._idx + n * np.arange(n), op._idx + n * np.arange(n)[:, None]):
-        out = rng.normal(size=n * n)
-        scratch = rng.normal(size=n * n)
-        got = _deposit_into(out, scratch, flat.astype(dtype).ravel(), lo, hi)
-        assert got is out
-        assert np.array_equal(got, _deposit_split(flat.ravel(), lo, hi, n * n))
-
-
 def _pair_vectors(op):
     """Explicit pair vectors: education pair (a, j) has (1-frac) at idx,
     frac at idx+1 and -1/N at j; labor pair (i, j) has 1 at i and 1/N' at j."""
@@ -453,14 +434,21 @@ def test_smoothed_dual_value_grad_matches_dense_formulas(n, theta):
 
 
 def test_smoothed_dual_work_arrays_do_not_leak_between_evaluations():
-    # every evaluation overwrites the dual's work arrays, the Hessian's
-    # deposit buffers included; nothing of the previous one may survive
-    # into the next value, gradient or Hessian
-    op, m, d, v1 = _dual_instance(12, 0.5)
+    # every evaluation overwrites the dual's work arrays, the Newton
+    # matrix's deposit buffers included, and a kept set's evaluation and
+    # Newton matrix share them; nothing of the previous ones may survive
+    # into the next dense value, gradient or Newton matrix
+    n = 12
+    op, m, d, v1 = _dual_instance(n, 0.5)
     v2 = v1 + 0.03 * np.sin(7.0 * op.grid.nodes)
     used = _SmoothedDual(op, m, d)
     _, _, st1 = used.value_grad(v1, 0.2)
     used.hessian(0.2, st1)
+    flat_e = (n * np.arange(4)[:, None] + np.arange(4)).astype(np.int32).ravel()  # the low corner
+    flat_l = np.concatenate([[1, n], np.arange(2, n) * (n + 1)]).astype(np.int32)
+    kept = wages._KeptPairs(used, flat_e, flat_l, st1, flat_e, flat_l)
+    kept.hessian(0.1, kept.value_grad(v1 - 0.01, 0.1)[2])
+    assert 0 < kept.layout.k < n
     val, grad, st = used.value_grad(v2, 0.05)
     H = used.hessian(0.05, st)
     fresh = _SmoothedDual(op, m, d)
@@ -645,6 +633,13 @@ def test_a_kept_set_that_couples_no_node_steps_on_the_diagonal():
     assert slope < 0.0
 
 
+def _assert_distinct_positions(kept):
+    # the Newton matrix assigns lam at by_labor and subtracts eps/N at
+    # by_col, which adds each pair's term only if no two pairs share one
+    for pos in (kept.by_labor, kept.by_col):
+        assert np.unique(pos).size == pos.size
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_kept_newton_matrix_is_the_pair_formula_over_its_pairs(seed):
     # for any kept set, the Newton matrix in its layout is the explicit
@@ -661,6 +656,8 @@ def test_kept_newton_matrix_is_the_pair_formula_over_its_pairs(seed):
                                        for a in students])).astype(np.int32)
     flat_l = np.unique(np.concatenate([rng.integers(0, n * n, 2), rng.integers(0, n, 2) * (n + 1)])).astype(np.int32)
     kept = wages._KeptPairs(sd, flat_e, flat_l, st, flat_e, flat_l)
+    _assert_distinct_positions(kept)
+    assert np.any(kept.row_l == kept.col_l)  # (k, k) labor pairs, on the diagonal
     _, grad, st_k = kept.value_grad(v, eta)
     H, lay = kept.hessian(eta, st_k), kept.layout
     assert 0 < lay.k < n
@@ -828,6 +825,7 @@ def test_kept_pair_stages_give_the_all_dense_answer(monkeypatch, config, n):
 
 
 _OPENING, _MINIMIZE = _SmoothedDual._opening, _SmoothedDual.minimize
+_LAY_OUT = wages._KeptPairs._lay_out
 
 
 def _record_stages(monkeypatch, carry=True):
@@ -890,14 +888,24 @@ def test_every_stage_may_open_on_the_set_its_predecessor_checked():
     assert all(b / a <= drop / (drop + wages._KEEP_MARGIN) for a, b in zip(etas, etas[1:]))
 
 
-def test_kept_stages_solve_on_their_coupled_nodes():
+def test_kept_stages_solve_on_their_coupled_nodes(monkeypatch):
     # at n = 256 the supercritical students leave nodes that no kept pair
-    # couples, so every kept stage's Newton systems are smaller than n
+    # couples, so every kept stage's Newton systems are smaller than n;
+    # every kept set laid out for them has distinct deposit positions
     cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=256)
+    laid_out = []
+
+    def lay_out(self, arena):
+        _LAY_OUT(self, arena)
+        _assert_distinct_positions(self)
+        laid_out.append(self.layout.k)
+
+    monkeypatch.setattr(wages._KeptPairs, "_lay_out", lay_out)
     prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
     stages = prof.anneal.stages
     kept = [s for s in stages if s.kept_pairs < 2 * s.n ** 2]
     assert len(kept) >= 5
+    assert len(laid_out) >= len(kept)
     assert all(s.newton_n < s.n for s in kept)
     assert all(s.newton_n == s.n for s in stages if s not in kept)
 
