@@ -313,18 +313,18 @@ def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0):
     Solves a copy of lp whose objective carries a uniform random
     perturbation of size _PROBE_MAGNITUDE from _probe_noise (the packed
     columns are shared, lp is left unchanged), starting from base's
-    optimal basis, which is feasible for the copy, and with base's duals
-    as the prices that pick the first columns.  A generic perturbation
-    makes the perturbed optimum unique; if base's optimum is not, some
-    column with zero reduced cost gets a positive one and the solve
-    pivots away from base.  Reports the total-variation distances between
-    base's coupling pair and the perturbed one, the shift of the optimal
-    value, and the perturbed solve's pivots, status, final column count
-    and pricing rounds.
+    optimal basis, which is feasible for the copy, and its inverse, and
+    with base's duals as the prices that pick the first columns.  A
+    generic perturbation makes the perturbed optimum unique; if base's
+    optimum is not, some column with zero reduced cost gets a positive
+    one and the solve pivots away from base.  Reports the total-variation
+    distances between base's coupling pair and the perturbed one, the
+    shift of the optimal value, and the perturbed solve's pivots, status,
+    final column count and pricing rounds.
     """
     noise = _probe_noise(lp.objective.size, seed, _PROBE_MAGNITUDE)
     pert = solve_lp(replace(lp, objective=lp.objective + noise), basis=base.basis,
-                    prices=np.concatenate([base.u, base.v]))
+                    prices=np.concatenate([base.u, base.v]), basis_inverse=base.basis_inverse)
     nn = lp.n * lp.n
 
     def tv(a: GridCoupling, b: GridCoupling) -> float:

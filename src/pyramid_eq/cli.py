@@ -359,6 +359,7 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
             "bland_switches": sol.bland_switches,
             "refactorizations": sol.refactorizations,
             "nudged": sol.nudged,
+            "start": sol.start,
             "gap": rep.gap,
             "gap_rel": rep.gap_rel,
             "eps_f": rep.eps_f,

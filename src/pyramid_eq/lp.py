@@ -24,17 +24,34 @@ whose reduced cost under those prices is at least -1e-5 max|objective|
 (_SEED_SLACK: 540 of 32,768 columns on demo_small at n = 128) plus the
 starting basis; then it prices all 2n^2 columns under the final duals,
 adds every column that would improve the objective and re-solves from the
-current basis, until none does.  That last pass over all columns is the
-exact optimality certificate, so the restriction approximates nothing.
-Without prices, the first solve already runs on every column.  The
-simplex starts from the diagonal coupling, which is always a basic
-feasible point, so no phase-1 is needed, or from a caller's basis (the
-basis of an earlier solve of an LP with the same constraints).  Entering
-columns use largest-reduced-cost (Dantzig) pricing with first-index ties
-over the active columns, kept in global column order; a run of degenerate
-pivots switches to Bland's rule until progress resumes, which makes the
-solve deterministic and cycle-free.  A pivot entry must exceed 1e-7 times
-the entering column's largest entry, so round-off never enters the basis.
+current basis and its inverse, until none does.  That last pass over all
+columns is the exact optimality certificate, so the restriction
+approximates nothing.  Without prices, the first solve already runs on
+every column.
+
+The simplex starts from a caller's basis (the basis of an earlier solve of
+an LP with the same constraints, with its inverse if the caller has it) or
+from a paired basis: each student's education column at one teacher plus
+the n labor-diagonal columns (k, k).  Every paired basis matrix is
+B = [[I, 0], [E, D]] with D = (1 + 1/N') I, so its inverse
+[[I, 0], [-D^-1 E, D^-1]] is written in O(n^2), without a factorization.
+Given prices, the start is the price assignment basis, a crash basis in
+the sense of Bixby (1992): each student's teacher is the one of largest
+reduced cost under the prices.  Its labor part B^-1 b may be negative; it
+is used only if that part is nonnegative at the nudged b below and above
+the feasibility floor at b itself.  Otherwise, and without prices, the
+start is the diagonal coupling (teacher a for student a), which is always
+a basic feasible point, so no phase-1 is needed.
+
+Entering columns use largest-reduced-cost (Dantzig) pricing with
+first-index ties over the active columns, kept in global column order; a
+run of degenerate pivots switches to Bland's rule until progress resumes,
+which makes the solve deterministic and cycle-free.  A pivot entry must
+exceed 1e-7 times the entering column's largest entry, so round-off never
+enters the basis.  The basis inverse is updated in place, rank 1 per
+pivot, and inverted anew every 100 pivots and at the end of a solve that
+pivoted since; each pricing round starts from the last one's inverse, and
+LPSolution.basis_inverse carries the final one to a warm start.
 
 At delta = 0 the LP is degenerate and its optimal duals, the wages, are
 not unique, so the start basis and the first columns would pick the
@@ -130,6 +147,8 @@ class LPSolution:
     bland_switches: int    # runs of degenerate pivots handed to Bland's rule
     refactorizations: int  # periodic re-inversions of the basis, one per _REFACTOR_EVERY pivots
     nudged: bool           # the basis optimal for the nudged b was kept
+    start: str             # "assignment" | "diagonal" | "given": the first solve's start basis
+    basis_inverse: np.ndarray  # inverse of basis's matrix; solve_lp(basis_inverse=...) starts from it
 
 
 def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
@@ -202,18 +221,50 @@ def _reduced_costs(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, y: np.ndar
     return out
 
 
-def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarray,
-                 shift: np.ndarray, basis: np.ndarray):
-    """Revised simplex on max c@x, A@x = b + shift, x >= 0 from a feasible
-    basis, with A given by its packed columns (rows, vals).
+def _paired_basis(lp: DiscreteLP, teacher: np.ndarray):
+    """The basis of the education columns (a, teacher[a]) and the labor
+    diagonal (k, k), in that order, and its inverse: the basis matrix is
+    [[I, 0], [E, D]] with D diagonal, so the inverse is
+    [[I, 0], [-D^-1 E, D^-1]], written in O(n^2) with no factorization."""
+    n, nn = lp.n, lp.n * lp.n
+    k = np.arange(n)
+    basis = np.concatenate([k * n + teacher, nn + k * n + k])
+    B = _dense_columns(lp.rows, lp.vals, basis, 2 * n)
+    d = B[n + k, n + k]
+    inverse = np.zeros_like(B)
+    inverse[k, k] = 1.0
+    inverse[n:, :n] = B[n:, :n] / -d[:, None]
+    inverse[n + k, n + k] = 1.0 / d
+    return basis, inverse
 
-    Returns (x, y, basis, status, work): x is the final basis's primal at
-    b itself, not at b + shift, and may have slightly negative entries if
-    the shift moved the optimal basis; work is (pivots, degenerate pivots,
-    Bland switches, refactorizations).  Pricing is deterministic: Dantzig
-    with first-index tie-break, falling back to Bland's least-index
-    anti-cycling rule after _BLAND_AFTER consecutive degenerate pivots.
-    A pivot prices and runs its ratio test in buffers allocated once here.
+
+def _price_seed(lp: DiscreteLP, prices: np.ndarray):
+    """The columns whose reduced cost under prices is at least
+    -_SEED_SLACK max|objective|, as a mask, and each student's teacher of
+    largest education reduced cost (first index on ties)."""
+    r = _reduced_costs(lp.objective, lp.rows, lp.vals, prices)
+    n = lp.n
+    # column masks, not np.union1d: numpy's set routines import numpy.ma (~15 ms)
+    seed = r >= -_SEED_SLACK * float(np.abs(lp.objective).max())
+    return seed, r[:n * n].reshape(n, n).argmax(axis=1)
+
+
+def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarray,
+                 shift: np.ndarray, basis: np.ndarray, Binv: np.ndarray | None = None):
+    """Revised simplex on max c@x, A@x = b + shift, x >= 0 from a feasible
+    basis, with A given by its packed columns (rows, vals), and from Binv,
+    the inverse of the basis matrix, if given, which it updates in place.
+
+    Returns (x, y, basis, Binv, status, work): x is the final basis's
+    primal at b itself, not at b + shift, and may have slightly negative
+    entries if the shift moved the optimal basis; Binv is the final basis's
+    inverse, in the given array if there was one, re-inverted only if a
+    pivot was made since it was last formed whole; work is (pivots,
+    degenerate pivots, Bland switches, refactorizations).  Pricing is
+    deterministic: Dantzig with first-index tie-break, falling back to
+    Bland's least-index anti-cycling rule after _BLAND_AFTER consecutive
+    degenerate pivots.  A pivot prices and runs its ratio test in buffers
+    allocated once here.
     """
     m = b.size
     nv = c.size
@@ -222,7 +273,10 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     if basis.shape != (m,):
         raise ValueError(f"a starting basis has {m} columns, not {basis.size}")
     bs = b + shift
-    Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
+    if Binv is None:
+        Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
+    elif Binv.shape != (m, m):
+        raise ValueError(f"a basis inverse is {m} x {m}, not {Binv.shape}")
     xB = Binv @ bs
     if xB.min() < -1e-9 * max(1.0, float(np.abs(bs).max())):
         raise ValueError("the starting basis is not primal feasible")
@@ -238,7 +292,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
 
     while True:
         if iterations and iterations % _REFACTOR_EVERY == 0:
-            Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
+            Binv[...] = np.linalg.inv(_dense_columns(rows, vals, basis, m))
             xB = Binv @ bs
             xB[np.abs(xB) < 1e-14] = 0.0
             refactors += 1
@@ -297,27 +351,31 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
         if iterations > max_iter:
             raise RuntimeError("simplex exceeded its iteration budget")
 
-    Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
+    if iterations % _REFACTOR_EVERY:      # pivots since Binv was last formed whole
+        Binv[...] = np.linalg.inv(_dense_columns(rows, vals, basis, m))
     xB = Binv @ b                         # the primal at the true right-hand side
     xB[np.abs(xB) < 1e-13] = 0.0
     y = c[basis] @ Binv
     x = np.zeros(nv)
     x[basis] = xB
-    return x, y, basis, status, (iterations, degenerate, switches, refactors)
+    return x, y, basis, Binv, status, (iterations, degenerate, switches, refactors)
 
 
 def _generate_columns(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray,
-                      active: np.ndarray, work: list):
-    """Column generation on A@x = b + shift from basis over the active
-    columns: restricted solves, each followed by pricing all columns under
-    its duals, until none improves the objective.  Adds each solve's work
-    counts to work; returns (x, y, basis, status, active, rounds)."""
+                      Binv: np.ndarray | None, active: np.ndarray, work: list):
+    """Column generation on A@x = b + shift from basis (and its inverse
+    Binv, if given, updated in place) over the active columns: restricted
+    solves, each followed by pricing all columns under its duals, until
+    none improves the objective; each solve starts from the last one's
+    basis and inverse.  Adds each solve's work counts to work; returns
+    (x, y, basis, Binv, status, active, rounds)."""
     c, rows, vals = lp.objective, lp.rows, lp.vals
     rounds = 0
     while True:
         rounds += 1
-        xa, y, local, status, counts = _simplex_max(c[active], rows[:, active], vals[:, active],
-                                                    lp.b, shift, np.searchsorted(active, basis))
+        xa, y, local, Binv, status, counts = _simplex_max(
+            c[active], rows[:, active], vals[:, active], lp.b, shift,
+            np.searchsorted(active, basis), Binv)
         work[:] = [w + k for w, k in zip(work, counts)]
         basis = active[local]
         if status != "optimal" or active.size == c.size:
@@ -331,51 +389,73 @@ def _generate_columns(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray,
         active = np.flatnonzero(grow)
     x = np.zeros(c.size)
     x[active] = xa
-    return x, y, basis, status, active, rounds
+    return x, y, basis, Binv, status, active, rounds
 
 
 def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
-             prices: np.ndarray | None = None) -> LPSolution:
+             prices: np.ndarray | None = None,
+             basis_inverse: np.ndarray | None = None) -> LPSolution:
     """Solve the assembled LP to an optimal basic solution with duals.
 
-    The simplex starts from the diagonal coupling, or from `basis` when
-    given: the final basis of a solve of an LP with the same A and b
-    (a warm start, as for a perturbed objective).  `prices`, a 2n vector
-    of approximate row prices (student rows first, as u then v), restricts
-    the first solve to the columns they mark as near-tight plus the
-    starting basis; columns are then added by pricing over all of them
-    until none improves the objective.  Without prices every column is
-    active from the start.  The solve runs on the nudged right-hand side
-    and reports the primal at lp.b; if that primal is infeasible, it
-    re-solves from the same start without the nudge (nudged = False).
+    The simplex starts from `basis` when given: the final basis of a solve
+    of an LP with the same A and b (a warm start, as for a perturbed
+    objective), and from `basis_inverse`, the inverse of its basis matrix
+    (that solve's LPSolution.basis_inverse), instead of inverting it
+    anew.  `prices`, a 2n vector of approximate row prices (student rows
+    first, as u then v), restricts the first solve to the columns they
+    mark as near-tight plus the starting basis; columns are then added by
+    pricing over all of them until none improves the objective.  Without
+    prices every column is active from the start.  Without a basis, the
+    start is the price assignment basis (each student's education column
+    at the teacher of largest reduced cost under the prices, plus the
+    labor diagonal) if it is primal feasible, and the diagonal coupling
+    otherwise or without prices; both are inverted in closed form.
+    LPSolution.start names the start taken.  The solve runs on the nudged
+    right-hand side and reports the primal at lp.b; if that primal is
+    infeasible, it re-solves from the same start without the nudge
+    (nudged = False).
     """
     n = lp.n
     nn = n * n
     c, rows, vals = lp.objective, lp.rows, lp.vals
-    if basis is None:
-        diag = np.arange(n)
-        basis = np.concatenate([diag * n + diag, nn + diag * n + diag])
-    basis = np.asarray(basis, dtype=np.intp)
-    if prices is None:
-        active = np.arange(c.size)
-    else:
+    floor = -_FEAS_TOL * float(np.abs(lp.b).max())
+    shift = np.zeros(lp.b.size)
+    shift[n:] = _NUDGE * (1.0 + np.arange(1, n + 1) / n)
+    if prices is not None:
         prices = np.asarray(prices, dtype=float)
         if prices.shape != lp.b.shape:
             raise ValueError(f"prices must have {lp.b.size} entries, one per row")
-        # column masks, not np.union1d: numpy's set routines import numpy.ma (~15 ms)
-        seed = _reduced_costs(c, rows, vals, prices) >= -_SEED_SLACK * float(np.abs(c).max())
+        seed, assigned = _price_seed(lp, prices)
+    if basis is not None:
+        start, basis = "given", np.asarray(basis, dtype=np.intp)
+        if basis_inverse is not None:
+            basis_inverse = np.array(basis_inverse, dtype=float)  # the caller's is kept as it is
+    elif basis_inverse is not None:
+        raise ValueError("a basis inverse needs its basis")
+    else:
+        start = "diagonal"
+        if prices is not None:
+            basis, basis_inverse = _paired_basis(lp, assigned)
+            # feasible at the nudged b, and at b for a re-solve without the nudge
+            labor = basis_inverse[n:]
+            if (labor @ (lp.b + shift)).min() >= 0.0 and (labor @ lp.b).min() >= floor:
+                start = "assignment"
+        if start == "diagonal":
+            basis, basis_inverse = _paired_basis(lp, np.arange(n))
+    if prices is None:
+        active = np.arange(c.size)
+    else:
         seed[basis] = True
         active = np.flatnonzero(seed)
 
     work = [0, 0, 0, 0]
-    floor = -_FEAS_TOL * float(np.abs(lp.b).max())
-    shift = np.zeros(lp.b.size)
-    shift[n:] = _NUDGE * (1.0 + np.arange(1, n + 1) / n)
-    x, y, final, status, active_end, rounds = _generate_columns(lp, shift, basis, active, work)
+    x, y, final, Binv, status, active_end, rounds = _generate_columns(
+        lp, shift, basis, basis_inverse, active, work)
     nudged = status != "optimal" or bool(x.min() >= floor)
     if not nudged:
-        x, y, final, status, active_end, more = _generate_columns(lp, np.zeros(lp.b.size),
-                                                                  basis, active, work)
+        # the first solve updated basis_inverse in place, so the start is inverted anew
+        x, y, final, Binv, status, active_end, more = _generate_columns(
+            lp, np.zeros(lp.b.size), basis, None, active, work)
         rounds += more
         if status == "optimal" and x.min() < floor:
             raise RuntimeError("the optimal basis is not primal feasible")
@@ -387,12 +467,14 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
     lam = GridCoupling.from_dense(xl).canonical()
     value = float(c @ x)
     dual_value = float(y @ lp.b)
-    Ax = np.bincount(rows.ravel(), weights=(vals * x).ravel(), minlength=lp.b.size)
+    # over the nonzero columns only, in the same slot and column order as over all
+    nz = np.flatnonzero(x)
+    Ax = np.bincount(rows[:, nz].ravel(), weights=(vals[:, nz] * x[nz]).ravel(), minlength=lp.b.size)
     resid = float(np.abs(Ax - lp.b).max())
     iters, degenerate, switches, refactors = work
     return LPSolution(eps, lam, y[:n].copy(), y[n:].copy(), value, dual_value,
                       status, iters, resid, final, int(active_end.size), rounds,
-                      degenerate, switches, refactors, nudged)
+                      degenerate, switches, refactors, nudged, start, Binv)
 
 
 @dataclass(eq=False)

@@ -482,9 +482,9 @@ def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c_used):
         assembled.append((lp, lp.objective.copy()))
         return lp
 
-    def recording_solve(lp, basis=None, prices=None):
+    def recording_solve(lp, basis=None, prices=None, basis_inverse=None):
         solved.append(lp)
-        return solve(lp, basis=basis, prices=prices)
+        return solve(lp, basis=basis, prices=prices, basis_inverse=basis_inverse)
 
     for mod in (lp_mod, cli):
         monkeypatch.setattr(mod, "assemble_primal", recording_assemble)

@@ -235,6 +235,10 @@ def test_warm_start_rejects_a_bad_basis():
         solve_lp(lp, basis=np.arange(3))
     with pytest.raises(ValueError, match="one per row"):
         solve_lp(lp, prices=np.zeros(lp.n))
+    with pytest.raises(ValueError, match="needs its basis"):
+        solve_lp(lp, basis_inverse=np.eye(2 * lp.n))
+    with pytest.raises(ValueError, match="inverse"):
+        solve_lp(lp, basis=solve_lp(lp).basis, basis_inverse=np.eye(3))
     # optimal for other marginals, infeasible for these
     other = solve_lp(assemble_primal(params, linear_alpha(grid), grid, 0.05))
     with pytest.raises(ValueError, match="not primal feasible"):
@@ -354,12 +358,58 @@ def test_three_starts_end_on_the_same_duals(path):
     lp, prof = _certificate_instance(path, 128)
     prices = np.concatenate([prof.u, prof.v])
     full = solve_lp(lp)
-    seeded = solve_lp(lp, prices=prices)
+    # price-seeded from the diagonal start, given, since without a basis
+    # the seeded solve starts from the price assignment basis
+    n, diag = lp.n, np.arange(lp.n)
+    seeded = solve_lp(lp, basis=np.concatenate([diag * n + diag, n * n + diag * n + diag]),
+                      prices=prices)
     crash = solve_lp(lp, basis=_crash_basis(lp, prof), prices=prices)
     for sol in (seeded, crash):
         _assert_same_optimum(sol, full)
         assert sol.nudged
     assert crash.iterations < seeded.iterations < full.iterations
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32])
+@pytest.mark.parametrize("N", [1.0, 10.0])
+def test_paired_basis_inverse_matches_a_factorization(n, N):
+    params = make_params(N=N, N_prime=3.0, c=0.5)
+    grid = SkillGrid(n, 1.0)
+    lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
+    rng = np.random.default_rng(n)
+    for teacher in (np.arange(n), rng.integers(0, n, n), np.full(n, n - 1)):
+        basis, inverse = lp_mod._paired_basis(lp, teacher)
+        ref = np.linalg.inv(lp_mod._dense_columns(lp.rows, lp.vals, basis, 2 * n))
+        assert np.abs(inverse - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_an_infeasible_assignment_basis_falls_back_to_the_diagonal():
+    # at c = 0 the assignment basis leaves a labor entry at -8.5e-3
+    lp, prof = _certificate_instance(C0_CONFIG, 32)
+    seeded = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
+    assert seeded.start == "diagonal"
+    _assert_same_optimum(seeded, solve_lp(lp))
+
+
+def test_the_certificate_hands_its_inverse_to_the_probe(monkeypatch):
+    from pyramid_eq import uniqueness_probe
+    lp, prof = _certificate_instance(os.path.join(CONFIGS, "demo_small.toml"), 128)
+    inverses = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    cert = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
+    assert cert.start == "assignment"
+    certified = len(inverses)
+    probe = uniqueness_probe(lp, cert, seed=1)
+    assert len(inverses) == certified <= 2
+    assert probe["pivots"] == 0 and probe["tv_eps"] == probe["tv_lam"] == 0.0
+    assert uniqueness_probe(lp, replace(cert, basis_inverse=None), seed=1) == probe
+    assert len(inverses) == certified + 1
 
 
 def test_seeded_and_full_solves_agree_on_a_lattice():
