@@ -213,8 +213,7 @@ def _curve_from_config(sec, values, k_top, where, base_dir) -> UtilityCurve:
     raise ConfigError(f"{where(sec, 'kind')}: unknown curve kind {kind!r}")
 
 
-def load_scenario(path: str, *, out_override=None, grid_n_override=None,
-                  delta_override=None) -> ScenarioConfig:
+def load_scenario(path: str, *, out_override=None, grid_n_override=None) -> ScenarioConfig:
     values, where = _read_sections(path)
     base_dir = os.path.dirname(os.path.abspath(path))
 
@@ -257,11 +256,8 @@ def load_scenario(path: str, *, out_override=None, grid_n_override=None,
     except ValueError as exc:
         raise ConfigError(f"{at}: {exc}")
 
-    solver_values = dict(values["solver"])
-    if delta_override is not None:
-        solver_values["delta"] = float(delta_override)
     try:
-        solver = SolverConfig(**solver_values)
+        solver = SolverConfig(**values["solver"])
     except ValueError as exc:
         raise ConfigError(f"{where('solver')}: [solver] {exc}")
 
@@ -611,7 +607,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="scenario config path")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--grid-n", type=int, default=None, help="grid size override")
-        p.add_argument("--delta", type=float, default=None, help="delta override")
         p.add_argument("--quiet", action="store_true")
         if name == "phase":
             p.add_argument("--solve", action="store_true",
@@ -619,8 +614,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = load_scenario(args.config, out_override=args.out,
-                            grid_n_override=args.grid_n, delta_override=args.delta)
+        cfg = load_scenario(args.config, out_override=args.out, grid_n_override=args.grid_n)
         if args.command == "solve":
             return run_solve(cfg, quiet=args.quiet)
         if args.command == "validate":

@@ -48,10 +48,13 @@ first-index ties over the active columns, kept in global column order; a
 run of degenerate pivots switches to Bland's rule until progress resumes,
 which makes the solve deterministic and cycle-free.  A pivot entry must
 exceed 1e-7 times the entering column's largest entry, so round-off never
-enters the basis.  The basis inverse is updated in place, rank 1 per
-pivot, and inverted anew every 100 pivots and at the end of a solve that
-pivoted since; each pricing round starts from the last one's inverse, and
-LPSolution.basis_inverse carries the final one to a warm start.
+enters the basis.  The start's inverse is formed whole once and updated
+in place, rank 1 per pivot; when pricing claims an exit (no entering
+column, or an unbounded one) on an updated inverse, the inverse is formed
+anew and the basis priced again, so a solve exits, and decides
+optimality, only on an inverse formed whole.  Each pricing round starts
+from the last one's inverse; LPSolution.basis_inverse carries the final
+one to a warm start.
 
 At delta = 0 the LP is degenerate and its optimal duals, the wages, are
 not unique, so the start basis and the first columns would pick the
@@ -98,8 +101,6 @@ _OPT_TOL = 1e-9
 # |entry|; a ratio-test step at or below _PIV_TOL is degenerate
 _PIV_TOL = 1e-11
 _PIV_REL = 1e-7
-# pivots between refactorizations of the basis inverse
-_REFACTOR_EVERY = 100
 # consecutive degenerate pivots before Bland's rule takes over
 _BLAND_AFTER = 60
 
@@ -145,7 +146,7 @@ class LPSolution:
     pricing_rounds: int    # restricted solves, each followed by a pass over all columns
     degenerate_pivots: int  # pivots whose ratio-test step was at most _PIV_TOL
     bland_switches: int    # runs of degenerate pivots handed to Bland's rule
-    refactorizations: int  # periodic re-inversions of the basis, one per _REFACTOR_EVERY pivots
+    refactorizations: int  # re-inversions of an updated basis inverse on which pricing claimed an exit
     nudged: bool           # the basis optimal for the nudged b was kept
     start: str             # "assignment" | "diagonal" | "given": the first solve's start basis
     basis_inverse: np.ndarray  # inverse of basis's matrix; solve_lp(basis_inverse=...) starts from it
@@ -250,33 +251,29 @@ def _price_seed(lp: DiscreteLP, prices: np.ndarray):
 
 
 def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarray,
-                 shift: np.ndarray, basis: np.ndarray, Binv: np.ndarray | None = None):
+                 shift: np.ndarray, basis: np.ndarray, Binv: np.ndarray):
     """Revised simplex on max c@x, A@x = b + shift, x >= 0 from a feasible
-    basis, with A given by its packed columns (rows, vals), and from Binv,
-    the inverse of the basis matrix, if given, which it updates in place.
+    basis and Binv, its matrix's inverse formed whole, with A given by its
+    packed columns (rows, vals).  Binv is updated in place, rank 1 per
+    pivot; when pricing finds no entering column, or an unbounded one, on
+    an updated Binv, Binv is formed anew from the basis's columns, x_B
+    recomputed and the basis priced again, so the solve ends only on an
+    inverse formed whole.
 
     Returns (x, y, basis, Binv, status, work): x is the final basis's
     primal at b itself, not at b + shift, and may have slightly negative
-    entries if the shift moved the optimal basis; Binv is the final basis's
-    inverse, in the given array if there was one, re-inverted only if a
-    pivot was made since it was last formed whole; work is (pivots,
-    degenerate pivots, Bland switches, refactorizations).  Pricing is
-    deterministic: Dantzig with first-index tie-break, falling back to
-    Bland's least-index anti-cycling rule after _BLAND_AFTER consecutive
-    degenerate pivots.  A pivot prices and runs its ratio test in buffers
-    allocated once here.
+    entries if the shift moved the optimal basis; Binv is the given array,
+    holding the final basis's inverse; work is (pivots, degenerate pivots,
+    Bland switches, re-inversions).  Pricing is deterministic: Dantzig with
+    first-index tie-break, falling back to Bland's least-index anti-cycling
+    rule after _BLAND_AFTER consecutive degenerate pivots.  A pivot prices
+    and runs its ratio test in buffers allocated once here.
     """
     m = b.size
     nv = c.size
     rows = rows.astype(np.intp)           # cast once, not in every pricing gather
     basis = np.array(basis, dtype=np.intp)
-    if basis.shape != (m,):
-        raise ValueError(f"a starting basis has {m} columns, not {basis.size}")
     bs = b + shift
-    if Binv is None:
-        Binv = np.linalg.inv(_dense_columns(rows, vals, basis, m))
-    elif Binv.shape != (m, m):
-        raise ValueError(f"a basis inverse is {m} x {m}, not {Binv.shape}")
     xB = Binv @ bs
     if xB.min() < -1e-9 * max(1.0, float(np.abs(bs).max())):
         raise ValueError("the starting basis is not primal feasible")
@@ -284,41 +281,37 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
 
     iterations = degenerate = switches = refactors = 0
     degenerate_run = 0
-    bland = False
+    bland = updated = False               # updated: pivots changed Binv since it was formed
     max_iter = 400 * m + 20000
     cB = c[basis]                         # kept in step with basis
     y, ratios, pos = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
     r, Y = np.empty(nv), np.empty(nv)
 
     while True:
-        if iterations and iterations % _REFACTOR_EVERY == 0:
-            Binv[...] = np.linalg.inv(_dense_columns(rows, vals, basis, m))
-            xB = Binv @ bs
-            xB[np.abs(xB) < 1e-14] = 0.0
-            refactors += 1
-
         np.matmul(cB, Binv, out=y)
         _reduced_costs(c, rows, vals, y, out=r, scratch=Y)
         r[basis] = 0.0
 
-        if bland:
-            improving = np.nonzero(r > _OPT_TOL)[0]
-            if improving.size == 0:
-                status = "optimal"
-                break
-            enter = int(improving[0])
+        # Bland takes the first improving column, Dantzig the largest
+        enter = int((r > _OPT_TOL).argmax() if bland else r.argmax())
+        if r[enter] <= _OPT_TOL:
+            status = "optimal"
         else:
-            enter = int(r.argmax())
-            if r[enter] <= _OPT_TOL:
-                status = "optimal"
+            d = Binv[:, rows[:, enter]] @ vals[:, enter]
+            # relative to the column's scale, so a round-off entry never pivots
+            piv_tol = max(_PIV_TOL, _PIV_REL * max(float(d.max()), -float(d.min())))
+            status = None if np.greater(d, piv_tol, out=pos).any() else "unbounded"
+        if status:
+            if not updated:
                 break
+            # an exit is claimed on an updated inverse: form it anew, price again
+            Binv[...] = np.linalg.inv(_dense_columns(rows, vals, basis, m))
+            xB = Binv @ bs
+            xB[np.abs(xB) < 1e-14] = 0.0
+            refactors += 1
+            updated = False
+            continue
 
-        d = Binv[:, rows[:, enter]] @ vals[:, enter]
-        # relative to the column's scale, so a round-off entry never pivots
-        piv_tol = max(_PIV_TOL, _PIV_REL * max(float(d.max()), -float(d.min())))
-        if not np.greater(d, piv_tol, out=pos).any():
-            status = "unbounded"
-            break
         ratios.fill(np.inf)
         theta = np.divide(xB, d, out=ratios, where=pos).min()
         ties = (ratios <= theta + 1e-12 * (1.0 + abs(theta))).nonzero()[0]
@@ -337,6 +330,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
         basis[leave] = enter
         cB[leave] = c[enter]
         iterations += 1
+        updated = True
 
         if theta <= _PIV_TOL:
             degenerate += 1
@@ -351,23 +345,20 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
         if iterations > max_iter:
             raise RuntimeError("simplex exceeded its iteration budget")
 
-    if iterations % _REFACTOR_EVERY:      # pivots since Binv was last formed whole
-        Binv[...] = np.linalg.inv(_dense_columns(rows, vals, basis, m))
     xB = Binv @ b                         # the primal at the true right-hand side
     xB[np.abs(xB) < 1e-13] = 0.0
-    y = c[basis] @ Binv
     x = np.zeros(nv)
     x[basis] = xB
     return x, y, basis, Binv, status, (iterations, degenerate, switches, refactors)
 
 
 def _generate_columns(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray,
-                      Binv: np.ndarray | None, active: np.ndarray, work: list):
-    """Column generation on A@x = b + shift from basis (and its inverse
-    Binv, if given, updated in place) over the active columns: restricted
-    solves, each followed by pricing all columns under its duals, until
-    none improves the objective; each solve starts from the last one's
-    basis and inverse.  Adds each solve's work counts to work; returns
+                      Binv: np.ndarray, active: np.ndarray, work: list):
+    """Column generation on A@x = b + shift from basis and its inverse
+    Binv, updated in place, over the active columns: restricted solves,
+    each followed by pricing all columns under its duals, until none
+    improves the objective; each solve starts from the last one's basis
+    and inverse.  Adds each solve's work counts to work; returns
     (x, y, basis, Binv, status, active, rounds)."""
     c, rows, vals = lp.objective, lp.rows, lp.vals
     rounds = 0
@@ -392,6 +383,33 @@ def _generate_columns(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray,
     return x, y, basis, Binv, status, active, rounds
 
 
+def _start(lp: DiscreteLP, shift: np.ndarray, floor: float, basis: np.ndarray | None,
+           basis_inverse: np.ndarray | None, assigned: np.ndarray | None):
+    """The start of a solve on A@x = b + shift, as (name, basis, inverse),
+    with the inverse formed whole in a new array: a copy of basis_inverse,
+    or np.linalg.inv for a bare basis; without a basis, the paired basis of
+    the teachers assigned if it is feasible at b + shift and above floor at
+    b, else the diagonal coupling, both in closed form."""
+    m = lp.b.size
+    if basis is not None:
+        basis = np.asarray(basis, dtype=np.intp)
+        if basis.shape != (m,):
+            raise ValueError(f"a starting basis has {m} columns, not {basis.size}")
+        if basis_inverse is None:
+            return "given", basis, np.linalg.inv(_dense_columns(lp.rows, lp.vals, basis, m))
+        if np.shape(basis_inverse) != (m, m):
+            raise ValueError(f"a basis inverse is {m} x {m}, not {np.shape(basis_inverse)}")
+        return "given", basis, np.array(basis_inverse, dtype=float)
+    if basis_inverse is not None:
+        raise ValueError("a basis inverse needs its basis")
+    if assigned is not None:
+        basis, inverse = _paired_basis(lp, assigned)
+        labor = inverse[lp.n:]
+        if (labor @ (lp.b + shift)).min() >= 0.0 and (labor @ lp.b).min() >= floor:
+            return "assignment", basis, inverse
+    return ("diagonal", *_paired_basis(lp, np.arange(lp.n)))
+
+
 def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
              prices: np.ndarray | None = None,
              basis_inverse: np.ndarray | None = None) -> LPSolution:
@@ -399,21 +417,21 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
 
     The simplex starts from `basis` when given: the final basis of a solve
     of an LP with the same A and b (a warm start, as for a perturbed
-    objective), and from `basis_inverse`, the inverse of its basis matrix
-    (that solve's LPSolution.basis_inverse), instead of inverting it
-    anew.  `prices`, a 2n vector of approximate row prices (student rows
-    first, as u then v), restricts the first solve to the columns they
-    mark as near-tight plus the starting basis; columns are then added by
-    pricing over all of them until none improves the objective.  Without
-    prices every column is active from the start.  Without a basis, the
-    start is the price assignment basis (each student's education column
-    at the teacher of largest reduced cost under the prices, plus the
-    labor diagonal) if it is primal feasible, and the diagonal coupling
-    otherwise or without prices; both are inverted in closed form.
-    LPSolution.start names the start taken.  The solve runs on the nudged
-    right-hand side and reports the primal at lp.b; if that primal is
-    infeasible, it re-solves from the same start without the nudge
-    (nudged = False).
+    objective), and from a copy of `basis_inverse`, the inverse of its
+    basis matrix (that solve's LPSolution.basis_inverse), instead of
+    inverting it anew.  `prices`, a 2n vector of approximate row prices
+    (student rows first, as u then v), restricts the first solve to the
+    columns they mark as near-tight plus the starting basis; columns are
+    then added by pricing over all of them until none improves the
+    objective.  Without prices every column is active from the start.
+    Without a basis, the start is the price assignment basis (each
+    student's education column at the teacher of largest reduced cost
+    under the prices, plus the labor diagonal) if it is primal feasible,
+    and the diagonal coupling otherwise or without prices; both are
+    inverted in closed form.  LPSolution.start names the start taken.  The
+    solve runs on the nudged right-hand side and reports the primal at
+    lp.b; if that primal is infeasible, it re-solves from the same start,
+    formed again, without the nudge (nudged = False).
     """
     n = lp.n
     nn = n * n
@@ -421,41 +439,28 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
     floor = -_FEAS_TOL * float(np.abs(lp.b).max())
     shift = np.zeros(lp.b.size)
     shift[n:] = _NUDGE * (1.0 + np.arange(1, n + 1) / n)
+    assigned = None
     if prices is not None:
         prices = np.asarray(prices, dtype=float)
         if prices.shape != lp.b.shape:
             raise ValueError(f"prices must have {lp.b.size} entries, one per row")
         seed, assigned = _price_seed(lp, prices)
-    if basis is not None:
-        start, basis = "given", np.asarray(basis, dtype=np.intp)
-        if basis_inverse is not None:
-            basis_inverse = np.array(basis_inverse, dtype=float)  # the caller's is kept as it is
-    elif basis_inverse is not None:
-        raise ValueError("a basis inverse needs its basis")
-    else:
-        start = "diagonal"
-        if prices is not None:
-            basis, basis_inverse = _paired_basis(lp, assigned)
-            # feasible at the nudged b, and at b for a re-solve without the nudge
-            labor = basis_inverse[n:]
-            if (labor @ (lp.b + shift)).min() >= 0.0 and (labor @ lp.b).min() >= floor:
-                start = "assignment"
-        if start == "diagonal":
-            basis, basis_inverse = _paired_basis(lp, np.arange(n))
+    start, first, Binv = _start(lp, shift, floor, basis, basis_inverse, assigned)
     if prices is None:
         active = np.arange(c.size)
     else:
-        seed[basis] = True
+        seed[first] = True
         active = np.flatnonzero(seed)
 
     work = [0, 0, 0, 0]
     x, y, final, Binv, status, active_end, rounds = _generate_columns(
-        lp, shift, basis, basis_inverse, active, work)
+        lp, shift, first, Binv, active, work)
     nudged = status != "optimal" or bool(x.min() >= floor)
     if not nudged:
-        # the first solve updated basis_inverse in place, so the start is inverted anew
+        # the first solve updated the start's inverse in place, so it is formed again
+        Binv = _start(lp, shift, floor, basis, basis_inverse, assigned)[2]
         x, y, final, Binv, status, active_end, more = _generate_columns(
-            lp, np.zeros(lp.b.size), basis, None, active, work)
+            lp, np.zeros(lp.b.size), first, Binv, active, work)
         rounds += more
         if status == "optimal" and x.min() < floor:
             raise RuntimeError("the optimal basis is not primal feasible")

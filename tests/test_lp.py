@@ -464,3 +464,58 @@ def test_a_nudge_that_moves_the_basis_falls_back_to_the_true_b(monkeypatch):
     assert sol.status == "optimal" and sol.iterations > ref.iterations
     assert abs(sol.value - ref.value) <= 1e-12 and sol.feasibility_residual <= 1e-12
     assert sol.eps.weights.min() >= 0.0 and sol.lam.weights.min() >= 0.0
+
+
+def _solve_from_a_noisy_start(error, seed):
+    """A clean solve of a 16-node LP, from the diagonal start, and a solve
+    from the same basis given its inverse off by a relative error."""
+    params = make_params(N=4.0, N_prime=2.0, c=0.7)
+    grid = SkillGrid(16, 1.0)
+    lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
+    clean = solve_lp(lp)
+    assert clean.start == "diagonal" and clean.iterations >= 1
+    basis, inverse = lp_mod._paired_basis(lp, np.arange(lp.n))
+    noisy = inverse * (1.0 + error * np.random.default_rng(seed).standard_normal(inverse.shape))
+    return clean, solve_lp(lp, basis=basis, basis_inverse=noisy)
+
+
+def test_a_start_inverse_with_an_error_is_formed_anew_before_the_exit():
+    # pricing may claim an exit only on an inverse formed whole, so an
+    # error in the caller's inverse does not reach the duals
+    clean, sol = _solve_from_a_noisy_start(1e-10, 0)
+    assert sol.status == "optimal" and sol.refactorizations >= 1
+    assert abs(sol.value - clean.value) <= 1e-12
+    assert np.abs(sol.u - clean.u).max() <= 1e-12 and np.abs(sol.v - clean.v).max() <= 1e-12
+
+
+def test_an_exit_claimed_on_a_drifted_inverse_is_priced_again():
+    # off by 0.3 %, the updated inverse claims optimality on a basis that
+    # is not optimal; formed anew, it prices more pivots in.  Closing the
+    # solve with an inversion but no second pricing ended 4.3e-4 below the
+    # optimal value here
+    clean, sol = _solve_from_a_noisy_start(3e-3, 1)
+    assert sol.status == "optimal" and sol.refactorizations >= 2
+    assert abs(sol.value - clean.value) <= 1e-12 and sol.feasibility_residual <= 1e-12
+
+
+def test_a_paired_start_solve_inverts_only_before_an_exit(monkeypatch):
+    # the diagonal start is formed in closed form, also for the restart
+    # without the nudge, so each np.linalg.inv is the exit rule's
+    inverses = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    lp, _ = _certificate_instance(os.path.join(CONFIGS, "demo_small.toml"), 32)
+    full = solve_lp(lp)
+    assert full.iterations > 100 and full.refactorizations == len(inverses) == 1
+    params = make_params(N=4.0, N_prime=2.0, c=0.7)
+    grid = SkillGrid(8, 1.0)
+    lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
+    monkeypatch.setattr(lp_mod, "_NUDGE", 0.1)
+    inverses.clear()
+    sol = solve_lp(lp)
+    assert not sol.nudged and sol.refactorizations == len(inverses) == 2

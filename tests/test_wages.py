@@ -1148,3 +1148,48 @@ def test_oracle_equivalence_degenerate_instance_certificate_level():
     assert rep.gap <= 1e-9
     assert abs(rep.eps_f) <= 1e-9 and abs(rep.lam_g) <= 1e-9
     assert prof.envelope_residual <= 1e-9
+
+
+def test_a_stalled_polish_restarts_from_the_seed_and_gives_up(monkeypatch):
+    # a map that moves v by its damping every step never decays, so each
+    # 250-step lookback after the first finds a stall
+    calls = []
+
+    def stalled(op, v, damping):
+        calls.append((v.copy(), damping))
+        return v + damping
+
+    monkeypatch.setattr(wages, "_damped_step", stalled)
+    seed = np.linspace(0.0, 1.0, 5)
+    v, converged, polish = wages._bellman_polish(None, 1e-9, seed)
+    assert not converged
+    assert polish.restarts == 3 and polish.iterations == len(calls) == 2000
+    assert polish.damping == _POLISH_DAMPING / 8
+    assert polish.last_change == pytest.approx(polish.damping, rel=1e-12)
+    # each restart starts from the seed with the damping halved
+    for run in range(4):
+        v_in, damping = calls[500 * run]
+        assert np.array_equal(v_in, seed) and damping == _POLISH_DAMPING / 2 ** run
+        assert all(d == damping for _, d in calls[500 * run:500 * (run + 1)])
+    assert v == pytest.approx(seed + 500 * polish.damping, rel=1e-12)
+    # solve_wages reports the stall as a profile that did not converge
+    params = make_params()
+    grid = SkillGrid(4, 1.0)
+    prof = solve_wages(params, uniform_alpha(grid), grid, SolverConfig())
+    assert not prof.converged and prof.polish.restarts == 3
+
+
+def test_newton_step_falls_back_to_steepest_descent():
+    grad = np.array([1.0, -2.0, 3.0, 0.5])
+    # nodes 0 and 2 coupled, 1 and 3 on the diagonal (h = 2, 4)
+    lay = wages._Layout(2, np.array([0, 2]), np.array([1, 3]), np.array([2.0, 4.0]), None, None, None, None)
+    # a regular block: a solve on the coupled nodes, -g_k / h_k on the others
+    step, slope = wages._newton_step(np.diag([2.0, 3.0]), grad, lay)
+    assert np.array_equal(step, [-0.5, 1.0, -1.0, -0.125]) and slope == float(grad @ step) < 0.0
+    # a singular block raises LinAlgError in the solve: every node steps by -grad
+    step, slope = wages._newton_step(np.ones((2, 2)), grad, lay)
+    assert np.array_equal(step, -grad) and slope == -float(grad @ grad)
+    # with a negative definite block the Newton direction (1, 1, 3, -0.125)
+    # has slope 7.9375 >= 0: it is replaced by -grad
+    step, slope = wages._newton_step(-np.eye(2), grad, lay)
+    assert np.array_equal(step, -grad) and slope == -float(grad @ grad)
