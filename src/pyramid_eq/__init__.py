@@ -41,24 +41,19 @@ from .analysis import (
     DensityReport,
     OccupationSplit,
     SpecializationReport,
-    TeacherMap,
     adult_density,
     assortativity_check,
     coupling_from_profile,
     labor_coupling_from_profile,
     occupation_split,
     specialization_report,
-    teacher_map_extract,
     uniqueness_probe,
 )
 from .pyramid import (
-    DescendantChain,
     GuruHierarchy,
     InadmissiblePopulation,
     PhaseReport,
     TopSlopeReport,
-    descendant_chain,
-    gradient_bound,
     guru_census,
     nearest_admissible_populations,
     phase_fit,

@@ -1,6 +1,6 @@
 """Post-processing of equilibrium couplings: occupational decomposition,
-assortativity certification, teacher-map extraction, endogenous adult
-densities, and the specialization ordering checks.
+assortativity certification, endogenous adult densities, and the
+specialization ordering checks.
 
 All functions are pure report generators over immutable inputs.
 """
@@ -16,12 +16,10 @@ from .model import SUPPORT_FLOOR, GridCoupling, GridMeasure, SkillGrid, Technolo
 
 __all__ = [
     "OccupationSplit",
-    "TeacherMap",
     "DensityReport",
     "SpecializationReport",
     "occupation_split",
     "assortativity_check",
-    "teacher_map_extract",
     "adult_density",
     "specialization_report",
     "coupling_from_profile",
@@ -105,43 +103,6 @@ def assortativity_check(coupling: GridCoupling):
 
 
 @dataclass(eq=False)
-class TeacherMap:
-    """Per student node, the teacher skill k_t and the acquired skill k_g
-    of a monotone teacher map (read by descendant_chain)."""
-
-    k_t: np.ndarray          # assigned teacher skill per student node
-    k_g: np.ndarray          # acquired skill z(a, k_t(a)) per student node
-
-
-def teacher_map_extract(eps: GridCoupling, params: TechnologyParams, grid: SkillGrid) -> TeacherMap:
-    """Monotone teacher assignment from a positive assortative coupling.
-
-    k_t(a) is the mass-weighted average teacher skill of student row a
-    (rows whose mass splits across a basis boundary average their ties);
-    rows without mass are filled by linear interpolation.  Rejects
-    non-assortative couplings.
-    """
-    ok, violations = assortativity_check(eps)
-    if not ok:
-        raise ValueError(
-            f"coupling is not positive assortative ({len(violations)} violating pairs); "
-            "run assortativity_check for the witness list"
-        )
-    n = grid.n
-    x = grid.nodes
-    mass = eps.left_marginal(n).weights
-    wsum = np.bincount(eps.rows, eps.weights * x[eps.cols], minlength=n)
-    filled = mass > SUPPORT_FLOOR
-    k_t = np.empty(n)
-    if not np.any(filled):
-        raise ValueError("coupling carries no mass")
-    k_t[filled] = wsum[filled] / mass[filled]
-    if not np.all(filled):
-        k_t[~filled] = np.interp(x[~filled], x[filled], k_t[filled])
-    return TeacherMap(k_t, x + params.theta * (k_t - x))
-
-
-@dataclass(eq=False)
 class DensityReport:
     kappa_density: np.ndarray
     alpha_density: np.ndarray
@@ -209,7 +170,8 @@ def specialization_report(profile, split: OccupationSplit, params: TechnologyPar
           only when a support pair produces a manager;
       (d) N theta >= 1 -> every student weakly below their teacher;
       (e) c > 0 or N theta > 1 -> strictly below (top node exempt);
-      (f) c > 0 or v'(0+) > 0 (finite descendant chains).
+      (f) c > 0 or v'(0+) > 0 (each line of teachers ends after finitely
+          many generations).
 
     Conclusions are only asserted for hypotheses that hold.
     """

@@ -52,7 +52,10 @@ enters the basis.  The start's inverse is formed whole once and updated
 in place, rank 1 per pivot; when pricing claims an exit (no entering
 column, or an unbounded one) on an updated inverse, the inverse is formed
 anew and the basis priced again, so a solve exits, and decides
-optimality, only on an inverse formed whole.  Each pricing round starts
+optimality, only on an inverse formed whole.  If x_B under that inverse
+is infeasible (an error in a caller's inverse can mislead the ratio tests
+there), the solve raises ValueError, as it does for an infeasible start.
+Each pricing round starts
 from the last one's inverse; LPSolution.basis_inverse carries the final
 one to a warm start.
 
@@ -120,8 +123,6 @@ class DiscreteLP:
     rows: np.ndarray
     vals: np.ndarray
     n: int
-    delta: float
-    c_used: float
 
     @property
     def A(self) -> np.ndarray:
@@ -195,7 +196,7 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
     b = np.concatenate([alpha.weights + delta / n, np.full(n, delta / n)])
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(obj))):
         raise ValueError("non-finite constraint or objective coefficients")
-    return DiscreteLP(obj, b, rows, vals, n, delta, params.c)
+    return DiscreteLP(obj, b, rows, vals, n)
 
 
 def _dense_columns(rows: np.ndarray, vals: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
@@ -258,7 +259,8 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     pivot; when pricing finds no entering column, or an unbounded one, on
     an updated Binv, Binv is formed anew from the basis's columns, x_B
     recomputed and the basis priced again, so the solve ends only on an
-    inverse formed whole.
+    inverse formed whole.  A ValueError rejects a start, or a basis the
+    updated Binv pivoted to, whose x_B formed whole is infeasible.
 
     Returns (x, y, basis, Binv, status, work): x is the final basis's
     primal at b itself, not at b + shift, and may have slightly negative
@@ -274,8 +276,9 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     rows = rows.astype(np.intp)           # cast once, not in every pricing gather
     basis = np.array(basis, dtype=np.intp)
     bs = b + shift
+    floor = -1e-9 * max(1.0, float(np.abs(bs).max()))
     xB = Binv @ bs
-    if xB.min() < -1e-9 * max(1.0, float(np.abs(bs).max())):
+    if xB.min() < floor:
         raise ValueError("the starting basis is not primal feasible")
     xB[xB < 0] = 0.0
 
@@ -307,6 +310,8 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
             # an exit is claimed on an updated inverse: form it anew, price again
             Binv[...] = np.linalg.inv(_dense_columns(rows, vals, basis, m))
             xB = Binv @ bs
+            if xB.min() < floor:
+                raise ValueError("the basis the updated inverse pivoted to is not primal feasible")
             xB[np.abs(xB) < 1e-14] = 0.0
             refactors += 1
             updated = False
@@ -484,13 +489,10 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
 
 @dataclass(eq=False)
 class DualityReport:
-    lp_value: float
-    profile_objective: float
     gap: float
     gap_rel: float
     eps_f: float
     lam_g: float
-    u_dist: float
     v_dist: float
     lp_own_slackness: float
 
@@ -500,8 +502,9 @@ def duality_report(solution: LPSolution, profile) -> DualityReport:
 
     Reports the objective gap, the slackness integrals eps(f), lam(g)
     evaluated with the profile's wages and operator, the sup distance
-    between the LP row multipliers and the profile wages, and the LP's own
-    complementary slackness (using its own duals) as a solver self-check.
+    between the LP's steady-row multipliers and the profile's v, and the
+    LP's own complementary slackness (using its own duals) as a solver
+    self-check.
     """
     if len(profile.v) != len(solution.v):
         raise ValueError("profile and LP were built on different grids")
@@ -521,13 +524,10 @@ def duality_report(solution: LPSolution, profile) -> DualityReport:
     gap = abs(solution.value - profile.objective)
     scale = max(1.0, abs(solution.value))
     return DualityReport(
-        lp_value=solution.value,
-        profile_objective=profile.objective,
         gap=gap,
         gap_rel=gap / scale,
         eps_f=eps_f,
         lam_g=lam_g,
-        u_dist=float(np.abs(solution.u - u).max()),
         v_dist=float(np.abs(solution.v - v).max()),
         lp_own_slackness=own,
     )

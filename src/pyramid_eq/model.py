@@ -253,9 +253,6 @@ class GridCoupling:
         rows, cols = np.nonzero(mat > 0.0)
         return GridCoupling(rows, cols, mat[rows, cols])
 
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def left_marginal(self, n: int) -> GridMeasure:
         w = np.bincount(self.rows, weights=self.weights, minlength=n)
         return GridMeasure.from_weights(w)

@@ -1,6 +1,6 @@
-"""The educational pyramid: exact guru census, descendant chains with
-gradient lower bounds, and the wage-gradient asymptotics near the top
-skill type.
+"""The educational pyramid: exact guru census, the wage-gradient
+asymptotics near the top skill type, and the top slopes of the teacher
+and acquired-skill maps.
 
 The census works in exact integers.  A population P with spans N, N'
 splits into P/N teachers and P(1-1/N) workers+managers in ratio N':1;
@@ -25,18 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SUPPORT_FLOOR, GridMeasure, SkillGrid, TechnologyParams, pushforward_z
-from .analysis import OccupationSplit, TeacherMap, assortativity_check, coupling_from_profile
+from .analysis import OccupationSplit, assortativity_check, coupling_from_profile
 
 __all__ = [
     "GuruHierarchy",
     "InadmissiblePopulation",
     "PhaseReport",
-    "DescendantChain",
     "TopSlopeReport",
     "guru_census",
     "nearest_admissible_populations",
-    "descendant_chain",
-    "gradient_bound",
     "phase_fit",
     "top_slopes",
     "render_hierarchy",
@@ -190,85 +187,6 @@ def render_hierarchy(h: GuruHierarchy) -> str:
         nest = str(h.levels[0][2])
     lines.append(f"mnemonic: {h.population} = {mnemonic} + {nest}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# descendant chains and gradient bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class DescendantChain:
-    ks: list
-    depth: int
-    truncated: bool
-    strictly_decreasing: bool
-    geometric_floor_ok: bool   # k_i >= theta^i k_0 along the chain
-
-
-def descendant_chain(k0: float, tmap: TeacherMap, split: OccupationSplit,
-                     params: TechnologyParams, grid: SkillGrid) -> DescendantChain:
-    """Follow the academic descendants of a teacher of skill k0.
-
-    Each step matches the current teacher skill back through the monotone
-    teacher map to its student, who becomes an adult of skill z(student,
-    teacher); the chain stops once that adult type carries worker or
-    manager mass.  A chain still unresolved at the grid-resolution depth
-    bound is flagged truncated.
-    """
-    x, h, n = grid.nodes, grid.h, grid.n
-    wm = split.kappa_w.weights + split.kappa_m.weights
-
-    def wm_node(k: float) -> bool:
-        node = int(np.clip(round(k / h), 0, n - 1))
-        return wm[node] > SUPPORT_FLOOR
-
-    ks = [float(k0)]
-    if wm_node(k0):
-        return DescendantChain(ks, 0, False, True, True)
-
-    depth_bound = max(4, int(math.ceil(math.log(h / grid.k_top) / math.log(params.theta))) + 3)
-    truncated = False
-    k = float(k0)
-    while True:
-        # invert the monotone teacher map at k (leftmost preimage)
-        i = int(np.searchsorted(tmap.k_t, k, side="left"))
-        if i == 0:
-            a = float(x[0])
-        elif i >= n:
-            a = float(x[-1])
-        elif tmap.k_t[i] > tmap.k_t[i - 1]:
-            t = (k - tmap.k_t[i - 1]) / (tmap.k_t[i] - tmap.k_t[i - 1])
-            a = float(x[i - 1] + t * (x[i] - x[i - 1]))
-        else:
-            a = float(x[i])
-        k_next = a + params.theta * (k - a)
-        ks.append(k_next)
-        k = k_next
-        if wm_node(k):
-            break
-        if len(ks) - 1 >= depth_bound:
-            truncated = True
-            break
-
-    arr = np.asarray(ks)
-    strictly = bool(np.all(np.diff(arr) < 0))
-    floor_ok = bool(np.all(arr >= params.theta ** np.arange(len(arr)) * arr[0] - 1e-12))
-    return DescendantChain(ks, len(ks) - 1, truncated, strictly, floor_ok)
-
-
-def gradient_bound(d: int, k: float, v_prime_at_base: float, params: TechnologyParams) -> float:
-    """Lower bound on the teacher wage gradient after d teaching
-    generations: the geometric sum of N*theta per generation applied to
-    c bE' evaluated at the geometrically shrunk skill, plus the propagated
-    base slope.  The critical product N*theta = 1 degenerates to the
-    arithmetic sum d * c bE'."""
-    if d < 0:
-        raise ValueError("chain depth must be nonnegative")
-    nt = params.N * params.theta
-    cb = params.c * float(params.bE.deriv(params.theta ** d * k))
-    if abs(nt - 1.0) < 1e-12:
-        return d * cb + v_prime_at_base
-    return (1.0 - nt ** d) / (1.0 - nt) * nt * cb + nt ** d * v_prime_at_base
 
 
 # ---------------------------------------------------------------------------

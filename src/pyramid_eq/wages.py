@@ -65,13 +65,13 @@ stationary to machine precision and the stage ends.
 A ladder rung only starts the next, colder one, so it need only be
 centered (path following): it ends "centered" after the step whose
 squared Newton decrement grad . H^-1 grad is at most _CENTERED eta.  The
-three Richardson stages feed the answer and run to gtol.  On an even grid
+three Richardson stages feed the answer and run to _GTOL.  On an even grid
 of at least _HALF_GRID_MIN_N nodes, all rungs but the coldest _FINE_RUNGS
 run at the same temperatures on the half grid, whose nodes are the even
 nodes and whose marginals are the cell-pair sums; its wages are
 interpolated linearly onto the full grid for the rest of the anneal (a
 two-level version of the multiscale entropic solves of Schmitzer 2016).
-As the Richardson stages still run to gtol on the full grid, only the
+As the Richardson stages still run to _GTOL on the full grid, only the
 path to their minimizers changes.
 
 Exponents below -_EXP_CUT are set to -inf before each exp, so the
@@ -164,6 +164,7 @@ _KEPT_MAX = 0.4  # a stage runs on its kept pairs only if they are at most this 
 _FINE_RUNGS = 3  # the coldest ladder rungs run on the full grid, the hotter ones on the half grid
 _HALF_GRID_MIN_N = 64  # smallest even grid whose hot rungs run on the half grid
 _ETA_FLOOR = 2e-5  # smallest annealing temperature, relative to the payoff scale
+_GTOL = 1e-12  # a stage whose |grad|_inf is at most this ends on "gtol"
 _POLISH_MAX_ITER = 100_000  # envelope polish budget, counted across its restarts
 _POLISH_DAMPING = 0.5  # the polish's starting damping, halved at each stall restart
 _ULP = float(np.finfo(float).eps)
@@ -647,7 +648,7 @@ class _SmoothedDual:
         carried, self._carried = self._carried, None
         return self if carried is None else _KeptPairs(self, *carried)
 
-    def minimize(self, v: np.ndarray, eta: float, gtol: float = 1e-12, max_newton: int = 80,
+    def minimize(self, v: np.ndarray, eta: float, max_newton: int = 80,
                  rung: bool = False) -> np.ndarray:
         """The level step, then damped Newton on the smoothed dual at
         temperature eta, with the step acceptance of the module docstring;
@@ -673,12 +674,12 @@ class _SmoothedDual:
         gmax = float(np.abs(grad).max())
         steps, stop, rebuilds, pairs, newton_n = 0, "newton_limit", 0, 2 * self.op.E.size, self.op.grid.n
         while True:
-            if gmax > gtol and steps < max_newton:
+            if gmax > _GTOL and steps < max_newton:
                 kept = ev.kept_pairs(st)
                 if kept is not None:
                     ev, st = kept, st._replace(eps=kept.eps, lam=kept.lam)
             start = steps
-            while gmax > gtol and steps < max_newton:
+            while gmax > _GTOL and steps < max_newton:
                 steps += 1
                 step, slope = _newton_step(ev.hessian(eta, st), grad, ev.layout)
                 if -slope <= 4.0 * _ULP * max(1.0, abs(val)):
@@ -705,7 +706,7 @@ class _SmoothedDual:
                 if rung and -slope <= _CENTERED * eta:
                     stop = "centered"
                     break
-            if stop == "newton_limit" and gmax <= gtol:
+            if stop == "newton_limit" and gmax <= _GTOL:
                 stop = "gtol"
             if steps > start:
                 pairs = 2 * self.op.E.size if ev is self else ev.flat_e.size + ev.flat_l.size

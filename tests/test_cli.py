@@ -492,9 +492,9 @@ def test_phase_solve_builds_one_wage_operator(tmp_path, operator_builds):
 PROBED = BASE.replace("seed = 3", "seed = 3\nprobe_uniqueness = true")
 
 
-@pytest.mark.parametrize("text, c_used", [(PROBED, 0.5), (PROBED.replace("c = 0.5", "c = 0.0"), 0.0)],
+@pytest.mark.parametrize("text, c", [(PROBED, 0.5), (PROBED.replace("c = 0.5", "c = 0.0"), 0.0)],
                          ids=["c", "c0"])
-def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c_used):
+def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c):
     # one assembled LP; the probe solves only its perturbed copy
     from pyramid_eq import analysis, lp as lp_mod
     assembled, solved = [], []
@@ -520,7 +520,8 @@ def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c_used):
     assert np.array_equal(cert.objective, objective)
     probed = solved[1]
     assert probed.rows is cert.rows and probed.vals is cert.vals
-    assert probed.c_used == cert.c_used == c_used
+    # the education objective is c b_E(z): zero exactly when c = 0
+    assert bool(objective[:cert.n ** 2].any()) == (c > 0)
     occ = json.loads((tmp_path / "out" / "occupations.json").read_text())
     assert occ["uniqueness_probe"]["value_shift"] <= 1e-6
 

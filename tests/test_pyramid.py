@@ -8,11 +8,7 @@ from pyramid_eq import (
     InadmissiblePopulation,
     SkillGrid,
     SolverConfig,
-    TechnologyParams,
-    UtilityCurve,
     assemble_primal,
-    descendant_chain,
-    gradient_bound,
     guru_census,
     nearest_admissible_populations,
     occupation_split,
@@ -20,16 +16,10 @@ from pyramid_eq import (
     render_hierarchy,
     solve_lp,
     solve_wages,
-    teacher_map_extract,
     top_slopes,
 )
 from pyramid_eq.pyramid import regime_of
 from conftest import make_params, uniform_alpha
-
-
-def linear_curve(k_top=1.0):
-    xs = np.linspace(0.0, k_top, 9)
-    return UtilityCurve.tabulated(xs, 1.0 + xs, np.ones_like(xs), k_top)
 
 
 # ---------------------------------------------------------------------------
@@ -105,78 +95,6 @@ def test_census_rejects_degenerate_spans():
         guru_census(10, 10.5, 110)
     with pytest.raises(ValueError, match="N' >= 2"):
         guru_census(10, 1, 11000)
-
-
-# ---------------------------------------------------------------------------
-# descendant chains
-# ---------------------------------------------------------------------------
-
-def specialized_instance(n=48):
-    params = make_params(N=10.0, N_prime=1.0, c=0.1, bL_amp=0.2)
-    grid = SkillGrid(n, 1.0)
-    alpha = uniform_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
-    split = occupation_split(sol.eps, sol.lam, params, grid)
-    tmap = teacher_map_extract(sol.eps, params, grid)
-    return params, grid, alpha, sol, split, tmap
-
-
-def test_chain_trivial_for_workers():
-    params, grid, alpha, sol, split, tmap = specialized_instance()
-    worker_node = int(np.argmax(split.kappa_w.weights))
-    ch = descendant_chain(grid.nodes[worker_node], tmap, split, params, grid)
-    assert ch.depth == 0
-    assert ch.ks == [grid.nodes[worker_node]]
-
-
-def test_chain_descends_from_top_teacher():
-    params, grid, alpha, sol, split, tmap = specialized_instance()
-    k0 = float(grid.nodes[-1])
-    assert split.kappa_t.weights[-1] > 0
-    ch = descendant_chain(k0, tmap, split, params, grid)
-    assert not ch.truncated
-    assert ch.depth >= 1
-    assert ch.strictly_decreasing
-    assert ch.geometric_floor_ok
-    for i, k in enumerate(ch.ks):
-        assert k >= params.theta ** i * k0 - 1e-12
-
-
-def test_chain_gradient_bound_consistency():
-    params, grid, alpha, sol, split, tmap = specialized_instance()
-    prof = solve_wages(params, alpha, grid, SolverConfig())
-    k0 = float(grid.nodes[-1])
-    ch = descendant_chain(k0, tmap, split, params, grid)
-    vp = np.diff(prof.v) / grid.h
-    base_node = int(np.clip(round(ch.ks[-1] / grid.h), 0, grid.n - 2))
-    bound = gradient_bound(ch.depth, k0, float(vp[base_node]), params)
-    head = float(vp[-1])
-    assert head >= 0.5 * bound - 1e-6  # discrete heads track the bound's scale
-
-
-# ---------------------------------------------------------------------------
-# gradient bound arithmetic
-# ---------------------------------------------------------------------------
-
-def test_gradient_bound_supercritical_example():
-    params = TechnologyParams(0.5, 0.5, 4.0, 1.0, 1.0,
-                              linear_curve(), linear_curve(), 1.0)
-    assert params.N * params.theta == 2.0
-    got = gradient_bound(3, 0.8, 0.0, params)
-    assert got == pytest.approx(((1 - 2.0 ** 3) / (1 - 2.0)) * 2.0 * 1.0, abs=1e-12)
-    assert got == pytest.approx(14.0)
-
-
-def test_gradient_bound_critical_example():
-    params = TechnologyParams(0.5, 0.5, 2.0, 1.0, 1.0,
-                              linear_curve(), linear_curve(), 1.0)
-    assert params.N * params.theta == 1.0
-    assert gradient_bound(5, 0.7, 2.0, params) == pytest.approx(7.0)
-
-
-def test_gradient_bound_depth_zero_is_base():
-    params = make_params()
-    assert gradient_bound(0, 0.5, 1.25, params) == pytest.approx(1.25)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +207,3 @@ def test_top_slopes_decline_without_top_teacher():
     split.kappa_t.weights[-1] = 0.0
     rep = top_slopes(split, uniform_alpha(grid), params, grid)
     assert rep.declined is not None
-
-
-def test_chain_truncates_without_worker_support():
-    # a split with no worker or manager mass anywhere can never terminate
-    params = make_params(N=10.0, N_prime=1.0, c=0.1, bL_amp=0.2)
-    grid = SkillGrid(32, 1.0)
-    alpha = uniform_alpha(grid)
-    eps = GridCoupling(np.arange(32), np.arange(32), alpha.weights)
-    empty = GridCoupling([0], [0], [0.0])
-    split = occupation_split(eps, empty, params, grid)
-    tmap = teacher_map_extract(eps, params, grid)
-    ch = descendant_chain(float(grid.nodes[-1]), tmap, split, params, grid)
-    assert ch.truncated
