@@ -264,17 +264,23 @@ def _probe_noise(size: int, seed: int, magnitude: float) -> np.ndarray:
     """size values uniform on [-magnitude, magnitude), from stdlib random
     seeded with seed, which the CLI has loaded already (numpy.random would
     add 19 modules to a solve): the top 53 bits of each little-endian
-    64-bit word w give magnitude ((w >> 11) 2^-52 - 1)."""
+    64-bit word w give magnitude ((w >> 11) 2^-52 - 1), formed in place in
+    the one array returned."""
     bits = np.frombuffer(random.Random(seed).randbytes(8 * size), dtype="<u8")
-    return magnitude * ((bits >> 11) * 2.0 ** -52 - 1.0)
+    out = np.empty(size)
+    np.right_shift(bits, 11, out=out.view(np.uint64))
+    np.multiply(out.view(np.uint64), 2.0 ** -52, out=out)
+    out -= 1.0
+    out *= magnitude
+    return out
 
 
 def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0):
     """Empirical uniqueness check of a certified LP solution.
 
     Solves a copy of lp whose objective carries a uniform random
-    perturbation of size _PROBE_MAGNITUDE from _probe_noise (the packed
-    columns are shared, lp is left unchanged), starting from base's
+    perturbation of size _PROBE_MAGNITUDE from _probe_noise (the split of
+    z is shared, lp is left unchanged), starting from base's
     optimal basis, which is feasible for the copy, and its inverse, and
     with base's duals as the prices that pick the first columns.  A
     generic perturbation makes the perturbed optimum unique; if base's
@@ -284,8 +290,9 @@ def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0):
     shift of the optimal value, and the perturbed solve's pivots, status,
     final column count and pricing rounds.
     """
-    noise = _probe_noise(lp.objective.size, seed, _PROBE_MAGNITUDE)
-    pert = solve_lp(replace(lp, objective=lp.objective + noise), basis=base.basis,
+    objective = _probe_noise(lp.objective.size, seed, _PROBE_MAGNITUDE)
+    objective += lp.objective
+    pert = solve_lp(replace(lp, objective=objective), basis=base.basis,
                     prices=np.concatenate([base.u, base.v]), basis_inverse=base.basis_inverse)
     nn = lp.n * lp.n
 

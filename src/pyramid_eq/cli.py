@@ -292,9 +292,10 @@ def _write_json(path, obj):
 def _write_wages_csv(path, grid, profile):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("node,v,u,v_w,v_m,v_t,occupation_argmax\n")
+        nodes = grid.nodes                # a property that builds the array
         for i in range(grid.n):
             fh.write(
-                f"{float(grid.nodes[i])!r},{float(profile.v[i])!r},{float(profile.u[i])!r},"
+                f"{float(nodes[i])!r},{float(profile.v[i])!r},{float(profile.u[i])!r},"
                 f"{float(profile.v_w[i])!r},{float(profile.v_m[i])!r},{float(profile.v_t[i])!r},"
                 f"{int(profile.occupation[i])}\n"
             )

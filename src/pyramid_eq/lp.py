@@ -11,37 +11,40 @@ the nodes.
 
 Each column has at most 4 nonzeros (a student row, the teacher-supply
 row and the two split rows of z for eps; the worker and manager rows for
-lam).  assemble_primal records only these, packed per column, in
-O(n^2) memory; the dense matrix DiscreteLP.A is built from them on
-demand, for tests and the benchmark tracer, and nothing in the solve
-reads it.
+lam), all of which follow from the split (idx, frac) of z and the
+capacities 1/N and 1/N', so assemble_primal keeps only the objective, b
+and that split, about 32 n^2 bytes.  _columns gives any columns'
+nonzeros as four (row, value) slots; the dense DiscreteLP.A is built
+from them on demand, for tests and the benchmark tracer, and nothing in
+the solve reads it.
 
 solve_lp is column generation around a revised simplex with an explicit
-basis inverse that prices over the packed columns, so a pivot costs
-O(m^2 + nonzeros).  Given approximate row prices (the wages of a wage
-solve, or the duals of an earlier solve), it first solves on the columns
-whose reduced cost under those prices is at least -1e-5 max|objective|
-(_SEED_SLACK: 540 of 32,768 columns on demo_small at n = 128) plus the
-starting basis; then it prices all 2n^2 columns under the final duals,
-adds every column that would improve the objective and re-solves from the
-current basis and its inverse, until none does.  That last pass over all
-columns is the exact optimality certificate, so the restriction
-approximates nothing.  Without prices, the first solve already runs on
-every column.
+basis inverse that prices over the active columns' slots, so a pivot
+costs O(m^2 + nonzeros).  Given approximate row prices (the wages of a
+wage solve, or the duals of an earlier solve), it first solves on the
+columns whose reduced cost under those prices is at least -1e-5
+max|objective| (_SEED_SLACK: 540 of 32,768 columns on demo_small at
+n = 128) plus the starting basis; then it prices all 2n^2 columns under
+the final duals, adds every column that would improve the objective and
+re-solves from the current basis and its inverse, until none does.  That
+last pass over all columns is the exact optimality certificate, so the
+restriction approximates nothing.  Without prices, the first solve
+already runs on every column.
 
-The simplex starts from a caller's basis (the basis of an earlier solve of
-an LP with the same constraints, with its inverse if the caller has it) or
-from a paired basis: each student's education column at one teacher plus
-the n labor-diagonal columns (k, k).  Every paired basis matrix is
-B = [[I, 0], [E, D]] with D = (1 + 1/N') I, so its inverse
-[[I, 0], [-D^-1 E, D^-1]] is written in O(n^2), without a factorization.
-Given prices, the start is the price assignment basis, a crash basis in
-the sense of Bixby (1992): each student's teacher is the one of largest
-reduced cost under the prices.  Its labor part B^-1 b may be negative; it
-is used only if that part is nonnegative at the nudged b below and above
-the feasibility floor at b itself.  Otherwise, and without prices, the
-start is the diagonal coupling (teacher a for student a), which is always
-a basic feasible point, so no phase-1 is needed.
+Every basis inverse, of a start or of the exit rule below, is formed
+whole by _basis_inverse, which eliminates the student rows (generalized
+upper bounds, Dantzig & Van Slyke 1967), so only an n x n matrix is
+inverted.  The simplex starts from a caller's basis (the basis of an
+earlier solve of an LP with the same constraints, with its inverse if
+the caller has it) or from a paired basis: each student's education
+column at one teacher plus the n labor-diagonal columns (k, k).  Given
+prices, the start is the price assignment basis, a crash basis in the
+sense of Bixby (1992): each student's teacher is the one of largest
+reduced cost under the prices.  Its labor part B^-1 b may be negative;
+it is used only if that part is nonnegative at the nudged b below and
+above the feasibility floor at b itself.  Otherwise, and without prices,
+the start is the diagonal coupling (teacher a for student a), which is
+always a basic feasible point, so no phase-1 is needed.
 
 Entering columns use largest-reduced-cost (Dantzig) pricing with
 first-index ties over the active columns, kept in global column order; a
@@ -51,13 +54,12 @@ exceed 1e-7 times the entering column's largest entry, so round-off never
 enters the basis.  The start's inverse is formed whole once and updated
 in place, rank 1 per pivot; when pricing claims an exit (no entering
 column, or an unbounded one) on an updated inverse, the inverse is formed
-anew and the basis priced again, so a solve exits, and decides
-optimality, only on an inverse formed whole.  If x_B under that inverse
-is infeasible (an error in a caller's inverse can mislead the ratio tests
-there), the solve raises ValueError, as it does for an infeasible start.
-Each pricing round starts
-from the last one's inverse; LPSolution.basis_inverse carries the final
-one to a warm start.
+anew from the basis's columns and the basis priced again, so a solve
+exits, and decides optimality, only on an inverse formed whole.  If x_B
+under that inverse is infeasible (an error in a caller's inverse can
+mislead the ratio tests there), the solve raises ValueError, as it does
+for an infeasible start.  Each pricing round starts from the last one's
+inverse; LPSolution.basis_inverse carries the final one to a warm start.
 
 At delta = 0 the LP is degenerate and its optimal duals, the wages, are
 not unique, so the start basis and the first columns would pick the
@@ -112,23 +114,26 @@ _BLAND_AFTER = 60
 class DiscreteLP:
     """Equality-form LP: maximize objective @ x, A @ x = b, x >= 0.
 
-    rows and vals, both of shape (4, 2n^2), pack the nonzeros of each
-    column of A: A[:, k] is the sum of vals[s, k] placed at rows[s, k]
-    over the slots s, padded with zero values at row 0.  rows holds int16
-    while the 2n row indices fit, so the LP takes about 96 n^2 bytes.
+    A is kept as the split of z, idx and frac (one entry per education
+    column a n + j, as split_positions gives them), and the capacity
+    coefficients teacher_share = 1/N and manager_share = 1/N'; _columns
+    gives any columns' nonzeros from them, so the LP takes about
+    32 n^2 bytes.
     """
 
     objective: np.ndarray
     b: np.ndarray
-    rows: np.ndarray
-    vals: np.ndarray
+    idx: np.ndarray
+    frac: np.ndarray
+    teacher_share: float
+    manager_share: float
     n: int
 
     @property
     def A(self) -> np.ndarray:
-        """The dense 2n x 2n^2 constraint matrix, built from the packed
-        columns on every access (for tests and the benchmark tracer)."""
-        return _dense_columns(self.rows, self.vals, np.arange(self.rows.shape[1]), self.b.size)
+        """The dense 2n x 2n^2 constraint matrix, built from the columns'
+        slots on every access (for tests and the benchmark tracer)."""
+        return _dense(*_columns(self, np.arange(self.objective.size)), 0, self.b.size)
 
 
 @dataclass(eq=False)
@@ -169,50 +174,66 @@ def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGri
 
     x = grid.nodes
     nn = n * n
-
     obj = np.empty(2 * nn)
-    rows = np.zeros((4, 2 * nn), dtype=np.int16 if 2 * n <= np.iinfo(np.int16).max else np.int32)
-    vals = np.zeros((4, 2 * nn))
-    rows_i = np.repeat(np.arange(n), n)   # student / worker index per column
-    cols_j = np.tile(np.arange(n), n)     # teacher / manager index per column
-
-    # education block: objective c * b_E(z); student row, teacher supply
-    # and the two split rows of z on the steady rows
+    # education block: objective c * b_E(z), and the split of z
     Z = x[:, None] + params.theta * (x[None, :] - x[:, None])
     obj[:nn] = (params.c * np.asarray(params.bE.value(Z))).ravel()
     idx, frac = split_positions(Z.ravel(), grid)
-    rows[0, :nn], vals[0, :nn] = rows_i, 1.0
-    rows[1, :nn], vals[1, :nn] = n + cols_j, 1.0 / params.N
-    rows[2, :nn], vals[2, :nn] = n + idx, -(1.0 - frac)
-    if n > 1:
-        rows[3, :nn], vals[3, :nn] = n + idx + 1, -frac
-
-    # labor block: objective b_L((1-t')k' + t'k); worker and manager rows
+    del Z
+    # labor block: objective b_L((1-t')k' + t'k)
     ZL = x[:, None] + params.theta_prime * (x[None, :] - x[:, None])
     obj[nn:] = np.asarray(params.bL.value(ZL)).ravel()
-    rows[0, nn:], vals[0, nn:] = n + rows_i, 1.0
-    rows[1, nn:], vals[1, nn:] = n + cols_j, 1.0 / params.N_prime
 
     b = np.concatenate([alpha.weights + delta / n, np.full(n, delta / n)])
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(obj))):
+    lp = DiscreteLP(obj, b, idx, frac, 1.0 / params.N, 1.0 / params.N_prime, n)
+    if not (np.all(np.isfinite(frac)) and np.isfinite([lp.teacher_share, lp.manager_share]).all()
+            and np.all(np.isfinite(obj))):
         raise ValueError("non-finite constraint or objective coefficients")
-    return DiscreteLP(obj, b, rows, vals, n)
+    return lp
 
 
-def _dense_columns(rows: np.ndarray, vals: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
-    """The m-row dense matrix A[:, cols] from the packed columns, summed in
-    slot order, so A and every basis matrix taken from it agree bitwise."""
-    out = np.zeros((m, cols.size))
-    pos = np.arange(cols.size)
-    for s in range(rows.shape[0]):        # each (row, column) pair occurs once per slot
-        out[rows[s, cols], pos] += vals[s, cols]
-    return out
+def _columns(lp: DiscreteLP, cols: np.ndarray):
+    """The nonzeros of A's columns cols as four slots, (rows, vals), both
+    of shape (4, cols.size): column cols[i] of A is the sum of vals[s, i]
+    at rows[s, i] over the slots s.  Education column a n + j has the
+    student row a, the teacher-supply row n + j and the split rows
+    n + idx, n + idx + 1 of z; labor column n^2 + i n + j the worker row
+    n + i and the manager row n + j, padded with zero values at row 0."""
+    n, nn = lp.n, lp.n * lp.n
+    cols = np.asarray(cols, dtype=np.intp)
+    rows = np.zeros((4, cols.size), dtype=np.intp)
+    vals = np.zeros((4, cols.size))
+    edu = cols < nn
+    student, partner = np.divmod(np.where(edu, cols, cols - nn), n)
+    rows[0] = np.where(edu, student, n + student)
+    rows[1] = n + partner
+    vals[0] = 1.0
+    vals[1] = np.where(edu, lp.teacher_share, lp.manager_share)
+    k = cols[edu]
+    lo, f = lp.idx[k], lp.frac[k]
+    rows[2, edu] = n + lo
+    vals[2, edu] = -(1.0 - f)
+    if n > 1:
+        rows[3, edu] = n + lo + 1
+        vals[3, edu] = -f
+    return rows, vals
+
+
+def _dense(rows: np.ndarray, vals: np.ndarray, lo: int, m: int) -> np.ndarray:
+    """Rows lo..m-1 of the dense matrix of the columns with slots (rows,
+    vals).  np.bincount adds into each entry in slot order, so A and every
+    block taken from the same columns agree bitwise."""
+    k = rows.shape[1]
+    flat = (rows - lo) * k + np.arange(k)
+    flat[rows < lo] = (m - lo) * k        # entries on rows below lo go to one more bin, dropped
+    return np.bincount(flat.ravel(), vals.ravel(), (m - lo) * k + 1)[:-1].reshape(m - lo, k)
 
 
 def _reduced_costs(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, y: np.ndarray,
                    out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """c - y @ A over the packed columns, one gather from y per slot,
-    written into out with the gathers in scratch when both are given."""
+    """c - y @ A over the columns with slots (rows, vals), one gather from
+    y per slot, written into out with the gathers in scratch when both are
+    given."""
     if out is None:
         out, scratch = np.empty(c.size), np.empty(c.size)
     np.copyto(out, c)
@@ -223,28 +244,83 @@ def _reduced_costs(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, y: np.ndar
     return out
 
 
-def _paired_basis(lp: DiscreteLP, teacher: np.ndarray):
-    """The basis of the education columns (a, teacher[a]) and the labor
-    diagonal (k, k), in that order, and its inverse: the basis matrix is
-    [[I, 0], [E, D]] with D diagonal, so the inverse is
-    [[I, 0], [-D^-1 E, D^-1]], written in O(n^2) with no factorization."""
+def _price_all(lp: DiscreteLP, y: np.ndarray) -> np.ndarray:
+    """c - y @ A over all 2n^2 columns, read from the split of z without
+    forming the slots, and bitwise equal to _reduced_costs over them: the
+    same products taken off in the same slot order (a split slot's value
+    is -(1 - frac) or -frac, so its product is added with the sign
+    flipped, which is exact; the labor columns' zero slots take off
+    nothing)."""
     n, nn = lp.n, lp.n * lp.n
-    k = np.arange(n)
-    basis = np.concatenate([k * n + teacher, nn + k * n + k])
-    B = _dense_columns(lp.rows, lp.vals, basis, 2 * n)
-    d = B[n + k, n + k]
-    inverse = np.zeros_like(B)
-    inverse[k, k] = 1.0
-    inverse[n:, :n] = B[n:, :n] / -d[:, None]
-    inverse[n + k, n + k] = 1.0 / d
-    return basis, inverse
+    r = lp.objective.copy()
+    edu, lab = r[:nn].reshape(n, n), r[nn:].reshape(n, n)
+    ys, yv = y[:n], y[n:]
+    edu -= ys[:, None]
+    edu -= yv * lp.teacher_share
+    lab -= yv[:, None]
+    lab -= yv * lp.manager_share
+    g = yv.take(lp.idx)
+    g *= np.subtract(1.0, lp.frac)
+    r[:nn] += g
+    if n > 1:
+        yv[1:].take(lp.idx, out=g)
+        g *= lp.frac
+        r[:nn] += g
+    return r
+
+
+def _basis_inverse(rows: np.ndarray, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The inverse of the basis matrix whose 2n columns, in basis order,
+    have the slots (rows, vals), formed whole by eliminating the student
+    rows, in out (a new array if None).
+
+    An education column has one nonzero on the student rows, a 1 at its
+    student in slot 0, and a labor column none.  Each student's first
+    basic education column is its key.  With the keys first, in student
+    order, and the other columns after them in basis order, the basis
+    matrix is [[I, S], [E, R]]: S holds the others' 1s on the student
+    rows, E and R the steady rows.  Its inverse is
+    [[I + S V, -S W], [-V, W]] with W the inverse of the n x n Schur
+    complement M = R - E S and V = W E.  A student row that no basic
+    column covers makes the basis singular: LinAlgError.
+    """
+    m = rows.shape[1]
+    n = m // 2
+    pos = np.arange(m)
+    student = rows[0]
+    edu = student < n
+    key = np.full(n, m)
+    np.minimum.at(key, student[edu], pos[edu])
+    if key.max() == m:
+        raise np.linalg.LinAlgError("singular basis: a student row has no basic education column")
+    other = np.ones(m, dtype=bool)
+    other[key] = False
+    other = other.nonzero()[0]
+    tied = edu[other]                     # the others' columns of S
+    owner = student[other[tied]]
+    E = _dense(rows[:, key], vals[:, key], n, m)
+    M = _dense(rows[:, other], vals[:, other], n, m)
+    M[:, tied] -= E[:, owner]
+    W = np.linalg.inv(M)
+    del M
+    V = W @ E
+    del E
+    if out is None:
+        out = np.empty((m, m))
+    out[other, :n] = np.negative(V, out=V)
+    out[other, n:] = W
+    # the key rows are [I, 0] - S [-V, W], S summing the others' rows by owner
+    out[key] = 0.0
+    out[key, pos[:n]] = 1.0
+    np.subtract.at(out, key[owner], out[other[tied]])
+    return out
 
 
 def _price_seed(lp: DiscreteLP, prices: np.ndarray):
     """The columns whose reduced cost under prices is at least
     -_SEED_SLACK max|objective|, as a mask, and each student's teacher of
     largest education reduced cost (first index on ties)."""
-    r = _reduced_costs(lp.objective, lp.rows, lp.vals, prices)
+    r = _price_all(lp, prices)
     n = lp.n
     # column masks, not np.union1d: numpy's set routines import numpy.ma (~15 ms)
     seed = r >= -_SEED_SLACK * float(np.abs(lp.objective).max())
@@ -255,9 +331,10 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
                  shift: np.ndarray, basis: np.ndarray, Binv: np.ndarray):
     """Revised simplex on max c@x, A@x = b + shift, x >= 0 from a feasible
     basis and Binv, its matrix's inverse formed whole, with A given by its
-    packed columns (rows, vals).  Binv is updated in place, rank 1 per
-    pivot; when pricing finds no entering column, or an unbounded one, on
-    an updated Binv, Binv is formed anew from the basis's columns, x_B
+    columns' slots (rows, vals), from _columns.  Binv is updated in place,
+    rank 1 per pivot; when pricing finds no entering column, or an
+    unbounded one, on an updated Binv, Binv is formed anew from the
+    basis's columns by _basis_inverse, x_B
     recomputed and the basis priced again, so the solve ends only on an
     inverse formed whole.  A ValueError rejects a start, or a basis the
     updated Binv pivoted to, whose x_B formed whole is infeasible.
@@ -273,7 +350,6 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
     """
     m = b.size
     nv = c.size
-    rows = rows.astype(np.intp)           # cast once, not in every pricing gather
     basis = np.array(basis, dtype=np.intp)
     bs = b + shift
     floor = -1e-9 * max(1.0, float(np.abs(bs).max()))
@@ -308,7 +384,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
             if not updated:
                 break
             # an exit is claimed on an updated inverse: form it anew, price again
-            Binv[...] = np.linalg.inv(_dense_columns(rows, vals, basis, m))
+            _basis_inverse(rows[:, basis], vals[:, basis], out=Binv)
             xB = Binv @ bs
             if xB.min() < floor:
                 raise ValueError("the basis the updated inverse pivoted to is not primal feasible")
@@ -365,18 +441,17 @@ def _generate_columns(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray,
     improves the objective; each solve starts from the last one's basis
     and inverse.  Adds each solve's work counts to work; returns
     (x, y, basis, Binv, status, active, rounds)."""
-    c, rows, vals = lp.objective, lp.rows, lp.vals
+    c = lp.objective
     rounds = 0
     while True:
         rounds += 1
         xa, y, local, Binv, status, counts = _simplex_max(
-            c[active], rows[:, active], vals[:, active], lp.b, shift,
-            np.searchsorted(active, basis), Binv)
+            c[active], *_columns(lp, active), lp.b, shift, np.searchsorted(active, basis), Binv)
         work[:] = [w + k for w, k in zip(work, counts)]
         basis = active[local]
         if status != "optimal" or active.size == c.size:
             break
-        r = _reduced_costs(c, rows, vals, y)
+        r = _price_all(lp, y)
         r[active] = 0.0                   # the restricted solve priced these
         grow = r > _OPT_TOL
         if not grow.any():
@@ -392,27 +467,31 @@ def _start(lp: DiscreteLP, shift: np.ndarray, floor: float, basis: np.ndarray | 
            basis_inverse: np.ndarray | None, assigned: np.ndarray | None):
     """The start of a solve on A@x = b + shift, as (name, basis, inverse),
     with the inverse formed whole in a new array: a copy of basis_inverse,
-    or np.linalg.inv for a bare basis; without a basis, the paired basis of
-    the teachers assigned if it is feasible at b + shift and above floor at
-    b, else the diagonal coupling, both in closed form."""
-    m = lp.b.size
+    or _basis_inverse for a bare basis; without a basis, the paired basis
+    of the teachers assigned (each student's education column at its
+    teacher, then the labor diagonal) if it is feasible at b + shift and
+    above floor at b, else the diagonal coupling."""
+    m, n = lp.b.size, lp.n
     if basis is not None:
         basis = np.asarray(basis, dtype=np.intp)
         if basis.shape != (m,):
             raise ValueError(f"a starting basis has {m} columns, not {basis.size}")
         if basis_inverse is None:
-            return "given", basis, np.linalg.inv(_dense_columns(lp.rows, lp.vals, basis, m))
+            return "given", basis, _basis_inverse(*_columns(lp, basis))
         if np.shape(basis_inverse) != (m, m):
             raise ValueError(f"a basis inverse is {m} x {m}, not {np.shape(basis_inverse)}")
         return "given", basis, np.array(basis_inverse, dtype=float)
     if basis_inverse is not None:
         raise ValueError("a basis inverse needs its basis")
+    k = np.arange(n)
+    labor = n * n + k * (n + 1)
     if assigned is not None:
-        basis, inverse = _paired_basis(lp, assigned)
-        labor = inverse[lp.n:]
-        if (labor @ (lp.b + shift)).min() >= 0.0 and (labor @ lp.b).min() >= floor:
+        basis = np.concatenate([k * n + assigned, labor])
+        inverse = _basis_inverse(*_columns(lp, basis))
+        if (inverse[n:] @ (lp.b + shift)).min() >= 0.0 and (inverse[n:] @ lp.b).min() >= floor:
             return "assignment", basis, inverse
-    return ("diagonal", *_paired_basis(lp, np.arange(lp.n)))
+    basis = np.concatenate([k * (n + 1), labor])
+    return "diagonal", basis, _basis_inverse(*_columns(lp, basis))
 
 
 def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
@@ -432,15 +511,14 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
     Without a basis, the start is the price assignment basis (each
     student's education column at the teacher of largest reduced cost
     under the prices, plus the labor diagonal) if it is primal feasible,
-    and the diagonal coupling otherwise or without prices; both are
-    inverted in closed form.  LPSolution.start names the start taken.  The
+    and the diagonal coupling otherwise or without prices.  LPSolution.start names the start taken.  The
     solve runs on the nudged right-hand side and reports the primal at
     lp.b; if that primal is infeasible, it re-solves from the same start,
     formed again, without the nudge (nudged = False).
     """
     n = lp.n
     nn = n * n
-    c, rows, vals = lp.objective, lp.rows, lp.vals
+    c = lp.objective
     floor = -_FEAS_TOL * float(np.abs(lp.b).max())
     shift = np.zeros(lp.b.size)
     shift[n:] = _NUDGE * (1.0 + np.arange(1, n + 1) / n)
@@ -479,7 +557,8 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
     dual_value = float(y @ lp.b)
     # over the nonzero columns only, in the same slot and column order as over all
     nz = np.flatnonzero(x)
-    Ax = np.bincount(rows[:, nz].ravel(), weights=(vals[:, nz] * x[nz]).ravel(), minlength=lp.b.size)
+    rows, vals = _columns(lp, nz)
+    Ax = np.bincount(rows.ravel(), weights=(vals * x[nz]).ravel(), minlength=lp.b.size)
     resid = float(np.abs(Ax - lp.b).max())
     iters, degenerate, switches, refactors = work
     return LPSolution(eps, lam, y[:n].copy(), y[n:].copy(), value, dual_value,
@@ -493,7 +572,6 @@ class DualityReport:
     gap_rel: float
     eps_f: float
     lam_g: float
-    v_dist: float
     lp_own_slackness: float
 
 
@@ -501,9 +579,8 @@ def duality_report(solution: LPSolution, profile) -> DualityReport:
     """Certify the LP value against a wage profile on the same instance.
 
     Reports the objective gap, the slackness integrals eps(f), lam(g)
-    evaluated with the profile's wages and operator, the sup distance
-    between the LP's steady-row multipliers and the profile's v, and the
-    LP's own complementary slackness (using its own duals) as a solver
+    evaluated with the profile's wages and operator, and the LP's own
+    complementary slackness (using its own duals) as a solver
     self-check.
     """
     if len(profile.v) != len(solution.v):
@@ -528,6 +605,5 @@ def duality_report(solution: LPSolution, profile) -> DualityReport:
         gap_rel=gap / scale,
         eps_f=eps_f,
         lam_g=lam_g,
-        v_dist=float(np.abs(solution.v - v).max()),
         lp_own_slackness=own,
     )

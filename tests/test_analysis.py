@@ -232,6 +232,16 @@ def test_probe_noise_is_seeded_and_within_its_magnitude():
     assert not np.any(noise == _probe_noise(4096, 8, 1e-7))
 
 
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_probe_noise_is_its_formula_bit_for_bit(seed):
+    import random
+    from pyramid_eq.analysis import _probe_noise
+    for size in (1, 3, 4096):
+        bits = np.frombuffer(random.Random(seed).randbytes(8 * size), dtype="<u8")
+        formula = 1e-7 * ((bits >> 11) * 2.0 ** -52 - 1.0)
+        assert _probe_noise(size, seed, 1e-7).tobytes() == formula.tobytes()
+
+
 def test_labor_coupling_from_profile_clears():
     from pyramid_eq import labor_coupling_from_profile, pushforward_z
     params = make_params(N=10.0, N_prime=10.0, c=0.5)

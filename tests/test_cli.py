@@ -519,7 +519,7 @@ def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c):
     assert solved[0] is cert
     assert np.array_equal(cert.objective, objective)
     probed = solved[1]
-    assert probed.rows is cert.rows and probed.vals is cert.vals
+    assert probed.idx is cert.idx and probed.frac is cert.frac
     # the education objective is c b_E(z): zero exactly when c = 0
     assert bool(objective[:cert.n ** 2].any()) == (c > 0)
     occ = json.loads((tmp_path / "out" / "occupations.json").read_text())

@@ -1,5 +1,6 @@
 import itertools
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -152,13 +153,14 @@ def test_duality_report_rejects_mismatched_grids():
 
 
 def test_lp_arrays_stay_packed_at_n_513():
-    # no dense 2n x 2n^2 matrix: at n = 513 it alone would take 4.3 GB
+    # no dense 2n x 2n^2 matrix (at n = 513 it alone would take 4.3 GB) and
+    # no column table: the objective and the split of z, 32 n^2 bytes
     n = 513
     grid = SkillGrid(n, 1.0)
     lp = assemble_primal(make_params(), uniform_alpha(grid), grid, 0.0)
     arrays = [v for v in vars(lp).values() if isinstance(v, np.ndarray)]
-    assert {id(a) for a in arrays} >= {id(lp.objective), id(lp.b), id(lp.rows), id(lp.vals)}
-    assert sum(a.nbytes for a in arrays) <= 100 * n * n
+    assert {id(a) for a in arrays} >= {id(lp.objective), id(lp.b), id(lp.idx), id(lp.frac)}
+    assert sum(a.nbytes for a in arrays) <= 40 * n * n
 
 
 def _dense_reference(params, grid):
@@ -181,6 +183,27 @@ def _dense_reference(params, grid):
     return A
 
 
+def _slot_reference(params, grid):
+    """Each column's four (row, value) slots written from the definition:
+    education (a, j) as student a, teacher supply n + j and the split rows
+    n + idx, n + idx + 1; labor (i, j) as worker n + i and manager n + j,
+    padded with zero values at row 0."""
+    n, x = grid.n, grid.nodes
+    nn = n * n
+    rows = np.zeros((4, 2 * nn), dtype=int)
+    vals = np.zeros((4, 2 * nn))
+    Z = x[:, None] + params.theta * (x[None, :] - x[:, None])
+    idx, frac = split_positions(Z.ravel(), grid)
+    for i in range(n):
+        for j in range(n):
+            k = i * n + j
+            rows[:, k] = [i, n + j, n + idx[k], n + idx[k] + 1 if n > 1 else 0]
+            vals[:, k] = [1.0, 1.0 / params.N, -(1.0 - frac[k]), -frac[k] if n > 1 else 0.0]
+            rows[:2, nn + k] = [n + i, n + j]
+            vals[:2, nn + k] = [1.0, 1.0 / params.N_prime]
+    return rows, vals
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 12])
 @pytest.mark.parametrize("theta", [0.5, 0.7])
 @pytest.mark.parametrize("delta", [0.0, 0.05])
@@ -190,11 +213,18 @@ def test_packed_columns_reproduce_dense_A(n, theta, delta):
     lp = assemble_primal(params, linear_alpha(grid), grid, delta)
     ref = _dense_reference(params, grid)
     assert np.array_equal(lp.A, ref)
-    assert lp.rows.shape == lp.vals.shape == (4, 2 * n * n)
+    everything = np.arange(2 * n * n)
+    rows, vals = lp_mod._columns(lp, everything)
+    want_rows, want_vals = _slot_reference(params, grid)
+    assert np.array_equal(rows, want_rows) and np.array_equal(vals, want_vals)
     packed = np.zeros_like(ref)
     for s in range(4):
-        np.add.at(packed, (lp.rows[s], np.arange(2 * n * n)), lp.vals[s])
+        np.add.at(packed, (rows[s], everything), vals[s])
     assert np.array_equal(packed, ref)
+    # any subset of the columns, in any order, gets the same slots
+    pick = np.random.default_rng(n).permutation(everything)[: max(1, n * n // 3)]
+    sub_rows, sub_vals = lp_mod._columns(lp, pick)
+    assert np.array_equal(sub_rows, rows[:, pick]) and np.array_equal(sub_vals, vals[:, pick])
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.7])
@@ -202,10 +232,16 @@ def test_packed_reduced_costs_match_dense(theta):
     params = make_params(theta=theta, N=4.0, N_prime=3.0, c=0.7)
     grid = SkillGrid(9, 1.0)
     lp = assemble_primal(params, uniform_alpha(grid), grid, 0.05)
+    rows, vals = _slot_reference(params, grid)
     rng = np.random.default_rng(4)
     for _ in range(5):
         y = rng.standard_normal(2 * grid.n)
-        r = lp_mod._reduced_costs(lp.objective, lp.rows, lp.vals, y)
+        r = lp_mod._price_all(lp, y)
+        # bitwise: the slot products taken off in slot order, from the
+        # columns' own slots and from the ones written by definition
+        assert np.array_equal(r, lp_mod._reduced_costs(lp.objective, rows, vals, y))
+        assert np.array_equal(r, lp_mod._reduced_costs(
+            lp.objective, *lp_mod._columns(lp, np.arange(lp.objective.size)), y))
         ref = lp.objective - y @ lp.A
         scale = np.abs(lp.objective) + np.abs(y) @ np.abs(lp.A)
         assert np.all(np.abs(r - ref) <= 1e-13 * scale)
@@ -325,6 +361,17 @@ def test_poor_prices_take_more_pricing_rounds():
     _assert_same_optimum(poor, full)
 
 
+def _basis_matrix(lp, cols):
+    """The dense columns cols of A."""
+    return lp_mod._dense(*lp_mod._columns(lp, cols), 0, 2 * lp.n)
+
+
+def _paired_basis(lp, teacher):
+    """Each student's education column at its teacher, then the labor diagonal."""
+    n, k = lp.n, np.arange(lp.n)
+    return np.concatenate([k * n + teacher, n * n + k * (n + 1)])
+
+
 def _crash_basis(lp, prof):
     """A start basis from the wage solve: each education pair (a,
     best_teacher[a]) and the labor diagonal on each non-teacher node,
@@ -333,14 +380,14 @@ def _crash_basis(lp, prof):
     n, nn = lp.n, lp.n * lp.n
     diag = np.arange(n)
     basis = np.concatenate([diag * n + diag, nn + diag * n + diag])
-    Binv = np.linalg.inv(lp_mod._dense_columns(lp.rows, lp.vals, basis, 2 * n))
+    Binv = np.linalg.inv(_basis_matrix(lp, basis))
     taken = np.zeros(2 * n, dtype=bool)
     for col in np.concatenate([diag * n + prof.best_teacher,
                                nn + (diag * n + diag)[prof.occupation != 2]]):
         if (hit := np.flatnonzero(basis == col)).size:
             taken[hit[0]] = True
             continue
-        d = Binv @ lp_mod._dense_columns(lp.rows, lp.vals, np.array([col]), 2 * n)[:, 0]
+        d = Binv @ _basis_matrix(lp, np.array([col]))[:, 0]
         r = int(np.where(taken, 0.0, np.abs(d)).argmax())
         prow = Binv[r] / d[r]
         Binv -= np.outer(d, prow)
@@ -378,9 +425,40 @@ def test_paired_basis_inverse_matches_a_factorization(n, N):
     lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
     rng = np.random.default_rng(n)
     for teacher in (np.arange(n), rng.integers(0, n, n), np.full(n, n - 1)):
-        basis, inverse = lp_mod._paired_basis(lp, teacher)
-        ref = np.linalg.inv(lp_mod._dense_columns(lp.rows, lp.vals, basis, 2 * n))
+        basis = _paired_basis(lp, teacher)
+        inverse = lp_mod._basis_inverse(*lp_mod._columns(lp, basis))
+        ref = np.linalg.inv(_basis_matrix(lp, basis))
         assert np.abs(inverse - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("path, n", [(os.path.join(CONFIGS, "demo_small.toml"), 32),
+                                     (C0_CONFIG, 64),
+                                     (os.path.join(CONFIGS, "phase_supercritical.toml"), 64)],
+                         ids=["demo_small", "c0", "supercritical"])
+def test_basis_inverse_matches_a_factorization_on_optimal_bases(path, n):
+    # optimal bases pair some students with several teachers, so S != 0;
+    # in basis order, and with the basis positions shuffled
+    lp, prof = _certificate_instance(path, n)
+    basis = solve_lp(lp, prices=np.concatenate([prof.u, prof.v])).basis
+    students = basis[basis < n * n] // n
+    assert np.bincount(students, minlength=n).max() >= 2
+    for order in (np.arange(2 * n), np.random.default_rng(n).permutation(2 * n)):
+        inverse = lp_mod._basis_inverse(*lp_mod._columns(lp, basis[order]))
+        ref = np.linalg.inv(_basis_matrix(lp, basis[order]))
+        assert np.abs(inverse - ref).max() <= 1e-12
+        assert np.abs(inverse @ _basis_matrix(lp, basis[order]) - np.eye(2 * n)).max() <= 1e-12
+
+
+def test_a_basis_leaving_a_student_row_uncovered_is_singular():
+    params = make_params(N=4.0, N_prime=3.0, c=0.5)
+    grid = SkillGrid(6, 1.0)
+    lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
+    basis = _paired_basis(lp, np.arange(lp.n))
+    basis[2] = 1                          # student 0 twice, student 2 not at all
+    with pytest.raises(np.linalg.LinAlgError):
+        lp_mod._basis_inverse(*lp_mod._columns(lp, basis))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_lp(lp, basis=basis)
 
 
 def test_an_infeasible_assignment_basis_falls_back_to_the_diagonal():
@@ -410,6 +488,27 @@ def test_the_certificate_hands_its_inverse_to_the_probe(monkeypatch):
     assert probe["pivots"] == 0 and probe["tv_eps"] == probe["tv_lam"] == 0.0
     assert uniqueness_probe(lp, replace(cert, basis_inverse=None), seed=1) == probe
     assert len(inverses) == certified + 1
+    # every basis inverse eliminates the student rows: only n x n matrices are inverted
+    assert all(shape[0] <= lp.n and shape[1] <= lp.n for shape in inverses)
+
+
+def test_assembly_and_a_seeded_solve_peak_below_130_n2_bytes():
+    # the LP keeps 32 n^2 bytes and the basis inverse 32 n^2; a column
+    # table of 96 n^2 bytes, or a dense 2n x 2n basis matrix beside the
+    # inverse, would not fit
+    n = 128
+    cfg = cli.load_scenario(os.path.join(CONFIGS, "demo_small.toml"), grid_n_override=n)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    prices = np.concatenate([prof.u, prof.v])
+    tracemalloc.start()
+    try:
+        lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, prof.delta)
+        sol = solve_lp(lp, prices=prices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and sol.start == "assignment"
+    assert peak <= 130 * n * n
 
 
 def test_seeded_and_full_solves_agree_on_a_lattice():
@@ -475,7 +574,8 @@ def _solve_from_a_noisy_start(error, seed, additive=False):
     lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
     clean = solve_lp(lp)
     assert clean.start == "diagonal" and clean.iterations >= 1
-    basis, inverse = lp_mod._paired_basis(lp, np.arange(lp.n))
+    basis = _paired_basis(lp, np.arange(lp.n))
+    inverse = lp_mod._basis_inverse(*lp_mod._columns(lp, basis))
     noise = error * np.random.default_rng(seed).standard_normal(inverse.shape)
     noisy = inverse + noise if additive else inverse * (1.0 + noise)
     return clean, solve_lp(lp, basis=basis, basis_inverse=noisy)
@@ -512,23 +612,23 @@ def test_a_basis_pivoted_to_on_an_inverse_with_an_error_must_be_feasible(seed):
 
 
 def test_a_paired_start_solve_inverts_only_before_an_exit(monkeypatch):
-    # the diagonal start is formed in closed form, also for the restart
-    # without the nudge, so each np.linalg.inv is the exit rule's
+    # an inverse is formed whole for the diagonal start, also for the
+    # restart without the nudge, and otherwise only by the exit rule
     inverses = []
-    inv = np.linalg.inv
+    basis_inverse = lp_mod._basis_inverse
 
-    def counting_inv(a):
-        inverses.append(a.shape)
-        return inv(a)
+    def counting_inverse(rows, vals, out=None):
+        inverses.append(rows.shape[1])
+        return basis_inverse(rows, vals, out=out)
 
-    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(lp_mod, "_basis_inverse", counting_inverse)
     lp, _ = _certificate_instance(os.path.join(CONFIGS, "demo_small.toml"), 32)
     full = solve_lp(lp)
-    assert full.iterations > 100 and full.refactorizations == len(inverses) == 1
+    assert full.iterations > 100 and full.refactorizations == 1 and len(inverses) == 1 + 1
     params = make_params(N=4.0, N_prime=2.0, c=0.7)
     grid = SkillGrid(8, 1.0)
     lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
     monkeypatch.setattr(lp_mod, "_NUDGE", 0.1)
     inverses.clear()
     sol = solve_lp(lp)
-    assert not sol.nudged and sol.refactorizations == len(inverses) == 2
+    assert not sol.nudged and sol.refactorizations == 2 and len(inverses) == 2 + 2

@@ -96,6 +96,13 @@ def test_discretize_linear_density_bin_integrals():
     assert np.allclose(alpha.weights, [0.25, 0.75], atol=1e-14)
 
 
+def test_tabulated_gauss_legendre_rule_is_numpys_bit_for_bit():
+    from pyramid_eq import model
+    points, weights = np.polynomial.legendre.leggauss(16)
+    assert model._GAUSS_POINTS.tobytes() == points.tobytes()
+    assert model._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_discretize_warns_on_renormalization():
     grid = SkillGrid(4, 1.0)
     with pytest.warns(DiscretizationWarning):
