@@ -24,6 +24,7 @@ from .model import (
 from .wages import (
     SolverConfig,
     StabilityReport,
+    WageOperator,
     WageProfile,
     convexify,
     solve_wages,
@@ -44,7 +45,6 @@ from .analysis import (
     adult_density,
     assortativity_check,
     coupling_from_profile,
-    labor_coupling_from_profile,
     occupation_split,
     specialization_report,
     uniqueness_probe,

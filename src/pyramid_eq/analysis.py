@@ -23,7 +23,6 @@ __all__ = [
     "adult_density",
     "specialization_report",
     "coupling_from_profile",
-    "labor_coupling_from_profile",
     "uniqueness_probe",
 ]
 
@@ -243,21 +242,6 @@ def coupling_from_profile(profile, alpha: GridMeasure, grid: SkillGrid) -> GridC
     teacher capacity, so it is a support/report device, not a feasible
     plan."""
     return GridCoupling(np.arange(grid.n), profile.best_teacher, alpha.weights)
-
-
-def labor_coupling_from_profile(profile, kappa: GridMeasure, params: TechnologyParams) -> GridCoupling:
-    """Approximate labor coupling when no exact plan is available.
-
-    Non-teacher adult mass at each node splits between working and managing
-    in the aggregate N':1 proportion, and each node's workers are managed
-    at their own node (the diagonal coupling), over the nodes whose worker
-    mass exceeds SUPPORT_FLOOR.  Worker supply equals manager capacity node
-    by node, so the pairing always clears; this is a reporting device for
-    grids beyond the exact solver, not a feasible optimal plan.
-    """
-    supply = kappa.weights * (profile.occupation != 2) * (params.N_prime / (params.N_prime + 1.0))
-    nodes = np.flatnonzero(supply > SUPPORT_FLOOR)
-    return GridCoupling(nodes, nodes, supply[nodes])
 
 
 def _probe_noise(size: int, seed: int, magnitude: float) -> np.ndarray:

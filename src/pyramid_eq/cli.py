@@ -10,10 +10,10 @@ cannot place is rejected as well.  [solver] takes the fields of
 SolverConfig (delta, tol) and nothing else.
 
 solve and sweep run one solve_wages per scenario, at any c >= 0.  solve
-certifies the wage profile against the LP on grids of up to
-_LP_MAX_N nodes; a larger grid writes the couplings read off the
-profile's argmaxes instead (couplings_source "profile_argmax", lp null,
-and a requested uniqueness probe written as null).
+certifies every wage profile against the LP, assembled on the profile's
+own operator, and writes the LP's couplings.  A relative --out resolves
+against the working directory, a relative [outputs] directory against
+the config file's.
 Artifacts are deterministic: repeated runs of the same config and seed
 produce bit-identical files (sorted JSON keys, repr-round-trip floats,
 no timestamps).
@@ -51,7 +51,6 @@ from .analysis import (
     adult_density,
     assortativity_check,
     coupling_from_profile,
-    labor_coupling_from_profile,
     occupation_split,
     specialization_report,
     uniqueness_probe,
@@ -92,11 +91,6 @@ _KEY_TABLE = {
     "gurus": {"population": (int, None), "N": (int, None), "N_prime": (int, None)},
     "sweep": {"N": (list, None), "theta": (list, None)},
 }
-# Largest grid certified by the LP; larger grids write the profile_argmax
-# couplings instead.  At n = 256 the certificate would raise the
-# supercritical run's peak RSS from 42 to 56 MB; ROADMAP item 2 (a crash
-# basis from the wage solve) is to certify every grid and retire this rule.
-_LP_MAX_N = 160
 _SECTION_LINE = re.compile(r"\s*\[\s*([\w.-]+)\s*\]\s*(#.*)?$")
 _KEY_LINE = re.compile(r'\s*"?([\w-]+)"?\s*=')
 
@@ -261,9 +255,10 @@ def load_scenario(path: str, *, out_override=None, grid_n_override=None) -> Scen
     except ValueError as exc:
         raise ConfigError(f"{where('solver')}: [solver] {exc}")
 
-    out_dir = values["outputs"]["directory"] if out_override is None else out_override
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(base_dir, out_dir)
+    if out_override is None:
+        out_dir = os.path.join(base_dir, values["outputs"]["directory"])
+    else:
+        out_dir = os.path.abspath(out_override)
 
     if values["run"]["seed"] < 0:
         raise ConfigError(f"{where('run', 'seed')}: seed = {values['run']['seed']} violates seed >= 0")
@@ -338,36 +333,10 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     profile = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
     sr = stability_residuals(profile)
 
-    lp_block = None
-    if cfg.grid.n <= _LP_MAX_N:
-        lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, profile.delta)
-        sol = solve_lp(lp, prices=np.concatenate([profile.u, profile.v]))
-        rep = duality_report(sol, profile)
-        eps, lam = sol.eps, sol.lam
-        source = "lp"
-        lp_block = {
-            "value": sol.value,
-            "dual_value": sol.dual_value,
-            "status": sol.status,
-            "iterations": sol.iterations,
-            "columns": sol.columns,
-            "pricing_rounds": sol.pricing_rounds,
-            "degenerate_pivots": sol.degenerate_pivots,
-            "bland_switches": sol.bland_switches,
-            "refactorizations": sol.refactorizations,
-            "nudged": sol.nudged,
-            "start": sol.start,
-            "gap": rep.gap,
-            "gap_rel": rep.gap_rel,
-            "eps_f": rep.eps_f,
-            "lam_g": rep.lam_g,
-            "feasibility_residual": sol.feasibility_residual,
-        }
-    else:
-        eps = coupling_from_profile(profile, cfg.alpha, cfg.grid).support().canonical()
-        kappa = pushforward_z(eps, cfg.params, cfg.grid)
-        lam = labor_coupling_from_profile(profile, kappa, cfg.params)
-        source = "profile_argmax"
+    lp = assemble_primal(profile.operator, cfg.alpha, profile.delta)
+    sol = solve_lp(lp, prices=np.concatenate([profile.u, profile.v]))
+    rep = duality_report(lp, sol, profile)
+    eps, lam = sol.eps, sol.lam
 
     split = occupation_split(eps, lam, cfg.params, cfg.grid, delta=profile.delta)
     ok_eps, viol_eps = assortativity_check(eps)
@@ -387,16 +356,33 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
         "envelope_residual": profile.envelope_residual,
         "delta": profile.delta,
         "c_used": profile.operator.c,
-        "couplings_source": source,
-        "anneal": None if profile.anneal is None else profile.anneal.as_dict(),
-        "polish": None if profile.polish is None else asdict(profile.polish),
+        "couplings_source": "lp",
+        "anneal": profile.anneal.as_dict(),
+        "polish": asdict(profile.polish),
         "stability": {
             "min_f": sr.min_f,
             "min_g": sr.min_g,
             "lower_bound_ok": bool(sr.lower_bound_ok),
             "upper_bound_ok": bool(sr.upper_bound_ok),
         },
-        "lp": lp_block,
+        "lp": {
+            "value": sol.value,
+            "dual_value": sol.dual_value,
+            "status": sol.status,
+            "iterations": sol.iterations,
+            "columns": sol.columns,
+            "pricing_rounds": sol.pricing_rounds,
+            "degenerate_pivots": sol.degenerate_pivots,
+            "bland_switches": sol.bland_switches,
+            "refactorizations": sol.refactorizations,
+            "nudged": sol.nudged,
+            "start": sol.start,
+            "gap": rep.gap,
+            "gap_rel": rep.gap_rel,
+            "eps_f": rep.eps_f,
+            "lam_g": rep.lam_g,
+            "feasibility_residual": sol.feasibility_residual,
+        },
     }
     _write_json(os.path.join(cfg.out_dir, "duality.json"), duality)
 
@@ -414,12 +400,7 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     }
     probe = None
     if cfg.probe_uniqueness:
-        if lp_block is not None:
-            probe = uniqueness_probe(lp, sol, seed=cfg.seed)
-        elif not quiet:
-            print(f"solve: uniqueness probe skipped: no LP certificate above n = {_LP_MAX_N}",
-                  file=sys.stderr)
-        occupations["uniqueness_probe"] = probe
+        probe = occupations["uniqueness_probe"] = uniqueness_probe(lp, sol, seed=cfg.seed)
     _write_json(os.path.join(cfg.out_dir, "occupations.json"), occupations)
 
     specialization = {
@@ -436,12 +417,10 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     _write_json(os.path.join(cfg.out_dir, "specialization.json"), specialization)
 
     if not quiet:
-        gap = f"{lp_block['gap']:.3g}" if lp_block else "n/a (lp skipped)"
         print(f"solve: converged={profile.converged} objective={profile.objective:.9g} "
-              f"gap={gap} -> {cfg.out_dir}")
-    lp_ok = lp_block is None or lp_block["status"] == "optimal"
+              f"gap={rep.gap:.3g} -> {cfg.out_dir}")
     probe_ok = probe is None or probe["status"] == "optimal"
-    return (0 if profile.converged and lp_ok and probe_ok else 2), profile
+    return (0 if profile.converged and sol.status == "optimal" and probe_ok else 2), profile
 
 
 def _profile_from_wages_csv(cfg: ScenarioConfig) -> WageProfile:

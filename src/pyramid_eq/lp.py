@@ -12,11 +12,13 @@ the nodes.
 Each column has at most 4 nonzeros (a student row, the teacher-supply
 row and the two split rows of z for eps; the worker and manager rows for
 lam), all of which follow from the split (idx, frac) of z and the
-capacities 1/N and 1/N', so assemble_primal keeps only the objective, b
-and that split, about 32 n^2 bytes.  _columns gives any columns'
-nonzeros as four (row, value) slots; the dense DiscreteLP.A is built
-from them on demand, for tests and the benchmark tracer, and nothing in
-the solve reads it.
+capacities 1/N and 1/N'.  assemble_primal takes the objective and that
+split as views of a wages.WageOperator's pair tables, so the LP holds
+only b of its own.  _columns gives any columns' nonzeros as four (row,
+value) slots; the dense DiscreteLP.A is built from them on demand, for
+tests and the benchmark tracer, and nothing in the solve reads it.
+duality_report reads the stability slacks of the support pairs as minus
+their columns' reduced costs, so it forms no n x n slack table.
 
 solve_lp is column generation around a revised simplex with an explicit
 basis inverse that prices over the active columns' slots, so a pivot
@@ -81,7 +83,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridCoupling, GridMeasure, SkillGrid, TechnologyParams, split_positions
+from .model import GridCoupling, GridMeasure
+from .wages import WageOperator
 
 __all__ = [
     "DiscreteLP",
@@ -117,8 +120,8 @@ class DiscreteLP:
     A is kept as the split of z, idx and frac (one entry per education
     column a n + j, as split_positions gives them), and the capacity
     coefficients teacher_share = 1/N and manager_share = 1/N'; _columns
-    gives any columns' nonzeros from them, so the LP takes about
-    32 n^2 bytes.
+    gives any columns' nonzeros from them.  objective, idx and frac are
+    views of the wage operator's tables (assemble_primal).
     """
 
     objective: np.ndarray
@@ -158,36 +161,29 @@ class LPSolution:
     basis_inverse: np.ndarray  # inverse of basis's matrix; solve_lp(basis_inverse=...) starts from it
 
 
-def assemble_primal(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
-                    delta: float = 0.0) -> DiscreteLP:
-    """Build the discrete planner's LP for the given instance.
+def assemble_primal(op: WageOperator, alpha: GridMeasure, delta: float = 0.0) -> DiscreteLP:
+    """Build the discrete planner's LP on the pair tables of the wage
+    operator op.
 
-    The steady-state rows encode the pushforward of the education coupling
-    with the same two-point splitting used everywhere else, so LP solutions
-    and measure-level reports agree exactly.
+    The objective is the ravel of op.tables (c b_E(z), then b_L over the
+    labor pairs) and the split of z the ravels of op._idx and op._frac:
+    views, not copies, so the LP adds only b to the operator's memory.
+    The steady-state rows encode the pushforward of the education
+    coupling with the same two-point splitting used everywhere else, so
+    LP solutions and measure-level reports agree exactly.
     """
-    n = grid.n
+    n = op.grid.n
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if abs(alpha.mass - 1.0) > 1e-9:
         raise ValueError("alpha must be a probability measure")
 
-    x = grid.nodes
-    nn = n * n
-    obj = np.empty(2 * nn)
-    # education block: objective c * b_E(z), and the split of z
-    Z = x[:, None] + params.theta * (x[None, :] - x[:, None])
-    obj[:nn] = (params.c * np.asarray(params.bE.value(Z))).ravel()
-    idx, frac = split_positions(Z.ravel(), grid)
-    del Z
-    # labor block: objective b_L((1-t')k' + t'k)
-    ZL = x[:, None] + params.theta_prime * (x[None, :] - x[:, None])
-    obj[nn:] = np.asarray(params.bL.value(ZL)).ravel()
-
     b = np.concatenate([alpha.weights + delta / n, np.full(n, delta / n)])
-    lp = DiscreteLP(obj, b, idx, frac, 1.0 / params.N, 1.0 / params.N_prime, n)
-    if not (np.all(np.isfinite(frac)) and np.isfinite([lp.teacher_share, lp.manager_share]).all()
-            and np.all(np.isfinite(obj))):
+    p = op.params
+    lp = DiscreteLP(op.tables.reshape(-1), b, op._idx.reshape(-1), op._frac.reshape(-1),
+                    1.0 / p.N, 1.0 / p.N_prime, n)
+    if not (np.all(np.isfinite(lp.frac)) and np.isfinite([lp.teacher_share, lp.manager_share]).all()
+            and np.all(np.isfinite(lp.objective))):
         raise ValueError("non-finite constraint or objective coefficients")
     return lp
 
@@ -286,6 +282,8 @@ def _basis_inverse(rows: np.ndarray, vals: np.ndarray, out: np.ndarray | None = 
     """
     m = rows.shape[1]
     n = m // 2
+    if out is None:
+        out = np.empty((m, m))
     pos = np.arange(m)
     student = rows[0]
     edu = student < n
@@ -298,15 +296,15 @@ def _basis_inverse(rows: np.ndarray, vals: np.ndarray, out: np.ndarray | None = 
     other = other.nonzero()[0]
     tied = edu[other]                     # the others' columns of S
     owner = student[other[tied]]
-    E = _dense(rows[:, key], vals[:, key], n, m)
-    M = _dense(rows[:, other], vals[:, other], n, m)
+    # E and M are held in out, whose contents are all written below, so an
+    # inversion (at an exit, out is the old inverse) adds only W, V and the
+    # inverse's scratch to the memory out already takes
+    E, M = out.reshape(4, n, n)[:2]
+    E[...] = _dense(rows[:, key], vals[:, key], n, m)
+    M[...] = _dense(rows[:, other], vals[:, other], n, m)
     M[:, tied] -= E[:, owner]
     W = np.linalg.inv(M)
-    del M
     V = W @ E
-    del E
-    if out is None:
-        out = np.empty((m, m))
     out[other, :n] = np.negative(V, out=V)
     out[other, n:] = W
     # the key rows are [I, 0] - S [-V, W], S summing the others' rows by owner
@@ -575,28 +573,32 @@ class DualityReport:
     lp_own_slackness: float
 
 
-def duality_report(solution: LPSolution, profile) -> DualityReport:
+def _support_slacks(lp: DiscreteLP, solution: LPSolution, y: np.ndarray) -> tuple[float, float]:
+    """eps(F) and lam(G) over the solution's support under the row prices
+    y (u then v): the slack F(a, j) of an education pair is minus the
+    reduced cost of column a n + j under y, and G(i, j) that of labor
+    column n^2 + i n + j."""
+    n = lp.n
+    sums = []
+    for coupling, first in ((solution.eps, 0), (solution.lam, n * n)):
+        cols = first + coupling.rows * n + coupling.cols
+        r = _reduced_costs(lp.objective[cols], *_columns(lp, cols), y)
+        sums.append(0.0 - float(np.sum(coupling.weights * r)))  # not -sum, which makes a zero sum -0.0
+    return sums[0], sums[1]
+
+
+def duality_report(lp: DiscreteLP, solution: LPSolution, profile) -> DualityReport:
     """Certify the LP value against a wage profile on the same instance.
 
     Reports the objective gap, the slackness integrals eps(f), lam(g)
-    evaluated with the profile's wages and operator, and the LP's own
-    complementary slackness (using its own duals) as a solver
-    self-check.
+    under the profile's wages, and the LP's own complementary slackness
+    (under its own duals) as a solver self-check, each read as reduced
+    costs of lp's columns over the solution's support.
     """
     if len(profile.v) != len(solution.v):
         raise ValueError("profile and LP were built on different grids")
-    op = profile.operator
-    v, u = profile.v, profile.u
-
-    F, G = op.slacks(u, v)
-    eps_f = float(np.sum(solution.eps.weights * F[solution.eps.rows, solution.eps.cols]))
-    lam_g = float(np.sum(solution.lam.weights * G[solution.lam.rows, solution.lam.cols]))
-
-    Fd, Gd = op.slacks(solution.u, solution.v)
-    own = float(
-        np.sum(solution.eps.weights * Fd[solution.eps.rows, solution.eps.cols])
-        + np.sum(solution.lam.weights * Gd[solution.lam.rows, solution.lam.cols])
-    )
+    eps_f, lam_g = _support_slacks(lp, solution, np.concatenate([profile.u, profile.v]))
+    own_f, own_g = _support_slacks(lp, solution, np.concatenate([solution.u, solution.v]))
 
     gap = abs(solution.value - profile.objective)
     scale = max(1.0, abs(solution.value))
@@ -605,5 +607,5 @@ def duality_report(solution: LPSolution, profile) -> DualityReport:
         gap_rel=gap / scale,
         eps_f=eps_f,
         lam_g=lam_g,
-        lp_own_slackness=own,
+        lp_own_slackness=own_f + own_g,
     )

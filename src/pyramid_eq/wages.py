@@ -123,6 +123,11 @@ externally against the LP.  SolverConfig sets only delta and the polish
 tolerance; the polish budget and damping are the module constants
 _POLISH_*.
 
+WageOperator keeps the pair tables E = c b_E(z) and BL as views into one
+(2, n, n) array, tables, beside the split (_idx, _frac) of z;
+lp.assemble_primal takes them as the LP's objective and constraint
+columns, so the certificate reads the arrays the wages were solved on.
+
 Off-grid values v(z) use linear interpolation, which preserves convexity
 of the samples.  All maxima run in fixed index order with first-index
 tie-breaking, so repeated runs are bitwise identical.  The occupation
@@ -360,21 +365,25 @@ def _hull_scan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class WageOperator:
-    """Precomputed envelope machinery for one (params, grid) pair."""
+    """Precomputed envelope machinery for one (params, grid) pair: the pair
+    tables E and BL, views into tables, and the split _idx, _frac of z,
+    which the LP reads too (see the module docstring)."""
 
     def __init__(self, params: TechnologyParams, grid: SkillGrid):
         self.params = params
         self.grid = grid
         self.c = params.c
         x = grid.nodes
-        tp = params.theta_prime
-        # labor production over (worker i, manager j) pairs
-        self.BL = np.asarray(params.bL.value(x[:, None] + tp * (x[None, :] - x[:, None])))
+        self.tables = np.empty((2, grid.n, grid.n))
+        self.E, self.BL = self.tables
         # acquired skill over (student i, teacher j) pairs, with interp weights
         Z = x[:, None] + params.theta * (x[None, :] - x[:, None])
-        self.E = self.c * np.asarray(params.bE.value(Z))
+        np.multiply(self.c, params.bE.value(Z), out=self.E)
         self._idx, self._frac = split_positions(Z, grid)
         self._omf = 1.0 - self._frac
+        # labor production over (worker i, manager j) pairs
+        tp = params.theta_prime
+        self.BL[...] = params.bL.value(x[:, None] + tp * (x[None, :] - x[:, None]))
 
     def interp_at_z(self, v: np.ndarray, out: np.ndarray | None = None,
                     scratch: np.ndarray | None = None) -> np.ndarray:

@@ -14,6 +14,7 @@ from pyramid_eq import (
     GridCoupling,
     SkillGrid,
     SolverConfig,
+    WageOperator,
     assemble_primal,
     assortativity_check,
     adult_density,
@@ -53,7 +54,7 @@ def lattice():
             params = make_params(N=N, N_prime=Np, c=c)
             grid = SkillGrid(n, 1.0)
             alpha = uniform_alpha(grid)
-            sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+            sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
             prof = solve_wages(params, alpha, grid, SolverConfig())
             out[(N, Np, c, n)] = (params, grid, alpha, sol, prof)
     return out
@@ -106,7 +107,7 @@ def test_criterion_2_mass_identities():
             params = make_params(N=N, N_prime=Np, c=0.5)
             grid = SkillGrid(32, 1.0)
             alpha = uniform_alpha(grid)
-            sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+            sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
             split = occupation_split(sol.eps, sol.lam, params, grid)
             want = (
                 (N - 1.0) * Np / (N * (Np + 1.0)),
@@ -123,7 +124,7 @@ def test_criterion_3_single_node_oracle():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
     alpha = uniform_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
     prof = solve_wages(params, alpha, grid, SolverConfig())
     gap = abs(sol.value - prof.objective)
     ok = (
@@ -142,7 +143,7 @@ def test_criterion_4_duality_and_slackness(lattice):
     for (N, Np, c, n), (params, grid, alpha, sol, prof) in lattice.items():
         scale = max(1.0, abs(sol.value))
         worst_lp = max(worst_lp, abs(sol.value - sol.dual_value) / scale)
-        rep = duality_report(sol, prof)
+        rep = duality_report(assemble_primal(prof.operator, alpha), sol, prof)
         worst_gap = max(worst_gap, rep.gap / scale)
         worst_slack = max(worst_slack, abs(rep.eps_f), abs(rep.lam_g))
     ok = worst_lp <= 1e-9 and worst_gap <= 1e-6 and worst_slack <= 1e-6
@@ -188,7 +189,7 @@ def test_criterion_6_specialization(lattice):
     params = make_params(N=10.0, N_prime=10.0, c=0.5)
     grid = SkillGrid(32, 1.0)
     alpha = uniform_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
     prof = solve_wages(params, alpha, grid, SolverConfig())
     split = occupation_split(sol.eps, sol.lam, params, grid)
     rep = specialization_report(prof, split, params, grid, eps=sol.eps)
@@ -255,7 +256,7 @@ def test_criterion_9_top_slope_identities():
     params = make_params(N=10.0, N_prime=1.0, c=0.1, bL_amp=0.2)
     grid = SkillGrid(128, 1.0)
     alpha = uniform_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
     split = occupation_split(sol.eps, sol.lam, params, grid)
     if split.kappa_t.weights[-1] <= 1e-12:
         report(9, True, "not applicable: hypothesis (i) fails on this instance")

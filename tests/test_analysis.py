@@ -7,10 +7,10 @@ from pyramid_eq import (
     SolverConfig,
     UtilityCurve,
     TechnologyParams,
+    WageOperator,
     adult_density,
     assemble_primal,
     assortativity_check,
-    coupling_from_profile,
     occupation_split,
     solve_lp,
     solve_wages,
@@ -21,7 +21,7 @@ from conftest import make_params, uniform_alpha, linear_alpha
 
 
 def solve_instance(params, grid, alpha, delta=0.0):
-    sol = solve_lp(assemble_primal(params, alpha, grid, delta))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha, delta))
     prof = solve_wages(params, alpha, grid, SolverConfig(delta=delta))
     return sol, prof
 
@@ -215,7 +215,7 @@ def test_uniqueness_probe_small_tv_distance():
     params = make_params(N=10.0, N_prime=10.0, c=0.5)
     grid = SkillGrid(12, 1.0)
     alpha = uniform_alpha(grid)
-    lp = assemble_primal(params, alpha, grid)
+    lp = assemble_primal(WageOperator(params, grid), alpha)
     probe = uniqueness_probe(lp, solve_lp(lp), seed=11)
     assert probe["tv_eps"] <= 1e-4
     assert probe["tv_lam"] <= 1e-4
@@ -241,22 +241,3 @@ def test_probe_noise_is_its_formula_bit_for_bit(seed):
         formula = 1e-7 * ((bits >> 11) * 2.0 ** -52 - 1.0)
         assert _probe_noise(size, seed, 1e-7).tobytes() == formula.tobytes()
 
-
-def test_labor_coupling_from_profile_clears():
-    from pyramid_eq import labor_coupling_from_profile, pushforward_z
-    params = make_params(N=10.0, N_prime=10.0, c=0.5)
-    grid = SkillGrid(24, 1.0)
-    alpha = uniform_alpha(grid)
-    prof = solve_wages(params, alpha, grid, SolverConfig())
-    eps = coupling_from_profile(prof, alpha, grid)
-    kappa = pushforward_z(eps, params, grid)
-    lam = labor_coupling_from_profile(prof, kappa, params)
-    ok, _ = assortativity_check(lam)
-    assert ok
-    assert np.array_equal(lam.rows, lam.cols)  # each node's workers are managed at that node
-    nonteacher = float((kappa.weights * (prof.occupation != 2)).sum())
-    share = params.N_prime / (params.N_prime + 1.0)
-    assert float(lam.weights.sum()) == pytest.approx(nonteacher * share, rel=1e-9)
-    # worker and manager marginals balance through the span of control
-    assert lam.left_marginal(grid.n).mass == pytest.approx(
-        params.N_prime * lam.right_marginal(grid.n).mass / params.N_prime, rel=1e-9)

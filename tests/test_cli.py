@@ -103,28 +103,6 @@ def test_solve_writes_artifacts_and_validates_schemas(tmp_path):
         assert anneal[total] == sum(s[total] for s in anneal["stages"])
 
 
-def test_grid_above_the_lp_size_rule_writes_argmax_couplings(tmp_path, monkeypatch, capsys):
-    # n = 12 above the rule: no LP certificate, so the requested probe is
-    # written as null with a note; the couplings are read off the profile,
-    # labor on the diagonal
-    monkeypatch.setattr(cli, "_LP_MAX_N", 8)
-    cfg_path = write_config(tmp_path, PROBED)
-    assert main(["solve", "--config", cfg_path]) == 0
-    assert "uniqueness probe skipped" in capsys.readouterr().err
-    out = tmp_path / "out"
-    duality = json.loads((out / "duality.json").read_text())
-    jsonschema.validate(duality, load_schema("duality.schema.json"))
-    assert duality["couplings_source"] == "profile_argmax"
-    assert duality["lp"] is None
-    occ = json.loads((out / "occupations.json").read_text())
-    jsonschema.validate(occ, load_schema("occupations.schema.json"))
-    assert occ["uniqueness_probe"] is None
-    jsonschema.validate(json.loads((out / "specialization.json").read_text()),
-                        load_schema("specialization.schema.json"))
-    lam = np.loadtxt(out / "matching_lambda.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert lam.size and np.array_equal(lam[:, 0], lam[:, 1])
-
-
 def _demo_solve_imports(tmp_path, package):
     """Solve configs/demo_small.toml (LP certificate and uniqueness probe
     on) in a fresh interpreter; returns the modules of package that
@@ -297,6 +275,21 @@ def test_grid_override(tmp_path):
     # delta is set by [solver] delta only
     with pytest.raises(SystemExit):
         main(["validate", "--config", cfg_path, "--delta", "0.125", "--quiet"])
+
+
+def test_relative_out_resolves_against_the_working_directory(tmp_path, monkeypatch):
+    # --out DIR is relative to the working directory; [outputs] directory
+    # stays relative to the config file
+    configs, run = tmp_path / "configs", tmp_path / "run"
+    configs.mkdir()
+    run.mkdir()
+    cfg_path = write_config(configs)
+    monkeypatch.chdir(run)
+    assert load_scenario(cfg_path, out_override="here").out_dir == str(run / "here")
+    assert load_scenario(cfg_path).out_dir == str(configs / "out")
+    assert main(["solve", "--config", cfg_path, "--out", "here", "--quiet"]) == 0
+    assert (run / "here" / "duality.json").exists()
+    assert not (configs / "here").exists()
 
 
 def test_tabulated_alpha_roundtrip(tmp_path):
@@ -524,6 +517,30 @@ def test_probe_reuses_the_certificate_lp(tmp_path, monkeypatch, text, c):
     assert bool(objective[:cert.n ** 2].any()) == (c > 0)
     occ = json.loads((tmp_path / "out" / "occupations.json").read_text())
     assert occ["uniqueness_probe"]["value_shift"] <= 1e-6
+
+
+def test_shipped_supercritical_config_is_certified_at_its_own_n(tmp_path):
+    # n = 256: the LP certifies the wage solve and writes the couplings on
+    # every grid; the probe, when requested, leaves the certificate alone
+    config = os.path.join(CONFIG_DIR, "phase_supercritical.toml")
+    with open(config, encoding="utf-8") as fh:
+        probed = write_config(tmp_path, fh.read().replace("seed = 1", "seed = 1\nprobe_uniqueness = true"))
+    for cfg_path, out in ((config, tmp_path / "plain"), (probed, tmp_path / "probed")):
+        assert main(["solve", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    out = tmp_path / "plain"
+    duality = json.loads((out / "duality.json").read_text())
+    jsonschema.validate(duality, load_schema("duality.schema.json"))
+    lp = duality["lp"]
+    assert duality["couplings_source"] == "lp"
+    assert lp["status"] == "optimal" and lp["start"] == "assignment"
+    assert lp["gap_rel"] <= 1e-6
+    assert abs(lp["eps_f"]) <= 1e-6 and abs(lp["lam_g"]) <= 1e-6
+    occ = json.loads((out / "occupations.json").read_text())
+    jsonschema.validate(occ, load_schema("occupations.schema.json"))
+    assert occ["consistent"] is True and "uniqueness_probe" not in occ
+    assert (tmp_path / "probed" / "duality.json").read_text() == (out / "duality.json").read_text()
+    probe = json.loads((tmp_path / "probed" / "occupations.json").read_text())["uniqueness_probe"]
+    assert probe["status"] == "optimal"
 
 
 def test_probe_block_is_validated_and_warm_started(tmp_path):

@@ -13,6 +13,7 @@ from pyramid_eq import (
     GridCoupling,
     SkillGrid,
     SolverConfig,
+    WageOperator,
     assemble_primal,
     duality_report,
     solve_lp,
@@ -25,7 +26,7 @@ def test_assemble_single_node_reduction():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
     alpha = uniform_alpha(grid)
-    lp = assemble_primal(params, alpha, grid, 0.0)
+    lp = assemble_primal(WageOperator(params, grid), alpha)
     assert lp.A.shape == (2, 2)
     # student row: eps00 = 1; steady row: lam00 (1 + 1/N') + eps00 (1/N - 1) = 0
     assert lp.A[0].tolist() == [1.0, 0.0]
@@ -38,7 +39,7 @@ def test_student_block_row_sums():
     grid = SkillGrid(6, 1.0)
     alpha = uniform_alpha(grid)
     delta = 0.125
-    lp = assemble_primal(params, alpha, grid, delta)
+    lp = assemble_primal(WageOperator(params, grid), alpha, delta)
     n = grid.n
     student_rows = lp.A[:n, : n * n]
     # summing the student-marginal block against any feasible point gives
@@ -52,7 +53,7 @@ def test_lp_lambda_mass_account(N, N_prime):
     params = make_params(N=N, N_prime=N_prime, c=0.5)
     grid = SkillGrid(8, 1.0)
     alpha = uniform_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
     want = (1.0 - 1.0 / N) / (1.0 + 1.0 / N_prime)
     assert float(sol.lam.weights.sum()) == pytest.approx(want, abs=1e-9)
 
@@ -61,7 +62,7 @@ def test_single_node_solve():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
     alpha = uniform_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(0.25, abs=1e-12)
     assert float(sol.eps.weights.sum()) == pytest.approx(1.0)
@@ -72,7 +73,7 @@ def test_strong_duality_and_feasibility():
     params = make_params(N=10.0, N_prime=4.0, c=0.5)
     grid = SkillGrid(16, 1.0)
     alpha = linear_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.01))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha, 0.01))
     scale = max(1.0, abs(sol.value))
     assert abs(sol.value - sol.dual_value) <= 1e-9 * scale
     assert sol.feasibility_residual <= 1e-9
@@ -82,9 +83,9 @@ def test_objective_scaling_homogeneity():
     params = make_params(N=4.0, N_prime=2.0, c=0.5)
     grid = SkillGrid(5, 1.0)
     alpha = uniform_alpha(grid)
-    lp = assemble_primal(params, alpha, grid, 0.0)
+    lp = assemble_primal(WageOperator(params, grid), alpha)
     sol = solve_lp(lp)
-    lp2 = assemble_primal(params, alpha, grid, 0.0)
+    lp2 = assemble_primal(WageOperator(params, grid), alpha)
     lp2.objective = 2.0 * lp2.objective
     sol2 = solve_lp(lp2)
     assert sol2.value == pytest.approx(2.0 * sol.value, rel=1e-12)
@@ -96,8 +97,8 @@ def test_determinism_bitwise():
     params = make_params(N=10.0, N_prime=10.0, c=0.5)
     grid = SkillGrid(10, 1.0)
     alpha = uniform_alpha(grid)
-    a = solve_lp(assemble_primal(params, alpha, grid, 0.0))
-    b = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    a = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
+    b = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
     assert a.value == b.value
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
     assert np.array_equal(a.eps.weights, b.eps.weights)
@@ -119,7 +120,7 @@ def test_against_scipy_linprog(seed):
     from pyramid_eq import discretize_density
     alpha = discretize_density(dens, grid)
     delta = float(rng.choice([0.0, 0.05]))
-    lp = assemble_primal(params, alpha, grid, delta)
+    lp = assemble_primal(WageOperator(params, grid), alpha, delta)
     sol = solve_lp(lp)
     ref = linprog(-lp.objective, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
     assert ref.status == 0
@@ -130,14 +131,15 @@ def test_lp_own_slackness_and_perturbed_v_flags():
     params = make_params(N=10.0, N_prime=10.0, c=0.5)
     grid = SkillGrid(8, 1.0)
     alpha = uniform_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
     prof = solve_wages(params, alpha, grid, SolverConfig())
-    rep = duality_report(sol, prof)
+    lp = assemble_primal(prof.operator, alpha)
+    sol = solve_lp(lp)
+    rep = duality_report(lp, sol, prof)
     assert abs(rep.lp_own_slackness) <= 1e-9 * max(1.0, abs(sol.value))
     assert rep.gap <= 1e-6 * max(1.0, abs(sol.value))
     # deliberately lift v: the labor slackness integral must go positive
     prof.v = prof.v + 0.05
-    rep2 = duality_report(sol, prof)
+    rep2 = duality_report(lp, sol, prof)
     assert rep2.lam_g > 1e-3
 
 
@@ -145,19 +147,21 @@ def test_duality_report_rejects_mismatched_grids():
     params = make_params()
     grid = SkillGrid(6, 1.0)
     alpha = uniform_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    lp = assemble_primal(WageOperator(params, grid), alpha)
+    sol = solve_lp(lp)
     other = solve_wages(params, uniform_alpha(SkillGrid(4, 1.0)), SkillGrid(4, 1.0),
                         SolverConfig())
     with pytest.raises(ValueError):
-        duality_report(sol, other)
+        duality_report(lp, sol, other)
 
 
 def test_lp_arrays_stay_packed_at_n_513():
     # no dense 2n x 2n^2 matrix (at n = 513 it alone would take 4.3 GB) and
-    # no column table: the objective and the split of z, 32 n^2 bytes
+    # no column table: the objective and the split of z, 32 n^2 bytes, as
+    # views of the operator's tables
     n = 513
     grid = SkillGrid(n, 1.0)
-    lp = assemble_primal(make_params(), uniform_alpha(grid), grid, 0.0)
+    lp = assemble_primal(WageOperator(make_params(), grid), uniform_alpha(grid))
     arrays = [v for v in vars(lp).values() if isinstance(v, np.ndarray)]
     assert {id(a) for a in arrays} >= {id(lp.objective), id(lp.b), id(lp.idx), id(lp.frac)}
     assert sum(a.nbytes for a in arrays) <= 40 * n * n
@@ -210,7 +214,7 @@ def _slot_reference(params, grid):
 def test_packed_columns_reproduce_dense_A(n, theta, delta):
     params = make_params(theta=theta, N=4.0, N_prime=3.0)
     grid = SkillGrid(n, 1.0)
-    lp = assemble_primal(params, linear_alpha(grid), grid, delta)
+    lp = assemble_primal(WageOperator(params, grid), linear_alpha(grid), delta)
     ref = _dense_reference(params, grid)
     assert np.array_equal(lp.A, ref)
     everything = np.arange(2 * n * n)
@@ -231,7 +235,7 @@ def test_packed_columns_reproduce_dense_A(n, theta, delta):
 def test_packed_reduced_costs_match_dense(theta):
     params = make_params(theta=theta, N=4.0, N_prime=3.0, c=0.7)
     grid = SkillGrid(9, 1.0)
-    lp = assemble_primal(params, uniform_alpha(grid), grid, 0.05)
+    lp = assemble_primal(WageOperator(params, grid), uniform_alpha(grid), 0.05)
     rows, vals = _slot_reference(params, grid)
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -251,7 +255,7 @@ def test_packed_reduced_costs_match_dense(theta):
 def test_restart_from_own_basis_takes_no_pivots(delta):
     params = make_params(N=4.0, N_prime=2.0, c=0.7)
     grid = SkillGrid(10, 1.0)
-    lp = assemble_primal(params, linear_alpha(grid), grid, delta)
+    lp = assemble_primal(WageOperator(params, grid), linear_alpha(grid), delta)
     sol = solve_lp(lp)
     again = solve_lp(lp, basis=sol.basis)
     assert sol.iterations > 0 and again.iterations == 0
@@ -266,7 +270,7 @@ def test_restart_from_own_basis_takes_no_pivots(delta):
 def test_warm_start_rejects_a_bad_basis():
     params = make_params(N=4.0, N_prime=2.0, c=0.7)
     grid = SkillGrid(6, 1.0)
-    lp = assemble_primal(params, uniform_alpha(grid), grid, 0.0)
+    lp = assemble_primal(WageOperator(params, grid), uniform_alpha(grid))
     with pytest.raises(ValueError, match="columns"):
         solve_lp(lp, basis=np.arange(3))
     with pytest.raises(ValueError, match="one per row"):
@@ -276,7 +280,7 @@ def test_warm_start_rejects_a_bad_basis():
     with pytest.raises(ValueError, match="inverse"):
         solve_lp(lp, basis=solve_lp(lp).basis, basis_inverse=np.eye(3))
     # optimal for other marginals, infeasible for these
-    other = solve_lp(assemble_primal(params, linear_alpha(grid), grid, 0.05))
+    other = solve_lp(assemble_primal(WageOperator(params, grid), linear_alpha(grid), 0.05))
     with pytest.raises(ValueError, match="not primal feasible"):
         solve_lp(lp, basis=other.basis)
 
@@ -297,7 +301,7 @@ def test_warm_and_cold_solves_of_perturbed_lps_agree():
                                     (12, 2.0, 5.0, 0.0, 0.01)]:
         params = make_params(N=N, N_prime=N_prime, c=c)
         grid = SkillGrid(n, 1.0)
-        lp = assemble_primal(params, linear_alpha(grid), grid, delta)
+        lp = assemble_primal(WageOperator(params, grid), linear_alpha(grid), delta)
         base = solve_lp(lp)
         for seed in range(4):
             noise = np.random.default_rng(seed).uniform(-1e-3, 1e-3, lp.objective.shape)
@@ -322,8 +326,59 @@ def _certificate_instance(path, n=None):
     """The LP the solve command certifies, and the wage profile it uses as prices."""
     cfg = cli.load_scenario(path, grid_n_override=n)
     prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
-    lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, prof.delta)
+    lp = assemble_primal(prof.operator, cfg.alpha, prof.delta)
     return lp, prof
+
+
+def test_the_lp_reads_the_wage_operators_tables():
+    # the objective and the split of z are views of the operator's arrays,
+    # bitwise equal to their definition: c b_E(z) over (student, teacher)
+    # pairs, then b_L((1-t')k' + t'k) over (worker, manager) pairs
+    for path, n in ((os.path.join(CONFIGS, "demo_small.toml"), 32), (C0_CONFIG, 32),
+                    (os.path.join(CONFIGS, "phase_supercritical.toml"), 64)):
+        cfg = cli.load_scenario(path, grid_n_override=n)
+        p, x = cfg.params, cfg.grid.nodes
+        op = WageOperator(p, cfg.grid)
+        lp = assemble_primal(op, cfg.alpha)
+        assert np.shares_memory(lp.objective, op.E) and np.shares_memory(lp.objective, op.BL)
+        assert np.shares_memory(lp.idx, op._idx) and np.shares_memory(lp.frac, op._frac)
+        Z = x[:, None] + p.theta * (x[None, :] - x[:, None])
+        ZL = x[:, None] + p.theta_prime * (x[None, :] - x[:, None])
+        objective = np.concatenate([(p.c * p.bE.value(Z)).ravel(), p.bL.value(ZL).ravel()])
+        pos = Z.ravel() / cfg.grid.h
+        idx = np.clip(np.floor(pos).astype(int), 0, n - 2)
+        frac = pos - idx
+        frac[frac < 1e-12] = 0.0
+        frac[frac > 1.0 - 1e-12] = 1.0
+        assert lp.objective.tobytes() == objective.tobytes()
+        assert np.array_equal(lp.idx, idx) and lp.frac.tobytes() == frac.tobytes()
+
+
+def _dense_duality_report(sol, profile):
+    """eps(F), lam(G) and the LP's own slackness from the n x n slack
+    tables of WageOperator.slacks."""
+    op = profile.operator
+
+    def integrals(u, v):
+        F, G = op.slacks(u, v)
+        return (float(np.sum(sol.eps.weights * F[sol.eps.rows, sol.eps.cols])),
+                float(np.sum(sol.lam.weights * G[sol.lam.rows, sol.lam.cols])))
+
+    eps_f, lam_g = integrals(profile.u, profile.v)
+    own = sum(integrals(sol.u, sol.v))
+    return eps_f, lam_g, own
+
+
+def test_duality_report_reads_slackness_as_reduced_costs():
+    for path, n in ((os.path.join(CONFIGS, "demo_small.toml"), 32), (C0_CONFIG, 32),
+                    (os.path.join(CONFIGS, "phase_supercritical.toml"), 64)):
+        lp, prof = _certificate_instance(path, n)
+        sol = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
+        rep = duality_report(lp, sol, prof)
+        eps_f, lam_g, own = _dense_duality_report(sol, prof)
+        assert abs(rep.eps_f - eps_f) <= 1e-15
+        assert abs(rep.lam_g - lam_g) <= 1e-15
+        assert abs(rep.lp_own_slackness - own) <= 1e-15
 
 
 def _assert_same_optimum(a, b):
@@ -422,7 +477,7 @@ def test_three_starts_end_on_the_same_duals(path):
 def test_paired_basis_inverse_matches_a_factorization(n, N):
     params = make_params(N=N, N_prime=3.0, c=0.5)
     grid = SkillGrid(n, 1.0)
-    lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
+    lp = assemble_primal(WageOperator(params, grid), linear_alpha(grid))
     rng = np.random.default_rng(n)
     for teacher in (np.arange(n), rng.integers(0, n, n), np.full(n, n - 1)):
         basis = _paired_basis(lp, teacher)
@@ -452,7 +507,7 @@ def test_basis_inverse_matches_a_factorization_on_optimal_bases(path, n):
 def test_a_basis_leaving_a_student_row_uncovered_is_singular():
     params = make_params(N=4.0, N_prime=3.0, c=0.5)
     grid = SkillGrid(6, 1.0)
-    lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
+    lp = assemble_primal(WageOperator(params, grid), linear_alpha(grid))
     basis = _paired_basis(lp, np.arange(lp.n))
     basis[2] = 1                          # student 0 twice, student 2 not at all
     with pytest.raises(np.linalg.LinAlgError):
@@ -492,23 +547,25 @@ def test_the_certificate_hands_its_inverse_to_the_probe(monkeypatch):
     assert all(shape[0] <= lp.n and shape[1] <= lp.n for shape in inverses)
 
 
-def test_assembly_and_a_seeded_solve_peak_below_130_n2_bytes():
-    # the LP keeps 32 n^2 bytes and the basis inverse 32 n^2; a column
-    # table of 96 n^2 bytes, or a dense 2n x 2n basis matrix beside the
-    # inverse, would not fit
+def test_the_certificate_peaks_below_80_n2_bytes():
+    # on the profile's operator the LP adds only b, the basis inverse takes
+    # 32 n^2 bytes and the report no n x n slack table; copies of the
+    # operator's tables (32 n^2), a column table of 96 n^2 bytes or a dense
+    # 2n x 2n basis matrix beside the inverse would not fit
     n = 128
     cfg = cli.load_scenario(os.path.join(CONFIGS, "demo_small.toml"), grid_n_override=n)
     prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
     prices = np.concatenate([prof.u, prof.v])
     tracemalloc.start()
     try:
-        lp = assemble_primal(cfg.params, cfg.alpha, cfg.grid, prof.delta)
+        lp = assemble_primal(prof.operator, cfg.alpha, prof.delta)
         sol = solve_lp(lp, prices=prices)
+        duality_report(lp, sol, prof)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sol.status == "optimal" and sol.start == "assignment"
-    assert peak <= 130 * n * n
+    assert peak <= 80 * n * n
 
 
 def test_seeded_and_full_solves_agree_on_a_lattice():
@@ -521,7 +578,7 @@ def test_seeded_and_full_solves_agree_on_a_lattice():
                                                        (1.0, 3.0), (0.0, 0.5), (1.0, 0.2)):
         params = make_params(N=N, theta=theta, N_prime=N_prime, c=c, bL_amp=amp)
         prof = solve_wages(params, alpha, grid, SolverConfig())
-        lp = assemble_primal(params, alpha, grid, prof.delta)
+        lp = assemble_primal(WageOperator(params, grid), alpha, prof.delta)
         full = solve_lp(lp)
         seeded = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
         gap = max(abs(seeded.value - full.value), np.abs(seeded.u - full.u).max(),
@@ -538,7 +595,7 @@ def test_round_off_pivots_are_refused(monkeypatch):
     grid = SkillGrid(32, 1.0)
     alpha = linear_alpha(grid)
     prof = solve_wages(params, alpha, grid, SolverConfig())
-    lp = assemble_primal(params, alpha, grid, prof.delta)
+    lp = assemble_primal(WageOperator(params, grid), alpha, prof.delta)
     prices = np.concatenate([prof.u, prof.v])
     full = solve_lp(lp)
     _assert_same_optimum(solve_lp(lp, prices=prices), full)
@@ -552,7 +609,7 @@ def test_round_off_pivots_are_refused(monkeypatch):
 def test_a_nudge_that_moves_the_basis_falls_back_to_the_true_b(monkeypatch):
     params = make_params(N=4.0, N_prime=2.0, c=0.7)
     grid = SkillGrid(8, 1.0)
-    lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
+    lp = assemble_primal(WageOperator(params, grid), linear_alpha(grid))
     ref = solve_lp(lp)
     assert ref.nudged
     monkeypatch.setattr(lp_mod, "_NUDGE", 0.1)
@@ -571,7 +628,7 @@ def _solve_from_a_noisy_start(error, seed, additive=False):
     an absolute one if additive."""
     params = make_params(N=4.0, N_prime=2.0, c=0.7)
     grid = SkillGrid(16, 1.0)
-    lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
+    lp = assemble_primal(WageOperator(params, grid), linear_alpha(grid))
     clean = solve_lp(lp)
     assert clean.start == "diagonal" and clean.iterations >= 1
     basis = _paired_basis(lp, np.arange(lp.n))
@@ -627,7 +684,7 @@ def test_a_paired_start_solve_inverts_only_before_an_exit(monkeypatch):
     assert full.iterations > 100 and full.refactorizations == 1 and len(inverses) == 1 + 1
     params = make_params(N=4.0, N_prime=2.0, c=0.7)
     grid = SkillGrid(8, 1.0)
-    lp = assemble_primal(params, linear_alpha(grid), grid, 0.0)
+    lp = assemble_primal(WageOperator(params, grid), linear_alpha(grid))
     monkeypatch.setattr(lp_mod, "_NUDGE", 0.1)
     inverses.clear()
     sol = solve_lp(lp)

@@ -8,6 +8,7 @@ from pyramid_eq import (
     InadmissiblePopulation,
     SkillGrid,
     SolverConfig,
+    WageOperator,
     assemble_primal,
     guru_census,
     nearest_admissible_populations,
@@ -187,7 +188,7 @@ def test_top_slopes_on_lp_instance():
     params = make_params(N=10.0, N_prime=1.0, c=0.1, bL_amp=0.2)
     grid = SkillGrid(96, 1.0)
     alpha = uniform_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
     split = occupation_split(sol.eps, sol.lam, params, grid)
     rep = top_slopes(split, alpha, params, grid)
     assert rep.declined is None

@@ -165,7 +165,7 @@ def test_single_node_solve_matches_oracle():
     assert prof.v[0] == pytest.approx(v_star, abs=1e-9)
     assert prof.u[0] == pytest.approx(u_star, abs=1e-9)
     assert prof.objective == pytest.approx(value, abs=1e-9)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
     assert sol.value == pytest.approx(value, abs=1e-12)
     assert abs(sol.value - prof.objective) <= 1e-9
 
@@ -241,8 +241,9 @@ def test_solve_wages_matches_lp(N, N_prime, c, n):
     alpha = uniform_alpha(grid)
     prof = solve_wages(params, alpha, grid, SolverConfig())
     assert prof.converged
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
-    rep = duality_report(sol, prof)
+    lp = assemble_primal(prof.operator, alpha)
+    sol = solve_lp(lp)
+    rep = duality_report(lp, sol, prof)
     scale = max(1.0, abs(sol.value))
     assert rep.gap <= 1e-6 * scale
     assert abs(rep.eps_f) <= 1e-6
@@ -254,7 +255,7 @@ def test_three_node_duals_match_lp():
     grid = SkillGrid(3, 1.0)
     alpha = uniform_alpha(grid)
     prof = solve_wages(params, alpha, grid, SolverConfig())
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha))
     assert np.abs(prof.u - sol.u).max() <= 1e-6
     assert np.abs(prof.v - sol.v).max() <= 1e-6
 
@@ -1001,9 +1002,10 @@ def test_direct_solve_objective_matches_lp(exp_curve):
     params = make_params(N=4.0, N_prime=2.0, c=0.5)
     grid = SkillGrid(6, 1.0)
     alpha = uniform_alpha(grid)
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
     direct = solve_wages(params, alpha, grid, SolverConfig())
-    rep = duality_report(sol, direct)
+    lp = assemble_primal(direct.operator, alpha)
+    sol = solve_lp(lp)
+    rep = duality_report(lp, sol, direct)
     assert rep.gap <= 1e-8
     assert abs(rep.eps_f) <= 1e-8 and abs(rep.lam_g) <= 1e-8
 
@@ -1023,7 +1025,8 @@ def test_c_zero_solve_meets_the_certificate_gates(N, N_prime, n):
         assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps + 2 * len(prof.anneal.stages)
     else:
         assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps
-    rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof)
+    lp = assemble_primal(prof.operator, alpha)
+    rep = duality_report(lp, solve_lp(lp), prof)
     assert rep.gap_rel <= 1e-6
     assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
 
@@ -1038,7 +1041,8 @@ def test_single_teacher_class_solve_meets_the_certificate_gates(N_prime, c):
     alpha = uniform_alpha(grid)
     prof = solve_wages(params, alpha, grid, SolverConfig())
     assert prof.converged
-    rep = duality_report(solve_lp(assemble_primal(params, alpha, grid, 0.0)), prof)
+    lp = assemble_primal(prof.operator, alpha)
+    rep = duality_report(lp, solve_lp(lp), prof)
     assert rep.gap_rel <= 1e-6
     assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
 
@@ -1053,14 +1057,15 @@ def test_single_teacher_class_solve_takes_the_minimal_wage_level(N_prime, c, n):
     grid = SkillGrid(n, 1.0)
     alpha = uniform_alpha(grid)
     prof = solve_wages(params, alpha, grid, SolverConfig())
-    sol = solve_lp(assemble_primal(params, alpha, grid, 0.0))
+    lp = assemble_primal(prof.operator, alpha)
+    sol = solve_lp(lp)
     assert prof.converged
     if c == 0.0:
         assert np.abs(prof.v - sol.v).max() <= 1e-9
     else:
         sr = stability_residuals(prof)
         assert -1e-9 <= sr.min_g <= 1e-12
-        rep = duality_report(sol, prof)
+        rep = duality_report(lp, sol, prof)
         assert rep.gap_rel <= 1e-6
         assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
 
@@ -1128,7 +1133,7 @@ def test_oracle_equivalence_small_grids(N, N_prime, c, n):
     grid = SkillGrid(n, 1.0)
     alpha = uniform_alpha(grid)
     prof = solve_wages(params, alpha, grid, SolverConfig(delta=delta))
-    sol = solve_lp(assemble_primal(params, alpha, grid, delta))
+    sol = solve_lp(assemble_primal(WageOperator(params, grid), alpha, delta))
     assert np.abs(prof.u - sol.u).max() <= 1e-6
     assert np.abs(prof.v - sol.v).max() <= 1e-6
 
@@ -1143,8 +1148,9 @@ def test_oracle_equivalence_degenerate_instance_certificate_level():
     alpha = uniform_alpha(grid)
     delta = 1e-3
     prof = solve_wages(params, alpha, grid, SolverConfig(delta=delta))
-    sol = solve_lp(assemble_primal(params, alpha, grid, delta))
-    rep = duality_report(sol, prof)
+    lp = assemble_primal(prof.operator, alpha, delta)
+    sol = solve_lp(lp)
+    rep = duality_report(lp, sol, prof)
     assert rep.gap <= 1e-9
     assert abs(rep.eps_f) <= 1e-9 and abs(rep.lam_g) <= 1e-9
     assert prof.envelope_residual <= 1e-9
