@@ -377,6 +377,7 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
             "refactorizations": sol.refactorizations,
             "nudged": sol.nudged,
             "start": sol.start,
+            "repaired_rows": sol.repaired_rows,
             "gap": rep.gap,
             "gap_rel": rep.gap_rel,
             "eps_f": rep.eps_f,
@@ -539,7 +540,7 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
                 ]) + "\n")
         if not quiet:
             print(f"sweep: {len(results)} scenarios -> {rows_path}")
-        return 0
+        return 0 if all(prof.converged for _, prof, _ in results) else 2
 
     raise ConfigError(f"unknown analysis {which!r}")
 

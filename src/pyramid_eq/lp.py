@@ -38,15 +38,16 @@ whole by _basis_inverse, which eliminates the student rows (generalized
 upper bounds, Dantzig & Van Slyke 1967), so only an n x n matrix is
 inverted.  The simplex starts from a caller's basis (the basis of an
 earlier solve of an LP with the same constraints, with its inverse if
-the caller has it) or from a paired basis: each student's education
-column at one teacher plus the n labor-diagonal columns (k, k).  Given
-prices, the start is the price assignment basis, a crash basis in the
-sense of Bixby (1992): each student's teacher is the one of largest
-reduced cost under the prices.  Its labor part B^-1 b may be negative;
-it is used only if that part is nonnegative at the nudged b below and
-above the feasibility floor at b itself.  Otherwise, and without prices,
-the start is the diagonal coupling (teacher a for student a), which is
-always a basic feasible point, so no phase-1 is needed.
+the caller has it) or from the assignment basis, a crash basis in the
+sense of Bixby (1992): each student's education column at its teacher,
+the one of largest reduced cost under the prices (the student itself
+without prices: the diagonal coupling), plus the labor column (k, k) of
+each steady row k.  On each row k where that basis's labor value is
+negative at the right-hand side the solve runs on, the artificial column
+-e_{n+k} of cost -_BIG_M max(1, max|objective|) takes the place of
+(k, k): a big-M phase 1 on those rows alone, which keeps the basis
+paired.  The restricted solves carry the artificial columns, pricing
+never sees them, and an optimum with one basic raises RuntimeError.
 
 Entering columns use largest-reduced-cost (Dantzig) pricing with
 first-index ties over the active columns, kept in global column order; a
@@ -73,9 +74,9 @@ the true one that minimize sum_k w_k v_k: one minimal point of the
 optimal dual face, the same from every start.  The primal is reported at
 the true b, from the final basis inverse.  If it has an entry below
 -1e-9 max|b| there (the nudge moved the optimal basis), the solve is
-redone from the same start without the nudge, and LPSolution.nudged is
-False.  This solver is the trusted oracle for the fixed-point wage
-iteration.
+redone without the nudge from its start formed again at b itself, and
+LPSolution.nudged is False.  This solver is the trusted oracle for the
+fixed-point wage iteration.
 """
 from __future__ import annotations
 
@@ -111,6 +112,9 @@ _PIV_TOL = 1e-11
 _PIV_REL = 1e-7
 # consecutive degenerate pivots before Bland's rule takes over
 _BLAND_AFTER = 60
+# a start's artificial columns cost -_BIG_M * max(1, max|objective|); M must exceed
+# every optimal wage v_k, which can exceed max|objective| (3.23 against 2.70 at c = 0)
+_BIG_M = 100.0
 
 
 @dataclass(eq=False)
@@ -157,7 +161,8 @@ class LPSolution:
     bland_switches: int    # runs of degenerate pivots handed to Bland's rule
     refactorizations: int  # re-inversions of an updated basis inverse on which pricing claimed an exit
     nudged: bool           # the basis optimal for the nudged b was kept
-    start: str             # "assignment" | "diagonal" | "given": the first solve's start basis
+    start: str             # "assignment" | "given": the first solve's start basis
+    repaired_rows: int     # steady rows on which that start took an artificial column
     basis_inverse: np.ndarray  # inverse of basis's matrix; solve_lp(basis_inverse=...) starts from it
 
 
@@ -194,17 +199,20 @@ def _columns(lp: DiscreteLP, cols: np.ndarray):
     at rows[s, i] over the slots s.  Education column a n + j has the
     student row a, the teacher-supply row n + j and the split rows
     n + idx, n + idx + 1 of z; labor column n^2 + i n + j the worker row
-    n + i and the manager row n + j, padded with zero values at row 0."""
+    n + i and the manager row n + j, padded with zero values at row 0; and
+    a start's artificial column 2n^2 + k (past A) a -1 on row n + k."""
     n, nn = lp.n, lp.n * lp.n
     cols = np.asarray(cols, dtype=np.intp)
     rows = np.zeros((4, cols.size), dtype=np.intp)
     vals = np.zeros((4, cols.size))
-    edu = cols < nn
+    edu, art = cols < nn, cols >= 2 * nn
     student, partner = np.divmod(np.where(edu, cols, cols - nn), n)
     rows[0] = np.where(edu, student, n + student)
     rows[1] = n + partner
     vals[0] = 1.0
     vals[1] = np.where(edu, lp.teacher_share, lp.manager_share)
+    rows[0, art], rows[1, art] = n + cols[art] - 2 * nn, 0
+    vals[0, art], vals[1, art] = -1.0, 0.0
     k = cols[edu]
     lo, f = lp.idx[k], lp.frac[k]
     rows[2, edu] = n + lo
@@ -314,15 +322,15 @@ def _basis_inverse(rows: np.ndarray, vals: np.ndarray, out: np.ndarray | None = 
     return out
 
 
-def _price_seed(lp: DiscreteLP, prices: np.ndarray):
+def _price_seed(lp: DiscreteLP, prices: np.ndarray, scale: float):
     """The columns whose reduced cost under prices is at least
-    -_SEED_SLACK max|objective|, as a mask, and each student's teacher of
-    largest education reduced cost (first index on ties)."""
+    -_SEED_SLACK scale (scale = max|objective|), as a mask, and each
+    student's teacher of largest education reduced cost (first index on
+    ties)."""
     r = _price_all(lp, prices)
     n = lp.n
     # column masks, not np.union1d: numpy's set routines import numpy.ma (~15 ms)
-    seed = r >= -_SEED_SLACK * float(np.abs(lp.objective).max())
-    return seed, r[:n * n].reshape(n, n).argmax(axis=1)
+    return r >= -_SEED_SLACK * scale, r[:n * n].reshape(n, n).argmax(axis=1)
 
 
 def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarray,
@@ -432,21 +440,27 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
 
 
 def _generate_columns(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray,
-                      Binv: np.ndarray, active: np.ndarray, work: list):
+                      Binv: np.ndarray, active: np.ndarray, art: np.ndarray, big: float,
+                      work: list):
     """Column generation on A@x = b + shift from basis and its inverse
-    Binv, updated in place, over the active columns: restricted solves,
-    each followed by pricing all columns under its duals, until none
-    improves the objective; each solve starts from the last one's basis
-    and inverse.  Adds each solve's work counts to work; returns
+    Binv, updated in place, over the active columns and the artificial
+    columns 2n^2 + art of cost -big: restricted solves, each followed by
+    pricing all of A's columns under its duals, until none improves the
+    objective; each solve starts from the last one's basis and inverse.
+    Raises RuntimeError if an artificial column is basic at the optimum.
+    Adds each solve's work counts to work; returns
     (x, y, basis, Binv, status, active, rounds)."""
     c = lp.objective
+    art = c.size + art                    # past A's columns, so cols stays sorted
     rounds = 0
     while True:
         rounds += 1
+        cols = np.concatenate([active, art])
         xa, y, local, Binv, status, counts = _simplex_max(
-            c[active], *_columns(lp, active), lp.b, shift, np.searchsorted(active, basis), Binv)
+            np.concatenate([c[active], np.full(art.size, -big)]), *_columns(lp, cols),
+            lp.b, shift, np.searchsorted(cols, basis), Binv)
         work[:] = [w + k for w, k in zip(work, counts)]
-        basis = active[local]
+        basis = cols[local]
         if status != "optimal" or active.size == c.size:
             break
         r = _price_all(lp, y)
@@ -456,40 +470,42 @@ def _generate_columns(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray,
             break
         grow[active] = True
         active = np.flatnonzero(grow)
+    if status == "optimal" and basis.max() >= c.size:
+        raise RuntimeError("an artificial column is basic at the optimum: big-M too small")
     x = np.zeros(c.size)
-    x[active] = xa
+    x[active] = xa[:active.size]
     return x, y, basis, Binv, status, active, rounds
 
 
-def _start(lp: DiscreteLP, shift: np.ndarray, floor: float, basis: np.ndarray | None,
-           basis_inverse: np.ndarray | None, assigned: np.ndarray | None):
-    """The start of a solve on A@x = b + shift, as (name, basis, inverse),
-    with the inverse formed whole in a new array: a copy of basis_inverse,
-    or _basis_inverse for a bare basis; without a basis, the paired basis
-    of the teachers assigned (each student's education column at its
-    teacher, then the labor diagonal) if it is feasible at b + shift and
-    above floor at b, else the diagonal coupling."""
+def _start(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray | None,
+           basis_inverse: np.ndarray | None, assigned: np.ndarray):
+    """The start of a solve on A@x = b + shift, as (name, basis, inverse,
+    repaired), with the inverse formed whole in a new array: a copy of
+    basis_inverse, or _basis_inverse for a bare basis; without a basis, the
+    assignment basis of the teachers assigned (each student's education
+    column at its teacher, then the labor column (k, k) of each steady row
+    k), with the artificial column 2n^2 + k for (k, k) on each row k in
+    repaired, those whose labor value is negative at b + shift."""
     m, n = lp.b.size, lp.n
     if basis is not None:
         basis = np.asarray(basis, dtype=np.intp)
         if basis.shape != (m,):
             raise ValueError(f"a starting basis has {m} columns, not {basis.size}")
         if basis_inverse is None:
-            return "given", basis, _basis_inverse(*_columns(lp, basis))
+            return "given", basis, _basis_inverse(*_columns(lp, basis)), basis[:0]
         if np.shape(basis_inverse) != (m, m):
             raise ValueError(f"a basis inverse is {m} x {m}, not {np.shape(basis_inverse)}")
-        return "given", basis, np.array(basis_inverse, dtype=float)
+        return "given", basis, np.array(basis_inverse, dtype=float), basis[:0]
     if basis_inverse is not None:
         raise ValueError("a basis inverse needs its basis")
     k = np.arange(n)
-    labor = n * n + k * (n + 1)
-    if assigned is not None:
-        basis = np.concatenate([k * n + assigned, labor])
-        inverse = _basis_inverse(*_columns(lp, basis))
-        if (inverse[n:] @ (lp.b + shift)).min() >= 0.0 and (inverse[n:] @ lp.b).min() >= floor:
-            return "assignment", basis, inverse
-    basis = np.concatenate([k * (n + 1), labor])
-    return "diagonal", basis, _basis_inverse(*_columns(lp, basis))
+    basis = np.concatenate([k * n + assigned, n * n + k * (n + 1)])
+    inverse = _basis_inverse(*_columns(lp, basis))
+    repaired = np.flatnonzero(inverse[n:] @ (lp.b + shift) < 0.0)
+    if repaired.size:
+        basis[n + repaired] = 2 * n * n + repaired
+        _basis_inverse(*_columns(lp, basis), out=inverse)
+    return "assignment", basis, inverse, repaired
 
 
 def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
@@ -506,42 +522,43 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
     columns they mark as near-tight plus the starting basis; columns are
     then added by pricing over all of them until none improves the
     objective.  Without prices every column is active from the start.
-    Without a basis, the start is the price assignment basis (each
-    student's education column at the teacher of largest reduced cost
-    under the prices, plus the labor diagonal) if it is primal feasible,
-    and the diagonal coupling otherwise or without prices.  LPSolution.start names the start taken.  The
-    solve runs on the nudged right-hand side and reports the primal at
-    lp.b; if that primal is infeasible, it re-solves from the same start,
-    formed again, without the nudge (nudged = False).
+    Without a basis, the start is the assignment basis of the prices (the
+    diagonal coupling without prices), with an artificial column on each
+    steady row where its labor value is negative (LPSolution.repaired_rows);
+    LPSolution.start names the start taken.  The solve runs on the nudged
+    right-hand side and reports the primal at lp.b; if that primal is
+    infeasible, it re-solves without the nudge from the start formed again
+    at lp.b (nudged = False).
     """
     n = lp.n
     nn = n * n
     c = lp.objective
+    scale = float(np.abs(c).max())
+    big = _BIG_M * max(1.0, scale)
     floor = -_FEAS_TOL * float(np.abs(lp.b).max())
     shift = np.zeros(lp.b.size)
     shift[n:] = _NUDGE * (1.0 + np.arange(1, n + 1) / n)
-    assigned = None
+    seed, assigned = np.ones(c.size, dtype=bool), np.arange(n)
     if prices is not None:
         prices = np.asarray(prices, dtype=float)
         if prices.shape != lp.b.shape:
             raise ValueError(f"prices must have {lp.b.size} entries, one per row")
-        seed, assigned = _price_seed(lp, prices)
-    start, first, Binv = _start(lp, shift, floor, basis, basis_inverse, assigned)
-    if prices is None:
-        active = np.arange(c.size)
-    else:
-        seed[first] = True
-        active = np.flatnonzero(seed)
+        seed, assigned = _price_seed(lp, prices, scale)
+    start, first, Binv, repaired = _start(lp, shift, basis, basis_inverse, assigned)
+    seed[first[first < c.size]] = True
 
     work = [0, 0, 0, 0]
     x, y, final, Binv, status, active_end, rounds = _generate_columns(
-        lp, shift, first, Binv, active, work)
+        lp, shift, first, Binv, np.flatnonzero(seed), repaired, big, work)
     nudged = status != "optimal" or bool(x.min() >= floor)
     if not nudged:
-        # the first solve updated the start's inverse in place, so it is formed again
-        Binv = _start(lp, shift, floor, basis, basis_inverse, assigned)[2]
+        # the first solve updated the start's inverse in place, so the start is
+        # formed again, at b itself, repairing the rows negative there
+        shift[:] = 0.0
+        _, again, Binv, art = _start(lp, shift, basis, basis_inverse, assigned)
+        seed[again[again < c.size]] = True
         x, y, final, Binv, status, active_end, more = _generate_columns(
-            lp, np.zeros(lp.b.size), first, Binv, active, work)
+            lp, shift, again, Binv, np.flatnonzero(seed), art, big, work)
         rounds += more
         if status == "optimal" and x.min() < floor:
             raise RuntimeError("the optimal basis is not primal feasible")
@@ -561,7 +578,7 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
     iters, degenerate, switches, refactors = work
     return LPSolution(eps, lam, y[:n].copy(), y[n:].copy(), value, dual_value,
                       status, iters, resid, final, int(active_end.size), rounds,
-                      degenerate, switches, refactors, nudged, start, Binv)
+                      degenerate, switches, refactors, nudged, start, int(repaired.size), Binv)
 
 
 @dataclass(eq=False)

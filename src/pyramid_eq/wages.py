@@ -1138,13 +1138,10 @@ def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
 @dataclass(eq=False)
 class StabilityReport:
     min_f: float
-    argmin_f: tuple
     min_g: float
     argmin_g: tuple
     lower_bound_ok: bool
-    lower_bound_worst: float
     upper_bound_ok: bool
-    upper_bound_worst: float
 
 
 def stability_residuals(profile: WageProfile) -> StabilityReport:
@@ -1161,10 +1158,7 @@ def stability_residuals(profile: WageProfile) -> StabilityReport:
     p = op.params
 
     F, G = op.slacks(u, v)
-    i, j = np.unravel_index(int(F.argmin()), F.shape)
-    min_f = float(F[i, j])
-    argmin_f = (int(i), int(j))
-
+    min_f = float(F.min())
     gi, gj = np.unravel_index(int(G.argmin()), G.shape)
     min_g = float(G[gi, gj])
     argmin_g = (int(gi), int(gj))
@@ -1179,8 +1173,5 @@ def stability_residuals(profile: WageProfile) -> StabilityReport:
         upper_worst = np.inf  # the bound is vacuous when every adult teaches
 
     tol = 1e-7
-    return StabilityReport(
-        min_f=min_f, argmin_f=argmin_f, min_g=min_g, argmin_g=argmin_g,
-        lower_bound_ok=lower_worst >= -tol, lower_bound_worst=lower_worst,
-        upper_bound_ok=upper_worst >= -tol, upper_bound_worst=upper_worst,
-    )
+    return StabilityReport(min_f=min_f, min_g=min_g, argmin_g=argmin_g,
+                           lower_bound_ok=lower_worst >= -tol, upper_bound_ok=upper_worst >= -tol)

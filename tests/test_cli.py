@@ -268,6 +268,23 @@ def test_sweep_rows_and_regimes(tmp_path):
     assert rows[2].split(",")[2] == "supercritical"  # N=10, theta=0.5
 
 
+def test_sweep_exits_two_when_a_point_does_not_converge(tmp_path, monkeypatch):
+    # the csv is still written, with the failed point marked
+    solve = cli.solve_wages
+
+    def failing_at_n10(params, *args):
+        prof = solve(params, *args)
+        prof.converged = prof.converged and params.N != 10.0
+        return prof
+
+    monkeypatch.setattr(cli, "solve_wages", failing_at_n10)
+    cfg_path = write_config(tmp_path)
+    assert main(["sweep", "--config", cfg_path, "--quiet"]) == 2
+    rows = [r.split(",") for r in (tmp_path / "out" / "sweep.csv").read_text().splitlines()]
+    converged = rows[0].index("converged")
+    assert [(r[0], r[converged]) for r in rows[1:]] == [("2.0", "true"), ("10.0", "false")]
+
+
 def test_grid_override(tmp_path):
     cfg_path = write_config(tmp_path)
     cfg = load_scenario(cfg_path, grid_n_override=7)
@@ -532,7 +549,7 @@ def test_shipped_supercritical_config_is_certified_at_its_own_n(tmp_path):
     jsonschema.validate(duality, load_schema("duality.schema.json"))
     lp = duality["lp"]
     assert duality["couplings_source"] == "lp"
-    assert lp["status"] == "optimal" and lp["start"] == "assignment"
+    assert lp["status"] == "optimal" and lp["start"] == "assignment" and lp["repaired_rows"] == 0
     assert lp["gap_rel"] <= 1e-6
     assert abs(lp["eps_f"]) <= 1e-6 and abs(lp["lam_g"]) <= 1e-6
     occ = json.loads((out / "occupations.json").read_text())

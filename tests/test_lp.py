@@ -460,8 +460,8 @@ def test_three_starts_end_on_the_same_duals(path):
     lp, prof = _certificate_instance(path, 128)
     prices = np.concatenate([prof.u, prof.v])
     full = solve_lp(lp)
-    # price-seeded from the diagonal start, given, since without a basis
-    # the seeded solve starts from the price assignment basis
+    # price-seeded from the diagonal coupling, given, since without a
+    # basis the seeded solve starts from the price assignment basis
     n, diag = lp.n, np.arange(lp.n)
     seeded = solve_lp(lp, basis=np.concatenate([diag * n + diag, n * n + diag * n + diag]),
                       prices=prices)
@@ -516,12 +516,52 @@ def test_a_basis_leaving_a_student_row_uncovered_is_singular():
         solve_lp(lp, basis=basis)
 
 
-def test_an_infeasible_assignment_basis_falls_back_to_the_diagonal():
-    # at c = 0 the assignment basis leaves a labor entry at -8.5e-3
+def test_the_negative_rows_of_the_assignment_basis_are_repaired():
+    # at c = 0 the price assignment basis leaves a labor entry at -8.5e-3;
+    # the start puts an artificial column -e_{n+k} in place of (k, k) on
+    # that row alone, which makes it feasible and leaves every other
+    # column and entry of x_B as it was
     lp, prof = _certificate_instance(C0_CONFIG, 32)
+    n = lp.n
+    shift = np.zeros(2 * n)
+    shift[n:] = lp_mod._NUDGE * (1.0 + np.arange(1, n + 1) / n)
+    assigned = lp_mod._price_seed(lp, np.concatenate([prof.u, prof.v]), 1.0)[1]
+    plain = _paired_basis(lp, assigned)
+    x_plain = np.linalg.solve(_basis_matrix(lp, plain), lp.b + shift)
+    start, basis, inverse, repaired = lp_mod._start(lp, shift, None, None, assigned)
+    negative = np.flatnonzero(x_plain < 0)
+    assert start == "assignment" and (n + repaired).tolist() == negative.tolist()
+    assert repaired.size == 1 and x_plain[negative].max() < -8e-3
+    assert basis[negative[0]] == 2 * n * n + repaired[0]
+    assert np.array_equal(np.delete(basis, negative), np.delete(plain, negative))
+    assert np.array_equal(_basis_matrix(lp, basis[negative])[:, 0], -np.eye(2 * n)[negative[0]])
+    x = inverse @ (lp.b + shift)
+    assert x.min() >= 0.0 and x[negative[0]] > 0.0
+    assert np.abs(np.delete(x - x_plain, negative)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, rows", [(32, 1), (64, 1), (128, 4)])
+def test_the_repaired_certificate_matches_the_unpriced_solve_at_c0(n, rows):
+    # the repaired start takes fewer pivots than the diagonal coupling of
+    # the unpriced solve, and ends on the same optimum
+    lp, prof = _certificate_instance(C0_CONFIG, n)
     seeded = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
-    assert seeded.start == "diagonal"
-    _assert_same_optimum(seeded, solve_lp(lp))
+    full = solve_lp(lp)
+    assert seeded.start == full.start == "assignment"
+    assert seeded.repaired_rows == rows and full.repaired_rows == 0
+    assert seeded.status == full.status == "optimal" and seeded.iterations < full.iterations
+    assert abs(seeded.value - full.value) <= 1e-12
+    assert np.abs(seeded.u - full.u).max() <= 1e-13 and np.abs(seeded.v - full.v).max() <= 1e-13
+
+
+def test_an_artificial_column_left_basic_is_never_reported_optimal(monkeypatch):
+    # at c = 0, max v is 3.23 against max|objective| 2.70 at n = 128, so an
+    # artificial column of cost -max(1, max|objective|) is still basic at
+    # the optimum of its restricted solve
+    lp, prof = _certificate_instance(C0_CONFIG, 128)
+    monkeypatch.setattr(lp_mod, "_BIG_M", 1.0)
+    with pytest.raises(RuntimeError, match="artificial column is basic at the optimum"):
+        solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
 
 
 def test_the_certificate_hands_its_inverse_to_the_probe(monkeypatch):
@@ -622,15 +662,39 @@ def test_a_nudge_that_moves_the_basis_falls_back_to_the_true_b(monkeypatch):
     assert sol.eps.weights.min() >= 0.0 and sol.lam.weights.min() >= 0.0
 
 
+def test_the_restart_without_the_nudge_repairs_its_start_at_the_true_b(monkeypatch):
+    # a nudge of 1e-2 lifts the c = 0 config's negative labor row (-8.5e-3
+    # at b) above 0, so the first start takes no artificial column; the
+    # basis that solve ends on is infeasible at b, and the restart's
+    # start, formed at b, must repair the row or be rejected as infeasible
+    lp, prof = _certificate_instance(C0_CONFIG, 32)
+    ref = solve_lp(lp)
+    repaired = []
+    start = lp_mod._start
+
+    def recording_start(*args):
+        out = start(*args)
+        repaired.append(out[3].size)
+        return out
+
+    monkeypatch.setattr(lp_mod, "_start", recording_start)
+    monkeypatch.setattr(lp_mod, "_NUDGE", 1e-2)
+    sol = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
+    assert not sol.nudged and repaired == [0, 1] and sol.repaired_rows == 0
+    assert sol.status == "optimal" and abs(sol.value - ref.value) <= 1e-12
+    assert sol.feasibility_residual <= 1e-12
+
+
 def _solve_from_a_noisy_start(error, seed, additive=False):
-    """A clean solve of a 16-node LP, from the diagonal start, and a solve
+    """A clean solve of a 16-node LP, from the assignment basis of no
+    prices (the diagonal coupling, which needs no repair), and a solve
     from the same basis given its inverse off by a relative error, or by
     an absolute one if additive."""
     params = make_params(N=4.0, N_prime=2.0, c=0.7)
     grid = SkillGrid(16, 1.0)
     lp = assemble_primal(WageOperator(params, grid), linear_alpha(grid))
     clean = solve_lp(lp)
-    assert clean.start == "diagonal" and clean.iterations >= 1
+    assert clean.start == "assignment" and clean.repaired_rows == 0 and clean.iterations >= 1
     basis = _paired_basis(lp, np.arange(lp.n))
     inverse = lp_mod._basis_inverse(*lp_mod._columns(lp, basis))
     noise = error * np.random.default_rng(seed).standard_normal(inverse.shape)
@@ -669,8 +733,9 @@ def test_a_basis_pivoted_to_on_an_inverse_with_an_error_must_be_feasible(seed):
 
 
 def test_a_paired_start_solve_inverts_only_before_an_exit(monkeypatch):
-    # an inverse is formed whole for the diagonal start, also for the
-    # restart without the nudge, and otherwise only by the exit rule
+    # an inverse is formed whole for the start (the diagonal coupling,
+    # unrepaired), also for the restart without the nudge, and otherwise
+    # only by the exit rule
     inverses = []
     basis_inverse = lp_mod._basis_inverse
 
