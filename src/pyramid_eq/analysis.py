@@ -264,9 +264,10 @@ def uniqueness_probe(lp: DiscreteLP, base: LPSolution, seed: int = 0):
 
     Solves a copy of lp whose objective carries a uniform random
     perturbation of size _PROBE_MAGNITUDE from _probe_noise (the split of
-    z is shared, lp is left unchanged), starting from base's
-    optimal basis, which is feasible for the copy, and its inverse, and
-    with base's duals as the prices that pick the first columns.  A
+    z is shared, lp is left unchanged), starting from base's optimal
+    basis, which is feasible for the copy, and its n x n working inverse
+    (LPSolution.basis_inverse), and with base's duals as the prices that
+    pick the first columns.  A
     generic perturbation makes the perturbed optimum unique; if base's
     optimum is not, some column with zero reduced cost gets a positive
     one and the solve pivots away from base.  Reports the total-variation

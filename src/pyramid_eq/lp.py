@@ -20,49 +20,59 @@ tests and the benchmark tracer, and nothing in the solve reads it.
 duality_report reads the stability slacks of the support pairs as minus
 their columns' reduced costs, so it forms no n x n slack table.
 
-solve_lp is column generation around a revised simplex with an explicit
-basis inverse that prices over the active columns' slots, so a pivot
-costs O(m^2 + nonzeros).  Given approximate row prices (the wages of a
-wage solve, or the duals of an earlier solve), it first solves on the
-columns whose reduced cost under those prices is at least -1e-5
-max|objective| (_SEED_SLACK: 540 of 32,768 columns on demo_small at
-n = 128) plus the starting basis; then it prices all 2n^2 columns under
-the final duals, adds every column that would improve the objective and
-re-solves from the current basis and its inverse, until none does.  That
-last pass over all columns is the exact optimality certificate, so the
-restriction approximates nothing.  Without prices, the first solve
-already runs on every column.
+solve_lp is column generation around a revised simplex that prices over
+the active columns' slots and carries only an n x n working inverse W
+(below), so a pivot costs O(n^2 + nonzeros).  Given approximate row
+prices (the wages of a wage solve, or the duals of an earlier solve), it
+first solves on the columns whose reduced cost under those prices is at
+least -1e-5 max|objective| (_SEED_SLACK: 540 of 32,768 columns on
+demo_small at n = 128) plus the starting basis; then it prices all 2n^2
+columns under the final duals, adds every column that would improve the
+objective and re-solves from the current basis and its W, until none
+does.  That last pass over all columns is the exact optimality
+certificate, so the restriction approximates nothing.  Without prices,
+the first solve already runs on every column.
 
-Every basis inverse, of a start or of the exit rule below, is formed
-whole by _basis_inverse, which eliminates the student rows (generalized
-upper bounds, Dantzig & Van Slyke 1967), so only an n x n matrix is
-inverted.  The simplex starts from a caller's basis (the basis of an
-earlier solve of an LP with the same constraints, with its inverse if
-the caller has it) or from the assignment basis, a crash basis in the
-sense of Bixby (1992): each student's education column at its teacher,
-the one of largest reduced cost under the prices (the student itself
-without prices: the diagonal coupling), plus the labor column (k, k) of
-each steady row k.  On each row k where that basis's labor value is
-negative at the right-hand side the solve runs on, the artificial column
--e_{n+k} of cost -_BIG_M max(1, max|objective|) takes the place of
-(k, k): a big-M phase 1 on those rows alone, which keeps the basis
-paired.  The restricted solves carry the artificial columns, pricing
-never sees them, and an optimum with one basic raises RuntimeError.
+The student rows are generalized upper bounds (Dantzig & Van Slyke
+1967): an education column has a single 1 on them, a labor column none.
+Each student's first basic education column is its key.  With the keys
+first, a basis matrix is [[I, S], [E, R]], and W is the inverse of the
+n x n Schur complement M = R - E S; x_B, the duals and each entering
+column B^-1 a follow from W and the sparse S and E, so no 2n x 2n matrix
+is formed or stored.  Every W, of a start or of the exit rule below, is
+formed whole by _basis_inverse.  The simplex starts from a caller's basis
+(the basis of an earlier solve of an LP with the same constraints, with
+its W if the caller has it) or from the assignment basis, a crash basis
+in the sense of Bixby (1992): each student's education column at its
+teacher, the one of largest reduced cost under the prices (the student
+itself without prices: the diagonal coupling), plus the labor column
+(k, k) of each steady row k.  On each row k where that basis's labor
+value is negative at the right-hand side the solve runs on, the
+artificial column -e_{n+k} of cost -_BIG_M max(1, max|objective|) takes
+the place of (k, k): a big-M phase 1 on those rows alone, which keeps
+the basis paired.  The swap only scales row k of the start's W by
+-(1 + 1/N'), so a repaired start is inverted once.  The restricted
+solves carry the artificial columns, pricing never sees them, and an
+optimum with one basic raises RuntimeError.
 
 Entering columns use largest-reduced-cost (Dantzig) pricing with
 first-index ties over the active columns, kept in global column order; a
 run of degenerate pivots switches to Bland's rule until progress resumes,
 which makes the solve deterministic and cycle-free.  A pivot entry must
 exceed 1e-7 times the entering column's largest entry, so round-off never
-enters the basis.  The start's inverse is formed whole once and updated
-in place, rank 1 per pivot; when pricing claims an exit (no entering
-column, or an unbounded one) on an updated inverse, the inverse is formed
-anew from the basis's columns and the basis priced again, so a solve
-exits, and decides optimality, only on an inverse formed whole.  If x_B
-under that inverse is infeasible (an error in a caller's inverse can
-mislead the ratio tests there), the solve raises ValueError, as it does
-for an infeasible start.  Each pricing round starts from the last one's
-inverse; LPSolution.basis_inverse carries the final one to a warm start.
+enters the basis.  The start's W is formed whole once and updated in
+place, rank 1 per pivot, and the duals by r_enter times the pivot row of
+B^-1.  When a key leaves, another basic column of its student becomes
+the key first (the key change, which combines rows of W), or, with none,
+the entering column does and W stays.  When pricing claims an exit (no
+entering column, or an unbounded one) on an updated W, W is formed anew
+from the basis's columns, x_B and the duals with it, and the basis
+priced again, so a solve exits, and decides optimality, only on a W
+formed whole.  If x_B under that W is infeasible (an error in a
+caller's W can mislead the ratio tests there), the solve raises
+ValueError, as it does for an infeasible start.  Each pricing round
+starts from the last one's W; LPSolution.basis_inverse carries the final
+one to a warm start.
 
 At delta = 0 the LP is degenerate and its optimal duals, the wages, are
 not unique, so the start basis and the first columns would pick the
@@ -72,7 +82,7 @@ perturbation of Charnes 1952, on the steady rows only).  The returned
 basis is optimal for this nudged LP, whose duals are the optimal duals of
 the true one that minimize sum_k w_k v_k: one minimal point of the
 optimal dual face, the same from every start.  The primal is reported at
-the true b, from the final basis inverse.  If it has an entry below
+the true b, from the final W.  If it has an entry below
 -1e-9 max|b| there (the nudge moved the optimal basis), the solve is
 redone without the nudge from its start formed again at b itself, and
 LPSolution.nudged is False.  This solver is the trusted oracle for the
@@ -159,11 +169,11 @@ class LPSolution:
     pricing_rounds: int    # restricted solves, each followed by a pass over all columns
     degenerate_pivots: int  # pivots whose ratio-test step was at most _PIV_TOL
     bland_switches: int    # runs of degenerate pivots handed to Bland's rule
-    refactorizations: int  # re-inversions of an updated basis inverse on which pricing claimed an exit
+    refactorizations: int  # re-inversions of an updated W on which pricing claimed an exit
     nudged: bool           # the basis optimal for the nudged b was kept
     start: str             # "assignment" | "given": the first solve's start basis
     repaired_rows: int     # steady rows on which that start took an artificial column
-    basis_inverse: np.ndarray  # inverse of basis's matrix; solve_lp(basis_inverse=...) starts from it
+    basis_inverse: np.ndarray  # n x n W of basis (_basis_inverse); solve_lp(basis_inverse=...) starts from it
 
 
 def assemble_primal(op: WageOperator, alpha: GridMeasure, delta: float = 0.0) -> DiscreteLP:
@@ -273,53 +283,91 @@ def _price_all(lp: DiscreteLP, y: np.ndarray) -> np.ndarray:
     return r
 
 
-def _basis_inverse(rows: np.ndarray, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The inverse of the basis matrix whose 2n columns, in basis order,
-    have the slots (rows, vals), formed whole by eliminating the student
-    rows, in out (a new array if None).
+def _steady(rows: np.ndarray, vals: np.ndarray, n: int):
+    """The steady-row part of columns with slots (rows, vals): each slot's
+    row less n, with the slots on student rows (an education column's 1,
+    the zero padding) moved to steady row 0 with value 0."""
+    on = rows >= n
+    return np.where(on, rows - n, 0), np.where(on, vals, 0.0)
 
-    An education column has one nonzero on the student rows, a 1 at its
-    student in slot 0, and a labor column none.  Each student's first
-    basic education column is its key.  With the keys first, in student
-    order, and the other columns after them in basis order, the basis
-    matrix is [[I, S], [E, R]]: S holds the others' 1s on the student
-    rows, E and R the steady rows.  Its inverse is
-    [[I + S V, -S W], [-V, W]] with W the inverse of the n x n Schur
-    complement M = R - E S and V = W E.  A student row that no basic
-    column covers makes the basis singular: LinAlgError.
-    """
+
+def _keys(rows: np.ndarray, vals: np.ndarray):
+    """The student-row structure of the basis whose 2n columns, in basis
+    order, have the slots (rows, vals), as (key, other, owner, kr, kv):
+    each student's first basic education column is its key, at position
+    key[student]; the n other positions follow in basis order, other[j]
+    holding a column of student owner[j] (n or more for a labor column);
+    (kr, kv) are the keys' steady parts, from _steady.  The simplex keeps
+    all five in step with its pivots.  A student row that no basic column
+    covers makes the basis singular: LinAlgError."""
     m = rows.shape[1]
     n = m // 2
-    if out is None:
-        out = np.empty((m, m))
     pos = np.arange(m)
-    student = rows[0]
-    edu = student < n
+    edu = rows[0] < n
     key = np.full(n, m)
-    np.minimum.at(key, student[edu], pos[edu])
+    np.minimum.at(key, rows[0, edu], pos[edu])
     if key.max() == m:
         raise np.linalg.LinAlgError("singular basis: a student row has no basic education column")
     other = np.ones(m, dtype=bool)
     other[key] = False
     other = other.nonzero()[0]
-    tied = edu[other]                     # the others' columns of S
-    owner = student[other[tied]]
-    # E and M are held in out, whose contents are all written below, so an
-    # inversion (at an exit, out is the old inverse) adds only W, V and the
-    # inverse's scratch to the memory out already takes
-    E, M = out.reshape(4, n, n)[:2]
-    E[...] = _dense(rows[:, key], vals[:, key], n, m)
-    M[...] = _dense(rows[:, other], vals[:, other], n, m)
-    M[:, tied] -= E[:, owner]
-    W = np.linalg.inv(M)
-    V = W @ E
-    out[other, :n] = np.negative(V, out=V)
-    out[other, n:] = W
-    # the key rows are [I, 0] - S [-V, W], S summing the others' rows by owner
-    out[key] = 0.0
-    out[key, pos[:n]] = 1.0
-    np.subtract.at(out, key[owner], out[other[tied]])
-    return out
+    return (key, other, rows[0, other], *_steady(rows[:, key], vals[:, key], n))
+
+
+def _basis_inverse(rows: np.ndarray, vals: np.ndarray, out: np.ndarray | None = None):
+    """The working inverse W of the basis matrix whose 2n columns, in
+    basis order, have the slots (rows, vals), formed whole by eliminating
+    the student rows, as (W, keys) with keys from _keys.
+
+    An education column has one nonzero on the student rows, a 1 at its
+    student in slot 0, and a labor column none.  With the keys first, in
+    student order, and the others after them in basis order, the basis
+    matrix is [[I, S], [E, R]]: S holds the others' 1s on the student
+    rows, E and R the steady rows.  W is the inverse of the n x n Schur
+    complement M = R - E S, whose column for an other is its steady part
+    less that of its student's key; _primal and _duals solve with the
+    basis through it, and the blocks I + S W E, -S W and -W E of the
+    inverse are never formed.  M is formed in out (a new array if None;
+    at an exit, the old W) and inverted into it, so an inversion adds
+    only the inverse's scratch to the memory out takes.
+    """
+    keys = key, other, owner, kr, kv = _keys(rows, vals)
+    n = key.size
+    tied = owner < n
+    s = np.where(tied, owner, 0)
+    orows, ovals = _steady(rows[:, other], vals[:, other], n)
+    M = np.bincount((np.vstack([orows, kr[:, s]]) * n + np.arange(n)).ravel(),
+                    np.vstack([ovals, np.where(tied, -kv[:, s], 0.0)]).ravel(), n * n).reshape(n, n)
+    if out is not None:
+        out[...] = M
+        M = out
+    M[...] = np.linalg.inv(M)              # W replaces M in M's array
+    return M, keys
+
+
+def _primal(W: np.ndarray, keys: tuple, rhs: np.ndarray) -> np.ndarray:
+    """B^-1 rhs in basis order, for the basis with working inverse W and
+    keys (_keys): x_O = W (rhs_t - E rhs_s), then x_K = rhs_s - S x_O.
+    For a column, rhs_t - E rhs_s has at most 7 nonzeros, and only W's
+    columns there are read."""
+    key, other, owner, kr, kv = keys
+    n = key.size
+    t = rhs[n:] - np.bincount(kr.ravel(), (kv * rhs[:n]).ravel(), minlength=n)
+    nz = t.nonzero()[0]
+    x = np.empty(2 * n)
+    x[other] = W[:, nz] @ t[nz] if nz.size <= 7 else W @ t
+    # owner[j] >= n (a labor column) falls past the student rows and is dropped
+    x[key] = rhs[:n] - np.bincount(owner, x[other], 2 * n)[:n]
+    return x
+
+
+def _duals(W: np.ndarray, keys: tuple, cB: np.ndarray) -> np.ndarray:
+    """cB B^-1 for the basis of _primal, student rows first: the steady
+    duals w = (c_O - c_K S) W, then the student duals c_K - w E."""
+    key, other, owner, kr, kv = keys
+    n = key.size
+    w = (cB[other] - np.concatenate([cB[key], np.zeros(n)])[owner]) @ W
+    return np.concatenate([cB[key] - (w[kr] * kv).sum(axis=0), w])
 
 
 def _price_seed(lp: DiscreteLP, prices: np.ndarray, scale: float):
@@ -334,46 +382,58 @@ def _price_seed(lp: DiscreteLP, prices: np.ndarray, scale: float):
 
 
 def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarray,
-                 shift: np.ndarray, basis: np.ndarray, Binv: np.ndarray):
+                 shift: np.ndarray, basis: np.ndarray, W: np.ndarray):
     """Revised simplex on max c@x, A@x = b + shift, x >= 0 from a feasible
-    basis and Binv, its matrix's inverse formed whole, with A given by its
-    columns' slots (rows, vals), from _columns.  Binv is updated in place,
-    rank 1 per pivot; when pricing finds no entering column, or an
-    unbounded one, on an updated Binv, Binv is formed anew from the
-    basis's columns by _basis_inverse, x_B
-    recomputed and the basis priced again, so the solve ends only on an
-    inverse formed whole.  A ValueError rejects a start, or a basis the
-    updated Binv pivoted to, whose x_B formed whole is infeasible.
+    basis and W, its working inverse formed whole (_basis_inverse), with A
+    given by its columns' slots (rows, vals), from _columns.
 
-    Returns (x, y, basis, Binv, status, work): x is the final basis's
-    primal at b itself, not at b + shift, and may have slightly negative
-    entries if the shift moved the optimal basis; Binv is the given array,
-    holding the final basis's inverse; work is (pivots, degenerate pivots,
-    Bland switches, re-inversions).  Pricing is deterministic: Dantzig with
-    first-index tie-break, falling back to Bland's least-index anti-cycling
-    rule after _BLAND_AFTER consecutive degenerate pivots.  A pivot prices
-    and runs its ratio test in buffers allocated once here.
+    Every student row keeps a basic key column, so x_B, the duals and each
+    entering column d = B^-1 a follow from W and the sparse S and E in
+    O(n^2 + nonzeros) (_primal, _duals).  A pivot on another column
+    updates W in place, rank 1, and the duals by r_enter times the pivot
+    row of B^-1.  A pivot on a key first makes another basic column of its
+    student the key, which negates one row of W and takes off it the rows
+    of that student's other columns (Dantzig & Van Slyke's key change);
+    with no such column, the entering column becomes the key and W stays.
+    When pricing finds no entering column, or an unbounded one, after
+    pivots, W is formed anew from the basis's columns by _basis_inverse
+    (which restores its key rule), x_B and the duals formed whole and the
+    basis priced again, so the solve ends only on a W formed whole.  A
+    ValueError rejects a start, or a basis the updated W pivoted to, whose
+    x_B formed whole is infeasible.
+
+    Returns (x, y, basis, W, status, work): x is the final basis's primal
+    at b itself, not at b + shift, and may have slightly negative entries
+    if the shift moved the optimal basis; W is the final basis's working
+    inverse; work is (pivots, degenerate pivots, Bland switches,
+    re-inversions).  Pricing is deterministic: Dantzig with first-index
+    tie-break, falling back to Bland's least-index anti-cycling rule after
+    _BLAND_AFTER consecutive degenerate pivots.  A pivot prices and runs
+    its ratio test in buffers allocated once here.
     """
     m = b.size
+    n = m // 2
     nv = c.size
     basis = np.array(basis, dtype=np.intp)
+    brows, bvals = rows[:, basis], vals[:, basis]  # kept in step with basis, as is cB
+    cB = c[basis]
     bs = b + shift
     floor = -1e-9 * max(1.0, float(np.abs(bs).max()))
-    xB = Binv @ bs
+    keys = key, other, owner, kr, kv = _keys(brows, bvals)
+    xB = _primal(W, keys, bs)
     if xB.min() < floor:
         raise ValueError("the starting basis is not primal feasible")
     xB[xB < 0] = 0.0
+    y = _duals(W, keys, cB)
 
     iterations = degenerate = switches = refactors = 0
     degenerate_run = 0
-    bland = updated = False               # updated: pivots changed Binv since it was formed
+    bland = updated = False               # updated: pivots changed W since it was formed
     max_iter = 400 * m + 20000
-    cB = c[basis]                         # kept in step with basis
-    y, ratios, pos = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+    ratios, pos = np.empty(m), np.empty(m, dtype=bool)
     r, Y = np.empty(nv), np.empty(nv)
 
     while True:
-        np.matmul(cB, Binv, out=y)
         _reduced_costs(c, rows, vals, y, out=r, scratch=Y)
         r[basis] = 0.0
 
@@ -382,7 +442,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
         if r[enter] <= _OPT_TOL:
             status = "optimal"
         else:
-            d = Binv[:, rows[:, enter]] @ vals[:, enter]
+            d = _primal(W, keys, np.bincount(rows[:, enter], vals[:, enter], m))
             # relative to the column's scale, so a round-off entry never pivots
             piv_tol = max(_PIV_TOL, _PIV_REL * max(float(d.max()), -float(d.min())))
             status = None if np.greater(d, piv_tol, out=pos).any() else "unbounded"
@@ -390,11 +450,13 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
             if not updated:
                 break
             # an exit is claimed on an updated inverse: form it anew, price again
-            _basis_inverse(rows[:, basis], vals[:, basis], out=Binv)
-            xB = Binv @ bs
+            W, keys = _basis_inverse(brows, bvals, out=W)
+            key, other, owner, kr, kv = keys
+            xB = _primal(W, keys, bs)
             if xB.min() < floor:
                 raise ValueError("the basis the updated inverse pivoted to is not primal feasible")
             xB[np.abs(xB) < 1e-14] = 0.0
+            y = _duals(W, keys, cB)
             refactors += 1
             updated = False
             continue
@@ -404,17 +466,44 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
         ties = (ratios <= theta + 1e-12 * (1.0 + abs(theta))).nonzero()[0]
         leave = int(ties[basis[ties].argmin()])  # least-index leaving rule
 
-        # rank-1 update of the inverse and the basic solution, in place
         piv = d[leave]
-        prow = Binv[leave] / piv
-        nz = d.nonzero()[0]               # rows with d = 0 would subtract exact zeros
-        Binv[nz] -= d[nz, None] * prow
-        Binv[leave] = prow
+        slot = (other == leave).nonzero()[0]
+        i = int(slot[0]) if slot.size else -1
+        if i < 0:
+            student = brows[0, leave]
+            same = (owner == student).nonzero()[0]
+            if same.size:
+                # the key leaves: the first other column of its student
+                # becomes the key, and the old key takes its slot i.  M's
+                # column i becomes -m_i and each other column j of that
+                # student m_j - m_i, so row i of W becomes -W_i - sum W_j
+                i = int(same[0])
+                W[i] += W[same[1:]].sum(axis=0)
+                np.negative(W[i], out=W[i])
+                key[student], other[i] = other[i], leave
+                kr[:, student], kv[:, student] = _steady(brows[:, key[student]], bvals[:, key[student]], n)
+            else:
+                # the entering column, of the same student, is the new key:
+                # M and W stay, and only that student's dual moves
+                y[student] += r[enter] / piv
+                kr[:, student], kv[:, student] = _steady(rows[:, enter], vals[:, enter], n)
+        if i >= 0:
+            # rank-1 update of W, and of the duals by the pivot row of B^-1,
+            # [-W_i E, W_i] / piv
+            dO = d[other]
+            prow = W[i] / piv
+            y[n:] += r[enter] * prow
+            y[:n] -= r[enter] * (prow[kr] * kv).sum(axis=0)
+            nz = dO.nonzero()[0]          # rows with d = 0 would subtract exact zeros
+            W[nz] -= dO[nz, None] * prow
+            W[i] = prow
+            owner[i] = rows[0, enter]
         xl = xB[leave] / piv
         xB -= d * xl
         xB[leave] = xl
         xB[np.abs(xB) < 1e-14] = 0.0
         basis[leave] = enter
+        brows[:, leave], bvals[:, leave] = rows[:, enter], vals[:, enter]
         cB[leave] = c[enter]
         iterations += 1
         updated = True
@@ -432,40 +521,40 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, vals: np.ndarray, b: np.ndarra
         if iterations > max_iter:
             raise RuntimeError("simplex exceeded its iteration budget")
 
-    xB = Binv @ b                         # the primal at the true right-hand side
+    xB = _primal(W, keys, b)              # the primal at the true right-hand side
     xB[np.abs(xB) < 1e-13] = 0.0
     x = np.zeros(nv)
     x[basis] = xB
-    return x, y, basis, Binv, status, (iterations, degenerate, switches, refactors)
+    return x, y, basis, W, status, (iterations, degenerate, switches, refactors)
 
 
 def _generate_columns(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray,
-                      Binv: np.ndarray, active: np.ndarray, art: np.ndarray, big: float,
+                      W: np.ndarray, active: np.ndarray, art: np.ndarray, big: float,
                       work: list):
-    """Column generation on A@x = b + shift from basis and its inverse
-    Binv, updated in place, over the active columns and the artificial
-    columns 2n^2 + art of cost -big: restricted solves, each followed by
-    pricing all of A's columns under its duals, until none improves the
-    objective; each solve starts from the last one's basis and inverse.
-    Raises RuntimeError if an artificial column is basic at the optimum.
-    Adds each solve's work counts to work; returns
-    (x, y, basis, Binv, status, active, rounds)."""
+    """Column generation on A@x = b + shift from basis and its working
+    inverse W, updated in place, over the active columns and the
+    artificial columns 2n^2 + art of cost -big: restricted solves, each
+    followed by pricing all of A's columns under its duals, until none
+    improves the objective; each solve starts from the last one's basis
+    and W.  Raises RuntimeError if an artificial column is basic at the
+    optimum.  Adds each solve's work counts to work; returns
+    (x, y, basis, W, status, active, rounds)."""
     c = lp.objective
     art = c.size + art                    # past A's columns, so cols stays sorted
     rounds = 0
     while True:
         rounds += 1
         cols = np.concatenate([active, art])
-        xa, y, local, Binv, status, counts = _simplex_max(
+        xa, y, local, W, status, counts = _simplex_max(
             np.concatenate([c[active], np.full(art.size, -big)]), *_columns(lp, cols),
-            lp.b, shift, np.searchsorted(cols, basis), Binv)
+            lp.b, shift, np.searchsorted(cols, basis), W)
         work[:] = [w + k for w, k in zip(work, counts)]
         basis = cols[local]
         if status != "optimal" or active.size == c.size:
             break
-        r = _price_all(lp, y)
-        r[active] = 0.0                   # the restricted solve priced these
-        grow = r > _OPT_TOL
+        # the 2n^2 reduced costs are freed at once; the mask is all that stays
+        grow = _price_all(lp, y) > _OPT_TOL
+        grow[active] = False              # the restricted solve priced these
         if not grow.any():
             break
         grow[active] = True
@@ -474,38 +563,43 @@ def _generate_columns(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray,
         raise RuntimeError("an artificial column is basic at the optimum: big-M too small")
     x = np.zeros(c.size)
     x[active] = xa[:active.size]
-    return x, y, basis, Binv, status, active, rounds
+    return x, y, basis, W, status, active, rounds
 
 
 def _start(lp: DiscreteLP, shift: np.ndarray, basis: np.ndarray | None,
            basis_inverse: np.ndarray | None, assigned: np.ndarray):
-    """The start of a solve on A@x = b + shift, as (name, basis, inverse,
-    repaired), with the inverse formed whole in a new array: a copy of
-    basis_inverse, or _basis_inverse for a bare basis; without a basis, the
-    assignment basis of the teachers assigned (each student's education
-    column at its teacher, then the labor column (k, k) of each steady row
-    k), with the artificial column 2n^2 + k for (k, k) on each row k in
-    repaired, those whose labor value is negative at b + shift."""
+    """The start of a solve on A@x = b + shift, as (name, basis, W,
+    repaired), with W, the basis's working inverse, in a new array: a copy
+    of basis_inverse, or _basis_inverse's for a bare basis; without a
+    basis, the assignment basis of the teachers assigned (each student's
+    education column at its teacher, then the labor column (k, k) of each
+    steady row k), with the artificial column 2n^2 + k for (k, k) on each
+    row k in repaired, those whose labor value is negative at b + shift.
+
+    In the assignment basis each student's column is its key and S = 0,
+    so M's column k is (k, k)'s steady part, 1 + 1/N' on steady row k, and
+    the artificial column's is -1 there: the swap scales row k of W by
+    -(1 + 1/N'), with no second inversion."""
     m, n = lp.b.size, lp.n
     if basis is not None:
         basis = np.asarray(basis, dtype=np.intp)
         if basis.shape != (m,):
             raise ValueError(f"a starting basis has {m} columns, not {basis.size}")
         if basis_inverse is None:
-            return "given", basis, _basis_inverse(*_columns(lp, basis)), basis[:0]
-        if np.shape(basis_inverse) != (m, m):
-            raise ValueError(f"a basis inverse is {m} x {m}, not {np.shape(basis_inverse)}")
+            return "given", basis, _basis_inverse(*_columns(lp, basis))[0], basis[:0]
+        if np.shape(basis_inverse) != (n, n):
+            raise ValueError(f"a basis inverse is {n} x {n}, not {np.shape(basis_inverse)}")
         return "given", basis, np.array(basis_inverse, dtype=float), basis[:0]
     if basis_inverse is not None:
         raise ValueError("a basis inverse needs its basis")
     k = np.arange(n)
     basis = np.concatenate([k * n + assigned, n * n + k * (n + 1)])
-    inverse = _basis_inverse(*_columns(lp, basis))
-    repaired = np.flatnonzero(inverse[n:] @ (lp.b + shift) < 0.0)
-    if repaired.size:
-        basis[n + repaired] = 2 * n * n + repaired
-        _basis_inverse(*_columns(lp, basis), out=inverse)
-    return "assignment", basis, inverse, repaired
+    W, keys = _basis_inverse(*_columns(lp, basis))
+    x = _primal(W, keys, lp.b + shift)
+    repaired = np.flatnonzero(x[n:] < 0.0)
+    basis[n + repaired] = 2 * n * n + repaired
+    W[repaired] *= -(1.0 + lp.manager_share)
+    return "assignment", basis, W, repaired
 
 
 def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
@@ -515,9 +609,9 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
 
     The simplex starts from `basis` when given: the final basis of a solve
     of an LP with the same A and b (a warm start, as for a perturbed
-    objective), and from a copy of `basis_inverse`, the inverse of its
-    basis matrix (that solve's LPSolution.basis_inverse), instead of
-    inverting it anew.  `prices`, a 2n vector of approximate row prices
+    objective), and from a copy of `basis_inverse`, the n x n working
+    inverse of that basis (that solve's LPSolution.basis_inverse), instead
+    of inverting it anew.  `prices`, a 2n vector of approximate row prices
     (student rows first, as u then v), restricts the first solve to the
     columns they mark as near-tight plus the starting basis; columns are
     then added by pricing over all of them until none improves the
@@ -544,21 +638,21 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
         if prices.shape != lp.b.shape:
             raise ValueError(f"prices must have {lp.b.size} entries, one per row")
         seed, assigned = _price_seed(lp, prices, scale)
-    start, first, Binv, repaired = _start(lp, shift, basis, basis_inverse, assigned)
+    start, first, W, repaired = _start(lp, shift, basis, basis_inverse, assigned)
     seed[first[first < c.size]] = True
 
     work = [0, 0, 0, 0]
-    x, y, final, Binv, status, active_end, rounds = _generate_columns(
-        lp, shift, first, Binv, np.flatnonzero(seed), repaired, big, work)
+    x, y, final, W, status, active_end, rounds = _generate_columns(
+        lp, shift, first, W, np.flatnonzero(seed), repaired, big, work)
     nudged = status != "optimal" or bool(x.min() >= floor)
     if not nudged:
         # the first solve updated the start's inverse in place, so the start is
         # formed again, at b itself, repairing the rows negative there
         shift[:] = 0.0
-        _, again, Binv, art = _start(lp, shift, basis, basis_inverse, assigned)
+        _, again, W, art = _start(lp, shift, basis, basis_inverse, assigned)
         seed[again[again < c.size]] = True
-        x, y, final, Binv, status, active_end, more = _generate_columns(
-            lp, shift, again, Binv, np.flatnonzero(seed), art, big, work)
+        x, y, final, W, status, active_end, more = _generate_columns(
+            lp, shift, again, W, np.flatnonzero(seed), art, big, work)
         rounds += more
         if status == "optimal" and x.min() < floor:
             raise RuntimeError("the optimal basis is not primal feasible")
@@ -578,7 +672,7 @@ def solve_lp(lp: DiscreteLP, basis: np.ndarray | None = None,
     iters, degenerate, switches, refactors = work
     return LPSolution(eps, lam, y[:n].copy(), y[n:].copy(), value, dual_value,
                       status, iters, resid, final, int(active_end.size), rounds,
-                      degenerate, switches, refactors, nudged, start, int(repaired.size), Binv)
+                      degenerate, switches, refactors, nudged, start, int(repaired.size), W)
 
 
 @dataclass(eq=False)

@@ -219,6 +219,17 @@ def _top_teacher_zone(occupation: np.ndarray) -> int:
     return zone
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The least-squares line through the points (x, y), as its slope and
+    the RMS of its residuals, in closed form: slope = sum (x - xbar)(y -
+    ybar) / sum (x - xbar)^2 through (xbar, ybar).  (np.linalg.lstsq would
+    load LAPACK's least-squares code, 0.84 MB of RSS, for a handful of
+    points.)"""
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = float(dx @ dy / (dx @ dx))
+    return slope, float(np.sqrt(np.mean((slope * dx - dy) ** 2)))
+
+
 def phase_fit(profile, params: TechnologyParams, grid: SkillGrid, alpha: GridMeasure) -> PhaseReport:
     """Measure the wage-gradient behavior near the top skill type.
 
@@ -312,10 +323,8 @@ def phase_fit(profile, params: TechnologyParams, grid: SkillGrid, alpha: GridMea
             if octaves < 2:
                 declined = "fit window spans fewer than two octaves"
             else:
-                A = np.vstack([np.ones(octaves), pts[:, 0]]).T
-                coef, *_ = np.linalg.lstsq(A, pts[:, 1], rcond=None)
-                fitted_exponent = float(-coef[1])
-                residual = float(np.sqrt(np.mean((A @ coef - pts[:, 1]) ** 2)))
+                slope, residual = _fit_line(pts[:, 0], pts[:, 1])
+                fitted_exponent = -slope
                 fit_window = (int(usable[0]), int(usable[-1]))
     elif regime == "subcritical":
         usable = usable[vp[usable] > 0]

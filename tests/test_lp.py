@@ -1,5 +1,6 @@
 import itertools
 import os
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -276,7 +277,7 @@ def test_warm_start_rejects_a_bad_basis():
     with pytest.raises(ValueError, match="one per row"):
         solve_lp(lp, prices=np.zeros(lp.n))
     with pytest.raises(ValueError, match="needs its basis"):
-        solve_lp(lp, basis_inverse=np.eye(2 * lp.n))
+        solve_lp(lp, basis_inverse=np.eye(lp.n))
     with pytest.raises(ValueError, match="inverse"):
         solve_lp(lp, basis=solve_lp(lp).basis, basis_inverse=np.eye(3))
     # optimal for other marginals, infeasible for these
@@ -421,6 +422,23 @@ def _basis_matrix(lp, cols):
     return lp_mod._dense(*lp_mod._columns(lp, cols), 0, 2 * lp.n)
 
 
+def _key_first(lp, basis):
+    """basis with each student's first education column (its key) first,
+    in student order, then the other columns in basis order."""
+    n = lp.n
+    students = [int(col) // n if col < n * n else -1 for col in basis]
+    keys = [students.index(a) for a in range(n)]
+    return np.concatenate([basis[keys], np.delete(basis, keys)])
+
+
+def _working_inverse(lp, basis):
+    """The lower right n x n block of the inverse of the key-first dense
+    basis matrix, and the Schur complement R - E S it inverts."""
+    n = lp.n
+    B = _basis_matrix(lp, _key_first(lp, basis))
+    return np.linalg.inv(B)[n:, n:], B[n:, n:] - B[n:, :n] @ B[:n, n:]
+
+
 def _paired_basis(lp, teacher):
     """Each student's education column at its teacher, then the labor diagonal."""
     n, k = lp.n, np.arange(lp.n)
@@ -481,9 +499,10 @@ def test_paired_basis_inverse_matches_a_factorization(n, N):
     rng = np.random.default_rng(n)
     for teacher in (np.arange(n), rng.integers(0, n, n), np.full(n, n - 1)):
         basis = _paired_basis(lp, teacher)
-        inverse = lp_mod._basis_inverse(*lp_mod._columns(lp, basis))
-        ref = np.linalg.inv(_basis_matrix(lp, basis))
-        assert np.abs(inverse - ref).max() <= 1e-14 * np.abs(ref).max()
+        W = lp_mod._basis_inverse(*lp_mod._columns(lp, basis))[0]
+        ref = _working_inverse(lp, basis)[0]
+        assert W.shape == (n, n)
+        assert np.abs(W - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("path, n", [(os.path.join(CONFIGS, "demo_small.toml"), 32),
@@ -498,10 +517,10 @@ def test_basis_inverse_matches_a_factorization_on_optimal_bases(path, n):
     students = basis[basis < n * n] // n
     assert np.bincount(students, minlength=n).max() >= 2
     for order in (np.arange(2 * n), np.random.default_rng(n).permutation(2 * n)):
-        inverse = lp_mod._basis_inverse(*lp_mod._columns(lp, basis[order]))
-        ref = np.linalg.inv(_basis_matrix(lp, basis[order]))
-        assert np.abs(inverse - ref).max() <= 1e-12
-        assert np.abs(inverse @ _basis_matrix(lp, basis[order]) - np.eye(2 * n)).max() <= 1e-12
+        W = lp_mod._basis_inverse(*lp_mod._columns(lp, basis[order]))[0]
+        ref, M = _working_inverse(lp, basis[order])
+        assert np.abs(W - ref).max() <= 1e-12
+        assert np.abs(W @ M - np.eye(n)).max() <= 1e-12
 
 
 def test_a_basis_leaving_a_student_row_uncovered_is_singular():
@@ -516,6 +535,13 @@ def test_a_basis_leaving_a_student_row_uncovered_is_singular():
         solve_lp(lp, basis=basis)
 
 
+def _nudge(n):
+    """The shift of the right-hand side that solve_lp solves at."""
+    shift = np.zeros(2 * n)
+    shift[n:] = lp_mod._NUDGE * (1.0 + np.arange(1, n + 1) / n)
+    return shift
+
+
 def test_the_negative_rows_of_the_assignment_basis_are_repaired():
     # at c = 0 the price assignment basis leaves a labor entry at -8.5e-3;
     # the start puts an artificial column -e_{n+k} in place of (k, k) on
@@ -523,21 +549,41 @@ def test_the_negative_rows_of_the_assignment_basis_are_repaired():
     # column and entry of x_B as it was
     lp, prof = _certificate_instance(C0_CONFIG, 32)
     n = lp.n
-    shift = np.zeros(2 * n)
-    shift[n:] = lp_mod._NUDGE * (1.0 + np.arange(1, n + 1) / n)
+    shift = _nudge(n)
     assigned = lp_mod._price_seed(lp, np.concatenate([prof.u, prof.v]), 1.0)[1]
     plain = _paired_basis(lp, assigned)
     x_plain = np.linalg.solve(_basis_matrix(lp, plain), lp.b + shift)
-    start, basis, inverse, repaired = lp_mod._start(lp, shift, None, None, assigned)
+    start, basis, W, repaired = lp_mod._start(lp, shift, None, None, assigned)
     negative = np.flatnonzero(x_plain < 0)
     assert start == "assignment" and (n + repaired).tolist() == negative.tolist()
     assert repaired.size == 1 and x_plain[negative].max() < -8e-3
     assert basis[negative[0]] == 2 * n * n + repaired[0]
     assert np.array_equal(np.delete(basis, negative), np.delete(plain, negative))
     assert np.array_equal(_basis_matrix(lp, basis[negative])[:, 0], -np.eye(2 * n)[negative[0]])
-    x = inverse @ (lp.b + shift)
+    # the students' columns are the keys and S = 0: x_K = b_s, x_O = W (b_t - E b_s)
+    rhs = lp.b + shift
+    B = _basis_matrix(lp, basis)
+    x = np.concatenate([rhs[:n], W @ (rhs[n:] - B[n:, :n] @ rhs[:n])])
     assert x.min() >= 0.0 and x[negative[0]] > 0.0
     assert np.abs(np.delete(x - x_plain, negative)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("path, n", [(C0_CONFIG, 32), (C0_CONFIG, 64), (C0_CONFIG, 128),
+                                     (os.path.join(CONFIGS, "phase_supercritical.toml"), 512)],
+                         ids=["c0-32", "c0-64", "c0-128", "supercritical-512"])
+def test_a_repaired_start_scales_w_instead_of_inverting_again(path, n, monkeypatch):
+    # swapping (k, k), 1 + 1/N' on steady row k of M, for -e_{n+k} scales
+    # row k of W by -(1 + 1/N'), with no second inversion; that W matches
+    # one formed whole
+    lp, prof = _certificate_instance(path, n)
+    assigned = lp_mod._price_seed(lp, np.concatenate([prof.u, prof.v]), 1.0)[1]
+    inverses = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
+    start, basis, W, repaired = lp_mod._start(lp, _nudge(n), None, None, assigned)
+    assert start == "assignment" and repaired.size >= 1 and len(inverses) == 1
+    whole = lp_mod._basis_inverse(*lp_mod._columns(lp, basis))[0]
+    assert np.abs(W - whole).max() <= 1e-15 * np.abs(whole).max()
 
 
 @pytest.mark.parametrize("n, rows", [(32, 1), (64, 1), (128, 4)])
@@ -585,13 +631,15 @@ def test_the_certificate_hands_its_inverse_to_the_probe(monkeypatch):
     assert len(inverses) == certified + 1
     # every basis inverse eliminates the student rows: only n x n matrices are inverted
     assert all(shape[0] <= lp.n and shape[1] <= lp.n for shape in inverses)
+    assert cert.basis_inverse.shape == (lp.n, lp.n)
 
 
-def test_the_certificate_peaks_below_80_n2_bytes():
-    # on the profile's operator the LP adds only b, the basis inverse takes
-    # 32 n^2 bytes and the report no n x n slack table; copies of the
-    # operator's tables (32 n^2), a column table of 96 n^2 bytes or a dense
-    # 2n x 2n basis matrix beside the inverse would not fit
+def test_the_certificate_peaks_below_50_n2_bytes():
+    # on the profile's operator the LP adds only b, W takes 8 n^2 bytes, a
+    # full pricing 32 n^2 for a moment, and the report no n x n slack
+    # table; a 2n x 2n basis inverse (32 n^2, the peak reached 69.7 n^2
+    # with one), copies of the operator's tables (32 n^2) or a column
+    # table of 96 n^2 bytes would not fit
     n = 128
     cfg = cli.load_scenario(os.path.join(CONFIGS, "demo_small.toml"), grid_n_override=n)
     prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
@@ -605,7 +653,52 @@ def test_the_certificate_peaks_below_80_n2_bytes():
     finally:
         tracemalloc.stop()
     assert sol.status == "optimal" and sol.start == "assignment"
-    assert peak <= 80 * n * n
+    assert peak <= 50 * n * n
+
+
+def test_the_certificate_and_the_probe_hold_no_2n_by_2n_array():
+    # the simplex carries only the n x n W: at no line of the package's
+    # code that the priced certificate and the uniqueness probe run is an
+    # array of 4 n^2 or more elements alive (a 2n x 2n basis inverse is
+    # one); the 2n^2 reduced costs of a full pricing are the largest
+    from pyramid_eq import uniqueness_probe
+    lp, prof = _certificate_instance(os.path.join(CONFIGS, "demo_small.toml"), 128)
+    n = lp.n
+    largest = [0]
+
+    def snapshot(frame, event, arg):
+        # below 4n^2 doubles of traced memory in all, no array can reach them
+        if event == "line" and tracemalloc.get_traced_memory()[0] >= 4 * n * n * 8:
+            largest[0] = max([largest[0]] + [t.size for t in tracemalloc.take_snapshot().traces])
+        return snapshot
+
+    def package_lines(frame, event, arg):
+        return snapshot if "pyramid_eq" in frame.f_code.co_filename else None
+
+    traced = sys.gettrace()
+    tracemalloc.start()
+    sys.settrace(package_lines)
+    try:
+        sol = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
+        probe = uniqueness_probe(lp, sol, seed=1)
+    finally:
+        sys.settrace(traced)
+        tracemalloc.stop()
+    assert 2 * n * n * 8 <= largest[0] < 4 * n * n * 8
+    assert sol.status == probe["status"] == "optimal" and sol.iterations > 0
+    assert sol.basis_inverse.shape == (n, n)
+
+
+@pytest.mark.parametrize("path, n, pivots", [(os.path.join(CONFIGS, "demo_small.toml"), 128, 149),
+                                             (C0_CONFIG, 32, 35),
+                                             (os.path.join(CONFIGS, "phase_supercritical.toml"), 256, 14)],
+                         ids=["demo_small-128", "c0-32", "supercritical-256"])
+def test_the_certificate_keeps_its_pivot_count(path, n, pivots):
+    # the pivots of the benchmark's and CI's certificates; a change of
+    # pivot path shows here first
+    lp, prof = _certificate_instance(path, n)
+    sol = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
+    assert sol.status == "optimal" and sol.iterations == pivots
 
 
 def test_seeded_and_full_solves_agree_on_a_lattice():
@@ -685,27 +778,39 @@ def test_the_restart_without_the_nudge_repairs_its_start_at_the_true_b(monkeypat
     assert sol.feasibility_residual <= 1e-12
 
 
-def _solve_from_a_noisy_start(error, seed, additive=False):
+def _solve_from_a_noisy_start(error, seed, additive=False, warm=False):
     """A clean solve of a 16-node LP, from the assignment basis of no
     prices (the diagonal coupling, which needs no repair), and a solve
-    from the same basis given its inverse off by a relative error, or by
-    an absolute one if additive."""
+    from the same basis given its W off by a relative error, or by an
+    absolute one if additive.  If warm, both solve the LP with its
+    objective perturbed by up to 1e-2, from the unperturbed LP's optimal
+    basis, 11 pivots from the perturbed optimum."""
     params = make_params(N=4.0, N_prime=2.0, c=0.7)
     grid = SkillGrid(16, 1.0)
     lp = assemble_primal(WageOperator(params, grid), linear_alpha(grid))
     clean = solve_lp(lp)
     assert clean.start == "assignment" and clean.repaired_rows == 0 and clean.iterations >= 1
     basis = _paired_basis(lp, np.arange(lp.n))
-    inverse = lp_mod._basis_inverse(*lp_mod._columns(lp, basis))
-    noise = error * np.random.default_rng(seed).standard_normal(inverse.shape)
-    noisy = inverse + noise if additive else inverse * (1.0 + noise)
+    if warm:
+        basis = clean.basis
+        lp = replace(lp, objective=lp.objective + np.random.default_rng(0).uniform(-1e-2, 1e-2, lp.objective.shape))
+        clean = solve_lp(lp, basis=basis)
+        assert clean.iterations == 11
+    W = lp_mod._basis_inverse(*lp_mod._columns(lp, basis))[0]
+    noise = error * np.random.default_rng(seed).standard_normal(W.shape)
+    noisy = W + noise if additive else W * (1.0 + noise)
     return clean, solve_lp(lp, basis=basis, basis_inverse=noisy)
 
 
 def test_a_start_inverse_with_an_error_is_formed_anew_before_the_exit():
     # pricing may claim an exit only on an inverse formed whole, so an
-    # error in the caller's inverse does not reach the duals
-    clean, sol = _solve_from_a_noisy_start(1e-10, 0)
+    # error in the caller's W does not reach the duals.  Each pivot clears
+    # the duals' error on the column it brings in, so the error survives
+    # only on start columns still basic at the exit: from the diagonal
+    # coupling 1 of 32 is, and an exit without the inversion still ended
+    # within 5e-15; from the warm start most are, and it left u off by
+    # 3.6e-10
+    clean, sol = _solve_from_a_noisy_start(1e-10, 0, warm=True)
     assert sol.status == "optimal" and sol.refactorizations >= 1
     assert abs(sol.value - clean.value) <= 1e-12
     assert np.abs(sol.u - clean.u).max() <= 1e-12 and np.abs(sol.v - clean.v).max() <= 1e-12
@@ -714,7 +819,7 @@ def test_a_start_inverse_with_an_error_is_formed_anew_before_the_exit():
 def test_an_exit_claimed_on_a_drifted_inverse_is_priced_again():
     # off by 0.3 %, the updated inverse claims optimality on a basis that
     # is not optimal; formed anew, it prices more pivots in.  Closing the
-    # solve with an inversion but no second pricing ended 4.3e-4 below the
+    # solve with an inversion but no second pricing ended 8.5e-6 below the
     # optimal value here
     clean, sol = _solve_from_a_noisy_start(3e-3, 1)
     assert sol.status == "optimal" and sol.refactorizations >= 2
@@ -723,10 +828,10 @@ def test_an_exit_claimed_on_a_drifted_inverse_is_priced_again():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_a_basis_pivoted_to_on_an_inverse_with_an_error_must_be_feasible(seed):
-    # an absolute error of 1e-8 in the start's inverse pivots to a basis
-    # that is infeasible at the nudged b: formed anew before the exit, its
-    # least x_B entry is -1.3e-9 to -6.4e-9 over these seeds, and its v is
-    # 0.31-0.70 from the clean solve's.  The solve must not report that
+    # an absolute error of 1e-8 in the start's W pivots to a basis that
+    # is infeasible at the nudged b: formed anew before the exit, its
+    # least x_B entry is -1.1e-9 to -3.6e-9 over these seeds, and its v is
+    # 0.46-0.70 from the clean solve's.  The solve must not report that
     # basis as optimal
     with pytest.raises(ValueError, match="updated inverse pivoted to is not primal feasible"):
         _solve_from_a_noisy_start(1e-8, seed, additive=True)

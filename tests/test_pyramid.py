@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pyramid_eq import (
     solve_wages,
     top_slopes,
 )
+from pyramid_eq import cli, pyramid
 from pyramid_eq.pyramid import regime_of
 from conftest import make_params, uniform_alpha
 
@@ -174,6 +176,25 @@ def test_exponent_error_shrinks_under_refinement():
 # ---------------------------------------------------------------------------
 # top slopes
 # ---------------------------------------------------------------------------
+
+def test_the_closed_form_octave_fit_matches_lstsq(monkeypatch):
+    # the octave points of the shipped supercritical scenario (n = 256)
+    cfg = cli.load_scenario(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                         "phase_supercritical.toml"))
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
+    points = []
+    fit = pyramid._fit_line
+    monkeypatch.setattr(pyramid, "_fit_line", lambda x, y: points.append((x, y)) or fit(x, y))
+    rep = phase_fit(prof, cfg.params, cfg.grid, alpha=cfg.alpha)
+    (x, y), = points
+    assert cfg.grid.n == 256 and x.size == rep.fit_octaves >= 3
+    A = np.vstack([np.ones(x.size), x]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    slope, residual = fit(x, y)
+    assert rep.fitted_exponent == -slope and rep.residual == residual
+    assert abs(slope - coef[1]) <= 1e-12
+    assert abs(residual - np.sqrt(np.mean((A @ coef - y) ** 2))) <= 1e-12
+
 
 def test_top_slope_closed_forms():
     params = make_params(N=10.0, theta=0.5)
