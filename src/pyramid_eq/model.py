@@ -120,15 +120,25 @@ class UtilityCurve:
             )
         return x
 
-    def value(self, x):
+    def value(self, x, out=None):
+        """b(x), written into out when given, which may be x itself."""
         x = self._check_domain(x)
         if self.kind == "exponential":
             amp, rate = self.params
-            return amp * np.exp(rate * x)
+            y = np.exp(np.multiply(rate, x, out=out), out=out)
+            return np.multiply(amp, y, out=out)
         if self.kind == "quadratic-plus":
             p0, p1, p2 = self.params
-            return p0 + p1 * x + 0.5 * p2 * x * x
-        return self._spline(np.clip(x, self.table[0][0], self.table[0][-1]))
+            q = np.multiply(0.5 * p2, x)
+            q *= x
+            y = np.add(p0, np.multiply(p1, x, out=out), out=out)
+            y += q
+            return y
+        y = self._spline(np.clip(x, self.table[0][0], self.table[0][-1]))
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
     def deriv(self, x):
         x = self._check_domain(x)
@@ -385,20 +395,22 @@ def discretize_density(density, grid: SkillGrid) -> GridMeasure:
     return GridMeasure(w, 1.0)
 
 
-def split_positions(z: np.ndarray, grid: SkillGrid):
+def split_positions(z: np.ndarray, grid: SkillGrid, out: np.ndarray | None = None):
     """Two-point linear splitting of off-grid targets z onto grid nodes.
 
     Returns (idx, frac): mass at z goes to node idx with weight 1-frac and
     node idx+1 with weight frac, preserving total mass and first moment.
-    Targets within 1e-12 cells of a node snap to it.
+    Targets within 1e-12 cells of a node snap to it.  frac is written into
+    out when given, which may be z itself; idx is intp.
     """
-    pos = np.asarray(z, dtype=float) / grid.h
+    pos = np.divide(np.asarray(z, dtype=float), grid.h, out=out)
     if grid.n == 1:
-        idx = np.zeros_like(pos, dtype=int)
-        return idx, np.zeros_like(pos)
-    idx = np.floor(pos).astype(int)
+        pos.fill(0.0)
+        return np.zeros(pos.shape, dtype=np.intp), pos
+    # floor(pos) cast to intp as it is written, with no float temporary
+    idx = np.floor(pos, out=np.empty(pos.shape, dtype=np.intp), casting="unsafe")
     np.clip(idx, 0, grid.n - 2, out=idx)
-    frac = pos - idx
+    frac = np.subtract(pos, idx, out=pos)
     frac[frac < 1e-12] = 0.0
     frac[frac > 1.0 - 1e-12] = 1.0
     return idx, frac

@@ -124,9 +124,12 @@ tolerance; the polish budget and damping are the module constants
 _POLISH_*.
 
 WageOperator keeps the pair tables E = c b_E(z) and BL as views into one
-(2, n, n) array, tables, beside the split (_idx, _frac) of z;
-lp.assemble_primal takes them as the LP's objective and constraint
-columns, so the certificate reads the arrays the wages were solved on.
+(2, n, n) array, tables, beside the split (_idx, intp, and _frac) of z;
+1 - frac is formed where it is read.  lp.assemble_primal takes them as
+the LP's objective and constraint columns, so the certificate reads the
+arrays the wages were solved on.  In n x n doubles the operator holds 4
+and the smoothed dual 7.1 (_SmoothedDual); a kept set lays its tables out
+in the dual's block of 4.
 
 Off-grid values v(z) use linear interpolation, which preserves convexity
 of the samples.  All maxima run in fixed index order with first-index
@@ -166,6 +169,7 @@ _CENTERED = 1e-2  # a ladder rung ends after the step whose grad . H^-1 grad is 
 _DROP_REL = 1e-16  # a dropped pair may weigh at most this fraction of its maximum when its stage ends
 _KEEP_MARGIN = 20.0  # a stage keeps the pairs above e^-_KEEP_MARGIN _DROP_REL of their maximum
 _KEPT_MAX = 0.4  # a stage runs on its kept pairs only if they are at most this fraction of each n x n table
+_MASK_CHUNKS = 16  # a kept set's positions are found in this many pieces of each mask (of 4,096 pairs at least)
 _FINE_RUNGS = 3  # the coldest ladder rungs run on the full grid, the hotter ones on the half grid
 _HALF_GRID_MIN_N = 64  # smallest even grid whose hot rungs run on the half grid
 _ETA_FLOOR = 2e-5  # smallest annealing temperature, relative to the payoff scale
@@ -376,20 +380,24 @@ class WageOperator:
         x = grid.nodes
         self.tables = np.empty((2, grid.n, grid.n))
         self.E, self.BL = self.tables
-        # acquired skill over (student i, teacher j) pairs, with interp weights
-        Z = x[:, None] + params.theta * (x[None, :] - x[:, None])
-        np.multiply(self.c, params.bE.value(Z), out=self.E)
-        self._idx, self._frac = split_positions(Z, grid)
-        self._omf = 1.0 - self._frac
-        # labor production over (worker i, manager j) pairs
-        tp = params.theta_prime
-        self.BL[...] = params.bL.value(x[:, None] + tp * (x[None, :] - x[:, None]))
+        # acquired skill z = x_i + theta (x_j - x_i) over (student i, teacher
+        # j) pairs, in the bytes its split frac then takes
+        Z = np.subtract(x, x[:, None], out=np.empty((grid.n, grid.n)))
+        Z *= params.theta
+        Z += x[:, None]
+        np.multiply(self.c, params.bE.value(Z, out=self.E), out=self.E)
+        self._idx, self._frac = split_positions(Z, grid, out=Z)
+        # labor production over (worker i, manager j) pairs, in place
+        np.subtract(x, x[:, None], out=self.BL)
+        self.BL *= params.theta_prime
+        self.BL += x[:, None]
+        params.bL.value(self.BL, out=self.BL)
 
     def interp_at_z(self, v: np.ndarray, out: np.ndarray | None = None,
                     scratch: np.ndarray | None = None) -> np.ndarray:
         """v at every pair's z: v[idx] (1-frac) + v[idx+1] frac, written
-        into out when given, with v[idx+1] gathered into scratch when
-        given."""
+        into out when given, with 1-frac and then v[idx+1] formed in
+        scratch when given."""
         if self.grid.n == 1:
             if out is None:
                 return np.full_like(self._frac, v[0])
@@ -397,9 +405,10 @@ class WageOperator:
             return out
         # mode="clip" gathers straight into out and scratch ("raise" buffers
         # them); it clips nothing, as split_positions keeps idx <= n - 2
+        omf = np.subtract(1.0, self._frac, out=scratch)
         vz = np.take(v, self._idx, out=out, mode="clip")
-        vz *= self._omf
-        hi = np.take(v[1:], self._idx, out=scratch, mode="clip")  # v[idx + 1]
+        vz *= omf
+        hi = np.take(v[1:], self._idx, out=omf, mode="clip")  # v[idx + 1]
         hi *= self._frac
         vz += hi
         return vz
@@ -410,27 +419,28 @@ class WageOperator:
         that is deposited, and is left holding it."""
         if split is None:
             split = np.empty((2, w.size))
-        np.multiply(w.ravel(), self._omf.ravel(), out=split[0])
+        np.subtract(1.0, self._frac.ravel(), out=split[0])
+        split[0] *= w.ravel()
         np.multiply(w.ravel(), self._frac.ravel(), out=split[1])
         return _deposit_split(self._idx.ravel(), split[0], split[1], self.grid.n)
 
     def components(self, v: np.ndarray) -> WageComponents:
+        """The envelope components at v, from two n x n buffers: S, the
+        (student, teacher) surplus before tuition, and one for each
+        candidate table in turn."""
         p = self.params
-        vz = self.interp_at_z(v)
-        S = self.E + vz  # (student, teacher) surplus before tuition
+        S, cand = np.empty((2,) + self.E.shape)
+        self.interp_at_z(v, out=S, scratch=cand)
+        np.add(self.E, S, out=S)
 
-        cand_w = self.BL - v[None, :] / p.N_prime
-        v_w = cand_w.max(axis=1)
+        v_w = np.subtract(self.BL, v / p.N_prime, out=cand).max(axis=1)
+        v_m = p.N_prime * np.subtract(self.BL, v[:, None], out=cand).max(axis=0)
 
-        cand_m = self.BL - v[:, None]
-        v_m = p.N_prime * cand_m.max(axis=0)
+        np.subtract(S, v / p.N, out=cand)
+        u = cand.max(axis=1)
+        best_teacher = cand.argmax(axis=1)
 
-        cand_u = S - v[None, :] / p.N
-        u = cand_u.max(axis=1)
-        best_teacher = cand_u.argmax(axis=1)
-
-        cand_t = S - u[:, None]
-        v_t = p.N * cand_t.max(axis=0)
+        v_t = p.N * np.subtract(S, u[:, None], out=S).max(axis=0)
 
         stack = np.stack([v_w, v_m, v_t])
         top = stack.max(axis=0)
@@ -537,13 +547,15 @@ class _SmoothedDual:
 
     Its Newton matrix is the one a kept set (_KeptPairs) has, over every
     pair (_newton_matrix): the dual holds the same pair tables (idx, frac,
-    the split lo, hi that each evaluation's splat leaves, the deposit
-    positions and the layout), built once here.  Every evaluation and
-    Newton matrix writes into n x n work arrays owned by the dual, so one
-    anneal allocates them once and neither a dual evaluation nor a Newton
-    step allocates an n x n array.  A cold stage's kept pairs lay their
-    tables out in the same work arrays.  _carried is the last stage's
-    checked kept set, as (flat_e, flat_l), or None.
+    the split lo, hi that each evaluation's splat leaves and the layout),
+    and forms the deposit bins by teacher and by student as intp when the
+    Newton matrix reads them (by_teacher, by_student).  Every evaluation
+    and Newton matrix writes into n x n work arrays owned by the dual, so
+    one anneal allocates them once and neither a dual evaluation nor a
+    Newton step allocates an n x n array: 7.1 n x n doubles in all, the
+    block of 4 (split, _P, _L), _H, _T, _Q and the bool _cut.  A cold
+    stage's kept pairs lay their tables out in the block.  _carried is
+    the last stage's checked kept set, as (flat_e, flat_l), or None.
     """
 
     def __init__(self, op: WageOperator, m: np.ndarray, d: np.ndarray,
@@ -563,13 +575,10 @@ class _SmoothedDual:
 
         n = op.grid.n
         # every pair's tables for _newton_matrix, as a kept set has its own:
-        # a pair's labor and X[a, j] positions are its flat index, and its
-        # C[j, idx] and X[a, idx] the flat bins (j, idx) and (a, idx), as
-        # int32 to halve the tables (np.add.at casts indices in fixed-size
-        # chunks); n^2 < 2^31 for any grid whose n x n tables fit in memory
+        # a pair's labor and X[a, j] positions are its flat index; its
+        # C[j, idx] and X[a, idx] bins are formed when they are deposited
+        # (by_teacher, by_student)
         self.idx, self.frac = op._idx.reshape(-1), op._frac.reshape(-1)
-        self.by_teacher = (op._idx + n * np.arange(n)).astype(np.int32).ravel()
-        self.by_student = (op._idx + n * np.arange(n)[:, None]).astype(np.int32).ravel()
         self.by_labor = self.by_col = slice(None)
         # rows of the row-mean term are scaled by 1/sqrt(m); massless rows are zero
         self.rsqrt_m = np.divide(1.0, np.sqrt(m), out=np.zeros_like(m), where=self.live)
@@ -633,6 +642,19 @@ class _SmoothedDual:
         pair (_newton_matrix)."""
         return _newton_matrix(self, self, eta, st)
 
+    def by_teacher(self, free: np.ndarray) -> np.ndarray:
+        """Every pair's C[j, idx] bin, the flat j n + idx, as intp in the
+        bytes of free, an n x n work array that holds nothing else while
+        the bins are read."""
+        n = self.op.grid.n
+        return np.add(self.op._idx, n * np.arange(n), out=free.view(np.intp)).reshape(-1)
+
+    def by_student(self, free: np.ndarray) -> np.ndarray:
+        """Every pair's X[a, idx] bin, the flat a n + idx, as by_teacher
+        forms its bins."""
+        n = self.op.grid.n
+        return np.add(self.op._idx, n * np.arange(n)[:, None], out=free.view(np.intp)).reshape(-1)
+
     def _heavy(self, st: _DualState, rel: float):
         """In turn, the masks of the education pairs of the dense state st
         above rel times their student's largest weight and of the labor
@@ -643,13 +665,8 @@ class _SmoothedDual:
     def kept_pairs(self, st: _DualState) -> _KeptPairs | None:
         """The pairs of the dense state st above e^-_KEEP_MARGIN _DROP_REL
         of their maximum (_heavy); None if either set is more than
-        _KEPT_MAX of its table."""
-        flats = []
-        for heavy in self._heavy(st, _DROP_REL * np.exp(-_KEEP_MARGIN)):
-            if np.count_nonzero(heavy) > _KEPT_MAX * heavy.size:
-                return None
-            flats.append(np.flatnonzero(heavy).astype(np.int32))
-        return _KeptPairs(self, *flats, st, *flats)  # in a dense state a pair's position is its flat index
+        _KEPT_MAX of its table (_kept_set)."""
+        return _kept_set(self, st, self._heavy(st, _DROP_REL * np.exp(-_KEEP_MARGIN)))
 
     def _opening(self):
         """The evaluator a stage opens on: the kept set the last stage
@@ -772,46 +789,52 @@ class _KeptPairs:
     no n x n array.
 
     A Newton loop's set is chosen from a state st (the dense one, or one
-    of a larger kept set): eps and lam start as st's weights at the
-    positions at_e and at_l of its pair arrays, so the loop can start from
-    st.  A set made without st (a stage's carried opening) only
-    evaluates."""
+    of a larger kept set, _kept_set): eps and lam start as weights, st's
+    weights of the kept pairs, so the loop can start from st.  A set made
+    without them (a stage's carried opening) only evaluates."""
 
     def __init__(self, sd: _SmoothedDual, flat_e: np.ndarray, flat_l: np.ndarray,
-                 st: _DualState | None = None, at_e: np.ndarray | None = None, at_l: np.ndarray | None = None):
+                 weights: tuple | None = None):
         op, n = sd.op, sd.op.grid.n
         self.sd, self.flat_e, self.flat_l = sd, flat_e, flat_l
         ke, kl = flat_e.size, flat_l.size
-        # eps and lam come first, ahead of what overwrites st; np.take
-        # buffers a gather from a set laid out in the same bytes
         arena = _Arena(sd._block)
         self.eps, self.lam = arena.take(ke), arena.take(kl)
-        if st is not None:
-            np.take(st.eps, at_e, out=self.eps, mode="clip")
-            np.take(st.lam, at_l, out=self.lam, mode="clip")
+        if weights is not None:
+            np.copyto(self.eps, weights[0])
+            np.copyto(self.lam, weights[1])
         self.lo, self.hi = arena.take(ke), arena.take(ke)
         self.scratch = arena.take(max(ke, kl))
-        self.E = np.take(op.E, flat_e, out=arena.take(ke), mode="clip")
-        self.frac = np.take(op._frac, flat_e, out=arena.take(ke), mode="clip")
-        self.idx = np.take(op._idx, flat_e, out=arena.take(ke, np.intp), mode="clip")
-        self.col = np.remainder(flat_e, n, out=arena.take(ke, np.intp))
-        self.BL = np.take(op.BL, flat_l, out=arena.take(kl), mode="clip")
-        self.row_l = np.floor_divide(flat_l, n, out=arena.take(kl, np.intp))
-        self.col_l = np.remainder(flat_l, n, out=arena.take(kl, np.intp))
+        # the gathers read the flat indices as intp from the scratch, as np.take
+        # copies int32 indices to a fresh intp array at every call
+        flat = self.scratch.view(np.intp)
+        fl = flat[:kl]
+        np.copyto(fl, flat_l)
+        self.BL = np.take(op.BL, fl, out=arena.take(kl), mode="clip")
+        self.row_l = np.floor_divide(fl, n, out=arena.take(kl, np.intp))
+        self.col_l = np.remainder(fl, n, out=arena.take(kl, np.intp))
+        fe = flat[:ke]
+        np.copyto(fe, flat_e)
+        self.E = np.take(op.E, fe, out=arena.take(ke), mode="clip")
+        self.frac = np.take(op._frac, fe, out=arena.take(ke), mode="clip")
+        self.idx = np.take(op._idx, fe, out=arena.take(ke, np.intp), mode="clip")
+        self.col = np.remainder(fe, n, out=arena.take(ke, np.intp))
 
         # the students with kept pairs (flat_e runs row by row): where each
         # one's pairs start, and each pair's student among them
-        rows = flat_e // n
+        rows = np.floor_divide(fe, n, out=fe)
         first = np.empty(ke, dtype=bool)
         first[:1] = True
         np.not_equal(rows[1:], rows[:-1], out=first[1:])
         self.starts = np.flatnonzero(first)
-        self.slot = np.cumsum(first, out=arena.take(ke, np.intp))
+        self.slot = arena.take(ke, np.intp)
+        self.slot[...] = first
+        np.cumsum(self.slot, out=self.slot)  # in intp: a cumsum of the bools would cast through buffers
         self.slot -= 1
         rows = rows[self.starts]
         self.m, self.logm, self.rsqrt_m = sd.m[rows], sd.logm[rows], sd.rsqrt_m[rows]
         self.layout = None
-        if st is not None:
+        if weights is not None:
             self._lay_out(arena)
             np.subtract(1.0, self.frac, out=self.lo)
             self.lo *= self.eps
@@ -844,17 +867,23 @@ class _KeptPairs:
         self.layout = _Layout(k, np.flatnonzero(coupled), np.flatnonzero(~coupled),
                               sd._H.reshape(-1)[k * k:k * k + n - k], diag, sup, upper, upper + (k - 1))
 
-        pi = np.take(pos, self.idx, out=self.lo.view(np.intp), mode="clip")
-        pj = np.take(pos, self.col, out=self.hi.view(np.intp), mode="clip")
-        self.by_teacher = np.multiply(pj, k, out=arena.take(ke, np.int32))
-        self.by_teacher += pi  # C[j, idx]
-        self.by_student = np.multiply(self.slot, k, out=arena.take(ke, np.int32))
-        self.by_student += pi  # X[a, idx]
-        self.by_col = np.multiply(self.slot, k, out=arena.take(ke, np.int32))
+        # int32 arithmetic for the int32 tables: a ufunc that casts as it
+        # writes allocates iterator buffers
+        pos, t = pos.astype(np.int32), self.scratch.view(np.int32)
+        pi = np.take(pos, self.idx, out=self.lo.view(np.int32)[:ke], mode="clip")
+        pj = np.take(pos, self.col, out=self.hi.view(np.int32)[:ke], mode="clip")
+        slot = t[:ke]
+        slot[...] = self.slot
+        self._by_teacher = np.multiply(pj, k, out=arena.take(ke, np.int32))
+        self._by_teacher += pi  # C[j, idx]
+        self._by_student = np.multiply(slot, k, out=arena.take(ke, np.int32))
+        self._by_student += pi  # X[a, idx]
+        self.by_col = np.multiply(slot, k, out=arena.take(ke, np.int32))
         self.by_col += pj  # X[a, j]
-        self.by_labor = np.multiply(np.take(pos, self.row_l, out=t, mode="clip"), k, out=arena.take(kl, np.int32))
-        self.by_labor += np.take(pos, self.col_l, out=t, mode="clip")
-        np.copyto(self.by_labor, np.take(diag, self.row_l, out=t, mode="clip"), where=on_diag)
+        self.by_labor = np.take(pos, self.row_l, out=arena.take(kl, np.int32), mode="clip")
+        self.by_labor *= k
+        self.by_labor += np.take(pos, self.col_l, out=t[:kl], mode="clip")
+        np.copyto(self.by_labor, np.take(diag.astype(np.int32), self.row_l, out=t[:kl], mode="clip"), where=on_diag)
 
     def value_grad(self, v: np.ndarray, eta: float):
         """The dual's value_grad over the kept pairs: the same arithmetic
@@ -895,22 +924,34 @@ class _KeptPairs:
         kept pairs (_newton_matrix)."""
         return _newton_matrix(self.sd, self, eta, st)
 
+    def by_teacher(self, free: np.ndarray) -> np.ndarray:
+        """Each pair's C[j, idx] position in the layout, from the set's
+        tables (free, the work array the dense dual forms them in, is not
+        needed)."""
+        return self._by_teacher
+
+    def by_student(self, free: np.ndarray) -> np.ndarray:
+        """Each pair's X[a, idx] position, as by_teacher."""
+        return self._by_student
+
     def _heavy(self, st: _DualState, rel: float):
         """In turn, the masks of this set's education pairs above rel times
         their student's largest weight in its state st and of its labor
         pairs above rel times its largest labor weight, each in the dual's
-        _cut."""
+        _cut.  The education cut is formed in the scratch."""
         cut = self.sd._cut.reshape(-1)
-        top = np.maximum.reduceat(st.eps, self.starts)
-        yield np.greater(st.eps, rel * np.take(top, self.slot), out=cut[:st.eps.size])
+        top = np.take(np.maximum.reduceat(st.eps, self.starts), self.slot, out=self.scratch[:st.eps.size])
+        top *= rel
+        yield np.greater(st.eps, top, out=cut[:st.eps.size])
         yield np.greater(st.lam, rel * st.lam.max(initial=0.0), out=cut[:st.lam.size])
 
     def kept_pairs(self, st: _DualState) -> _KeptPairs:
         """The pairs of this set above e^-_KEEP_MARGIN _DROP_REL of their
-        maximum in its state st (_heavy); where the set was carried, the
-        ones the dense state would give (see the module docstring)."""
-        at = [np.flatnonzero(heavy) for heavy in self._heavy(st, _DROP_REL * np.exp(-_KEEP_MARGIN))]
-        return _KeptPairs(self.sd, self.flat_e[at[0]], self.flat_l[at[1]], st, *at)
+        maximum in its state st (_heavy, _kept_set); where the set was
+        carried, the ones the dense state would give (see the module
+        docstring)."""
+        return _kept_set(self.sd, st, self._heavy(st, _DROP_REL * np.exp(-_KEEP_MARGIN)),
+                         (self.flat_e, self.flat_l))
 
     def covers(self, st: _DualState) -> bool:
         """Whether every pair of the dense state st that weighs more than
@@ -920,6 +961,34 @@ class _KeptPairs:
             if heavy.any():
                 return False
         return True
+
+
+def _kept_set(sd: _SmoothedDual, st: _DualState, masks, flats=(None, None)) -> _KeptPairs | None:
+    """The Newton loop's kept set of the pairs of the state st that masks
+    marks (the education, then the labor mask of a _heavy), None if
+    either set is more than _KEPT_MAX of its n x n table.  flats are the
+    flat indices of st's pairs, None where a pair's position is its flat
+    index (a dense st).  The kept education and labor weights are staged
+    in the dual's _T and _Q, which the set's tables do not share.  Each
+    mask's positions are found in at most _MASK_CHUNKS pieces, so no intp
+    array of all of them is held."""
+    weights, kept = [], []
+    for X, flat, heavy, stage in zip((st.eps, st.lam), flats, masks, (sd._T, sd._Q)):
+        size = np.count_nonzero(heavy)
+        if size > _KEPT_MAX * sd.op.E.size:
+            return None
+        w, f = stage.reshape(-1)[:size], np.empty(size, dtype=np.int32)
+        X, heavy, done = X.reshape(-1), heavy.reshape(-1), 0
+        step = max(4096, -(-heavy.size // _MASK_CHUNKS))
+        for start in range(0, heavy.size, step):
+            at = np.flatnonzero(heavy[start:start + step])
+            at += start
+            np.take(X, at, out=w[done:done + at.size], mode="clip")
+            f[done:done + at.size] = at if flat is None else np.take(flat, at, mode="clip")
+            done += at.size
+        weights.append(w)
+        kept.append(f)
+    return _KeptPairs(sd, *kept, weights)
 
 
 def _newton_matrix(sd: _SmoothedDual, pairs, eta: float, st: _DualState) -> np.ndarray:
@@ -938,17 +1007,19 @@ def _newton_matrix(sd: _SmoothedDual, pairs, eta: float, st: _DualState) -> np.n
     across, C[j, idx] the deposit of eps by teacher.  Row a of X, the
     row-mean term, is the deposit of eps by student less eps/N at the
     teachers, over sqrt(m_a).  The split lo = eps (1-frac), hi = eps frac
-    that the evaluation left in pairs goes to the positions by_teacher
-    and by_student (hi one position on, at idx + 1) with np.add.at; lam
-    goes to by_labor and -eps/N to by_col by assignment, as no two pairs
-    share one of those positions."""
+    that the evaluation left in pairs goes to the positions
+    pairs.by_teacher and pairs.by_student give (hi one position on, at
+    idx + 1) with np.add.at; the dense dual forms them as intp in sd's
+    _Q while C goes into _T, and in _T while X goes into _Q.  lam goes to
+    by_labor and -eps/N to by_col by assignment, as no two pairs share
+    one of those positions."""
     p, n = sd.op.params, sd.op.grid.n
     lay = pairs.layout
     k = lay.k
     kk = k * k
     Hf, Tf = sd._H.reshape(-1)[:kk + n - k], sd._T.reshape(-1)[:kk + n - k]
     H, T, Q = Hf[:kk].reshape(k, k), Tf[:kk].reshape(k, k), sd._Q.reshape(-1)[:kk].reshape(k, k)
-    x = sd._T.reshape(-1)[:pairs.idx.size]  # scratch, while _T holds neither the labor block nor C
+    x = sd._T.reshape(-1)[:pairs.idx.size]  # scratch, while _T holds neither the labor block, C nor the bins by student
     up = min(1, n - 1)  # idx + 1; a one-node grid has none, and there eps frac = 0
     Tf.fill(0.0)
     Tf[pairs.by_labor] = st.lam.reshape(-1)
@@ -965,15 +1036,21 @@ def _newton_matrix(sd: _SmoothedDual, pairs, eta: float, st: _DualState) -> np.n
     Hf[lay.upper] += off
     Hf[lay.lower] += off
     T.fill(0.0)  # C
-    np.add.at(Tf, pairs.by_teacher, pairs.lo)
-    np.add.at(Tf[up:], pairs.by_teacher, pairs.hi)
+    by_teacher = pairs.by_teacher(sd._Q)
+    np.add.at(Tf, by_teacher, pairs.lo)
+    np.add.at(Tf[up:], by_teacher, pairs.hi)
     H -= np.divide(np.add(T, T.T, out=Q), p.N, out=Q)
     rows = pairs.rsqrt_m.size
     X = sd._Q.reshape(-1)[:rows * k]
     X.fill(0.0)
-    np.add.at(X, pairs.by_student, pairs.lo)
-    np.add.at(X[up:], pairs.by_student, pairs.hi)
-    X[pairs.by_col] -= np.divide(st.eps.reshape(-1), p.N, out=x)
+    by_student = pairs.by_student(sd._T)
+    np.add.at(X, by_student, pairs.lo)
+    np.add.at(X[up:], by_student, pairs.hi)
+    eps_n = np.divide(st.eps.reshape(-1), p.N, out=x)
+    if isinstance(pairs.by_col, slice):
+        X[pairs.by_col] -= eps_n
+    else:  # a kept set's X[by_col] -= eps_n would gather a copy of X at its pairs
+        np.subtract.at(X, pairs.by_col, eps_n)
     X = X.reshape(rows, k)
     X *= pairs.rsqrt_m[:, None]
     H -= np.matmul(X.T, X, out=T)

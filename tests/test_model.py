@@ -74,6 +74,25 @@ def test_quadratic_plus_requires_positive_coefficients():
     assert c.value(2.0 / 3.0) == pytest.approx(1.0 + 4.0 / 3.0 + 1.5 * 4.0 / 9.0)
 
 
+_XS = np.linspace(0.0, 1.0, 9)
+
+
+@pytest.mark.parametrize("curve", [
+    UtilityCurve.exponential(1.0, 0.7, 1.3),
+    UtilityCurve.quadratic_plus(1.0, 2.0, 3.0, 1.0),
+    UtilityCurve.tabulated(_XS, np.exp(_XS), np.exp(_XS), 1.0),
+])
+def test_value_in_place_is_bitwise_the_plain_value(curve):
+    # the wage operator evaluates b_E and b_L over their argument's own
+    # bytes; the arithmetic is the same, so are the bits
+    x = np.random.default_rng(0).random((5, 7))
+    want = curve.value(x)
+    got = x.copy()
+    assert curve.value(got, out=got) is got
+    assert np.array_equal(got, want)
+    assert curve.value(0.3) == curve.value(np.array([0.3]))[0]
+
+
 # ---------------------------------------------------------------------------
 # density discretization
 # ---------------------------------------------------------------------------

@@ -434,6 +434,12 @@ def test_smoothed_dual_value_grad_matches_dense_formulas(n, theta):
     assert np.array_equal(st.lam_col, st.lam.sum(axis=0))
 
 
+def _kept_from_dense(sd, st, flat_e, flat_l):
+    """The kept set of the pairs flat_e and flat_l of the dense state st,
+    started from their weights in st."""
+    return wages._KeptPairs(sd, flat_e, flat_l, (st.eps.ravel()[flat_e], st.lam.ravel()[flat_l]))
+
+
 def test_smoothed_dual_work_arrays_do_not_leak_between_evaluations():
     # every evaluation overwrites the dual's work arrays, the Newton
     # matrix's deposit buffers included, and a kept set's evaluation and
@@ -447,7 +453,7 @@ def test_smoothed_dual_work_arrays_do_not_leak_between_evaluations():
     used.hessian(0.2, st1)
     flat_e = (n * np.arange(4)[:, None] + np.arange(4)).astype(np.int32).ravel()  # the low corner
     flat_l = np.concatenate([[1, n], np.arange(2, n) * (n + 1)]).astype(np.int32)
-    kept = wages._KeptPairs(used, flat_e, flat_l, st1, flat_e, flat_l)
+    kept = _kept_from_dense(used, st1, flat_e, flat_l)
     kept.hessian(0.1, kept.value_grad(v1 - 0.01, 0.1)[2])
     assert 0 < kept.layout.k < n
     val, grad, st = used.value_grad(v2, 0.05)
@@ -488,13 +494,17 @@ def _cold_dual(n, theta):
     return sd, prof.v, prof.anneal.stages[-2].eta * sd.scale
 
 
+def _supercritical_config(n):
+    return load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=n)
+
+
 def _cold_supercritical(n):
     """The supercritical config's dual at its anneal's answer (before the
     envelope polish) and the temperature of its next to last stage.  Its
     students' kept pairs reach only part of the grid there, so a kept
     Hessian leaves nodes decoupled, where the uniform instance of
     _cold_dual couples every node."""
-    cfg = load_scenario(os.path.join(CONFIG_DIR, "phase_supercritical.toml"), grid_n_override=n)
+    cfg = _supercritical_config(n)
     op = WageOperator(cfg.params, cfg.grid)
     m, d = cfg.alpha.weights, np.zeros(n)
     v, work = wages._anneal(op, m, d, op.lower_bound())
@@ -550,6 +560,48 @@ def test_warm_value_grad_allocates_no_n_by_n_array():
     n = 128
     for ev, v, eta in _warm_evaluators(n):
         assert _warm_peak(lambda: ev.value_grad(v, eta)) < n * n * 8
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_the_wage_solve_peaks_below_12_n2_doubles(n):
+    # the anneal holds the operator's 4 n^2 doubles (E, BL, idx, frac) and
+    # the dual's 7.1 (the block of the split, _P and _L, then _H, _T, _Q
+    # and _cut); 1 - frac, the Newton matrix's deposit bins and a kept
+    # set's positions are formed in those buffers, not beside them
+    cfg = _supercritical_config(n)
+    peak = _warm_peak(lambda: solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver))
+    assert peak <= 12 * n * n * 8
+
+
+def test_the_wage_operator_builds_in_7_n2_doubles():
+    # z is formed in the bytes its split frac then takes, and b_E and b_L
+    # are evaluated in their tables
+    n = 256
+    cfg = _supercritical_config(n)
+    assert _warm_peak(lambda: WageOperator(cfg.params, cfg.grid)) <= 7 * n * n * 8
+
+
+def test_a_warm_components_call_peaks_below_2_5_n2_doubles():
+    # the surplus and each candidate table in turn take two n x n buffers
+    n = 256
+    cfg = _supercritical_config(n)
+    op = WageOperator(cfg.params, cfg.grid)
+    v = op.lower_bound()
+    op.components(v)
+    assert _warm_peak(lambda: op.components(v)) <= 2.5 * n * n * 8
+
+
+def test_gather_indices_stay_intp():
+    # np.take copies int32 indices to a fresh intp array at every call: an
+    # int32 idx made every gather of v at n = 256 allocate a 524,648-byte
+    # transient and take about a quarter longer, so the operator's split
+    # and a kept set's gather indices are intp
+    sd, v, eta = _cold_supercritical(128)
+    kept = sd.kept_pairs(sd.value_grad(v, eta)[2])
+    assert kept is not None
+    assert sd.op._idx.dtype == np.intp
+    for table in (kept.idx, kept.col, kept.slot, kept.row_l, kept.col_l):
+        assert table.dtype == np.intp
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
@@ -621,7 +673,7 @@ def test_a_kept_set_that_couples_no_node_steps_on_the_diagonal():
     eta = 0.05
     st = sd.value_grad(v, eta)[2]
     on_diag = (np.arange(n) * (n + 1)).astype(np.int32)
-    kept = wages._KeptPairs(sd, np.empty(0, np.int32), on_diag, st, np.empty(0, np.intp), on_diag)
+    kept = _kept_from_dense(sd, st, np.empty(0, np.int32), on_diag)
     _, grad, st_k = kept.value_grad(v, eta)
     H = kept.hessian(eta, st_k)
     assert kept.layout.k == 0 and H.shape == (0, 0)
@@ -656,7 +708,7 @@ def test_kept_newton_matrix_is_the_pair_formula_over_its_pairs(seed):
     flat_e = np.unique(np.concatenate([a * n + np.concatenate([[st.eps[a].argmax()], rng.integers(0, n, 1)])
                                        for a in students])).astype(np.int32)
     flat_l = np.unique(np.concatenate([rng.integers(0, n * n, 2), rng.integers(0, n, 2) * (n + 1)])).astype(np.int32)
-    kept = wages._KeptPairs(sd, flat_e, flat_l, st, flat_e, flat_l)
+    kept = _kept_from_dense(sd, st, flat_e, flat_l)
     _assert_distinct_positions(kept)
     assert np.any(kept.row_l == kept.col_l)  # (k, k) labor pairs, on the diagonal
     _, grad, st_k = kept.value_grad(v, eta)
