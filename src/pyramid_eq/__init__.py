@@ -23,12 +23,10 @@ from .model import (
 )
 from .wages import (
     SolverConfig,
-    StabilityReport,
     WageOperator,
     WageProfile,
     convexify,
     solve_wages,
-    stability_residuals,
 )
 from .lp import (
     DiscreteLP,

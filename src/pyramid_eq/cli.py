@@ -45,7 +45,7 @@ from .model import (
     pushforward_z,
     validate_utility,
 )
-from .wages import IterationDiverged, SolverConfig, WageOperator, WageProfile, solve_wages, stability_residuals
+from .wages import IterationDiverged, SolverConfig, WageOperator, WageProfile, solve_wages
 from .lp import assemble_primal, duality_report, solve_lp
 from .analysis import (
     adult_density,
@@ -331,8 +331,6 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     status and the wage profile."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     profile = solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
-    sr = stability_residuals(profile)
-
     lp = assemble_primal(profile.operator, cfg.alpha, profile.delta)
     sol = solve_lp(lp, prices=np.concatenate([profile.u, profile.v]))
     rep = duality_report(lp, sol, profile)
@@ -360,10 +358,10 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
         "anneal": profile.anneal.as_dict(),
         "polish": asdict(profile.polish),
         "stability": {
-            "min_f": sr.min_f,
-            "min_g": sr.min_g,
-            "lower_bound_ok": bool(sr.lower_bound_ok),
-            "upper_bound_ok": bool(sr.upper_bound_ok),
+            "min_f": rep.min_f,
+            "min_g": rep.min_g,
+            "lower_bound_ok": bool(rep.lower_bound_ok),
+            "upper_bound_ok": bool(rep.upper_bound_ok),
         },
         "lp": {
             "value": sol.value,
@@ -424,19 +422,26 @@ def _solve_and_write(cfg: ScenarioConfig, quiet: bool) -> tuple[int, WageProfile
     return (0 if profile.converged and sol.status == "optimal" and probe_ok else 2), profile
 
 
-def _profile_from_wages_csv(cfg: ScenarioConfig) -> WageProfile:
+def _profile_from_wages_csv(cfg: ScenarioConfig) -> tuple[int, WageProfile]:
+    """The wage profile of the solve artifacts in the output directory,
+    and the exit status of the solve that wrote them, as _solve_and_write
+    returns them: 2 when duality.json records a wage solve that did not
+    converge or an LP that is not optimal."""
     path = os.path.join(cfg.out_dir, "wages.csv")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] != cfg.grid.n:
         raise ConfigError(f"{path}: has {data.shape[0]} rows but the grid has {cfg.grid.n} nodes")
     v = np.ascontiguousarray(data[:, 1])
     dpath = os.path.join(cfg.out_dir, "duality.json")
-    delta = 0.0
+    delta, converged, certified = 0.0, True, True
     if os.path.exists(dpath):
         with open(dpath, "r", encoding="utf-8") as fh:
-            delta = json.load(fh).get("delta", 0.0)
+            record = json.load(fh)
+        delta, converged = record.get("delta", 0.0), bool(record["converged"])
+        certified = record["lp"]["status"] == "optimal"
     op = WageOperator(cfg.params, cfg.grid)
-    return op.profile(v, cfg.alpha, delta, converged=True, iterations=0)
+    profile = op.profile(v, cfg.alpha, delta, converged=converged, iterations=0)
+    return (0 if converged and certified else 2), profile
 
 
 def _phase_plots(cfg: ScenarioConfig, profile, report):
@@ -500,7 +505,7 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
     if which == "phase":
         wages_path = os.path.join(cfg.out_dir, "wages.csv")
         if os.path.exists(wages_path):
-            status, profile = 0, _profile_from_wages_csv(cfg)
+            status, profile = _profile_from_wages_csv(cfg)
         elif not solve_on_demand:
             print(f"{wages_path} not found; run solve first or pass --solve", file=sys.stderr)
             return 1
@@ -512,7 +517,7 @@ def run_analysis(cfg: ScenarioConfig, which: str, quiet: bool = False,
         if not quiet:
             print(f"phase: regime={report.regime} fitted_exponent={report.fitted_exponent} "
                   f"predicted={report.predicted_exponent} declined={report.declined}")
-        return status   # 2 when the on-demand solve did not converge or certify
+        return status   # 2 when the solve did not converge or certify
 
     if which == "sweep":
         for key, lattice in (("N", cfg.sweep_N), ("theta", cfg.sweep_theta)):

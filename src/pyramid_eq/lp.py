@@ -17,8 +17,10 @@ split as views of a wages.WageOperator's pair tables, so the LP holds
 only b of its own.  _columns gives any columns' nonzeros as four (row,
 value) slots; the dense DiscreteLP.A is built from them on demand, for
 tests and the benchmark tracer, and nothing in the solve reads it.
-duality_report reads the stability slacks of the support pairs as minus
-their columns' reduced costs, so it forms no n x n slack table.
+duality_report checks a wage profile against the LP: a pair's stability
+slack is minus its column's reduced cost under the profile's (u, v), so
+one pass over all columns gives the least slacks and the support's
+slackness integrals, and no n x n slack table is formed.
 
 solve_lp is column generation around a revised simplex that prices over
 the active columns' slots and carries only an n x n working inverse W
@@ -122,6 +124,8 @@ _PIV_TOL = 1e-11
 _PIV_REL = 1e-7
 # consecutive degenerate pivots before Bland's rule takes over
 _BLAND_AFTER = 60
+# a wage profile's node-wise bounds hold when no node misses them by more than this
+_BOUND_TOL = 1e-7
 # a start's artificial columns cost -_BIG_M * max(1, max|objective|); M must exceed
 # every optimal wage v_k, which can exceed max|objective| (3.23 against 2.70 at c = 0)
 _BIG_M = 100.0
@@ -682,34 +686,57 @@ class DualityReport:
     eps_f: float
     lam_g: float
     lp_own_slackness: float
+    min_f: float           # least education slack f over all pairs, under the profile's wages
+    min_g: float           # least labor slack g over all pairs
+    argmin_g: tuple        # the (worker, manager) pair of min_g
+    lower_bound_ok: bool   # v >= N'/(N'+1) b_L at every node
+    upper_bound_ok: bool   # N/(N-1) (u - c b_E) >= v at every node (vacuous at N = 1)
 
 
-def _support_slacks(lp: DiscreteLP, solution: LPSolution, y: np.ndarray) -> tuple[float, float]:
-    """eps(F) and lam(G) over the solution's support under the row prices
-    y (u then v): the slack F(a, j) of an education pair is minus the
-    reduced cost of column a n + j under y, and G(i, j) that of labor
-    column n^2 + i n + j."""
+def _support_slacks(lp: DiscreteLP, solution: LPSolution, reduced) -> tuple[float, float]:
+    """eps(F) and lam(G) over the solution's support, with reduced(cols)
+    the reduced costs of columns cols under some row prices: the slack
+    F(a, j) of an education pair is minus the reduced cost of column
+    a n + j, and G(i, j) that of labor column n^2 + i n + j."""
     n = lp.n
     sums = []
     for coupling, first in ((solution.eps, 0), (solution.lam, n * n)):
-        cols = first + coupling.rows * n + coupling.cols
-        r = _reduced_costs(lp.objective[cols], *_columns(lp, cols), y)
+        r = reduced(first + coupling.rows * n + coupling.cols)
         sums.append(0.0 - float(np.sum(coupling.weights * r)))  # not -sum, which makes a zero sum -0.0
     return sums[0], sums[1]
 
 
 def duality_report(lp: DiscreteLP, solution: LPSolution, profile) -> DualityReport:
-    """Certify the LP value against a wage profile on the same instance.
+    """Check a wage profile against the LP on the same instance.
 
-    Reports the objective gap, the slackness integrals eps(f), lam(g)
-    under the profile's wages, and the LP's own complementary slackness
-    (under its own duals) as a solver self-check, each read as reduced
-    costs of lp's columns over the solution's support.
+    The wages are stable (f >= 0, g >= 0) exactly when they are dual
+    feasible, so one pricing pass of all columns under the profile's
+    (u, v) gives the slackness integrals eps(f), lam(g) over the
+    solution's support and min_f, min_g, minus the largest education and
+    labor reduced costs.  Also reports the objective gap, the node-wise
+    bounds N/(N-1) (u - c b_E) >= v >= N'/(N'+1) b_L, and the LP's own
+    slackness under its own duals, over the support, as a self-check.
     """
     if len(profile.v) != len(solution.v):
         raise ValueError("profile and LP were built on different grids")
-    eps_f, lam_g = _support_slacks(lp, solution, np.concatenate([profile.u, profile.v]))
-    own_f, own_g = _support_slacks(lp, solution, np.concatenate([solution.u, solution.v]))
+    n, nn = lp.n, lp.n * lp.n
+    u, v = profile.u, profile.v
+    r = _price_all(lp, np.concatenate([u, v]))
+    eps_f, lam_g = _support_slacks(lp, solution, r.take)
+    y = np.concatenate([solution.u, solution.v])
+    own_f, own_g = _support_slacks(
+        lp, solution, lambda cols: _reduced_costs(lp.objective[cols], *_columns(lp, cols), y))
+    worst = int(r[nn:].argmax())
+    # 0.0 - x, not -x, so that a tight slack is written as 0.0, not -0.0
+    min_f, min_g = 0.0 - float(r[:nn].max()), 0.0 - float(r[nn + worst])
+
+    op = profile.operator
+    p = op.params
+    lower_ok = float((v - op.lower_bound()).min()) >= -_BOUND_TOL
+    upper_ok = True                       # the bound is vacuous when every adult teaches
+    if p.N > 1.0:
+        cap = (p.N / (p.N - 1.0)) * (u - op.c * np.asarray(p.bE.value(op.grid.nodes)))
+        upper_ok = float((cap - v).min()) >= -_BOUND_TOL
 
     gap = abs(solution.value - profile.objective)
     scale = max(1.0, abs(solution.value))
@@ -719,4 +746,9 @@ def duality_report(lp: DiscreteLP, solution: LPSolution, profile) -> DualityRepo
         eps_f=eps_f,
         lam_g=lam_g,
         lp_own_slackness=own_f + own_g,
+        min_f=min_f,
+        min_g=min_g,
+        argmin_g=divmod(worst, n),
+        lower_bound_ok=lower_ok,
+        upper_bound_ok=upper_ok,
     )

@@ -118,10 +118,11 @@ marks the solve not converged.
 
 A final damped pass of the exact envelope map (_damped_step) restores the
 hard-max identity and the convex non-decreasing shape; its sup-norm
-change criterion decides the converged flag.  Optimality is certified
-externally against the LP.  SolverConfig sets only delta and the polish
-tolerance; the polish budget and damping are the module constants
-_POLISH_*.
+change criterion decides the converged flag.  Optimality and stability
+are certified externally against the LP: lp.duality_report reads every
+pair's slack as minus its LP column's reduced cost under (u, v).
+SolverConfig sets only delta and the polish tolerance; the polish budget
+and damping are the module constants _POLISH_*.
 
 WageOperator keeps the pair tables E = c b_E(z) and BL as views into one
 (2, n, n) array, tables, beside the split (_idx, intp, and _frac) of z;
@@ -154,10 +155,8 @@ __all__ = [
     "PolishWork",
     "WageComponents",
     "WageOperator",
-    "StabilityReport",
     "convexify",
     "solve_wages",
-    "stability_residuals",
     "IterationDiverged",
 ]
 
@@ -465,21 +464,12 @@ class WageOperator:
             val += delta * float(u.mean() + v.mean())
         return val
 
-    def minus_g(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def minus_g(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """-G, G[k', k] = v(k') + v(k)/N' - b_L((1-t')k' + t'k) the labor
-        slacks over all grid pairs, written into out when given."""
-        L = np.empty(self.BL.shape) if out is None else out
-        L[...] = v / self.params.N_prime
-        L += v[:, None]  # one broadcast operand per ufunc, each of which may take an iterator buffer
-        return np.subtract(self.BL, L, out=L)
-
-    def slacks(self, u: np.ndarray, v: np.ndarray):
-        """Stability slacks over all grid pairs, (F, G) with
-        F[a, k] = u(a) + v(k)/N - c b_E(z(a,k)) - v(z(a,k)) and G the
-        labor slacks of minus_g."""
-        G = self.minus_g(v)
-        np.subtract(0.0, G, out=G)  # not -G, which turns a tight slack's +0.0 into -0.0
-        return u[:, None] + v[None, :] / self.params.N - self.E - self.interp_at_z(v), G
+        slacks over all grid pairs, written into out."""
+        out[...] = v / self.params.N_prime
+        out += v[:, None]  # one broadcast operand per ufunc, each of which may take an iterator buffer
+        return np.subtract(self.BL, out, out=out)
 
     def profile(self, v: np.ndarray, alpha: GridMeasure, delta: float,
                 converged: bool, iterations: int, anneal: AnnealWork | None = None,
@@ -1211,44 +1201,3 @@ def solve_wages(params: TechnologyParams, alpha: GridMeasure, grid: SkillGrid,
     converged = converged and work.newton_limit_stops == 0 and work.line_search_failures == 0
     return op.profile(v, alpha, config.delta, converged, polish.iterations, anneal=work, polish=polish)
 
-
-@dataclass(eq=False)
-class StabilityReport:
-    min_f: float
-    min_g: float
-    argmin_g: tuple
-    lower_bound_ok: bool
-    upper_bound_ok: bool
-
-
-def stability_residuals(profile: WageProfile) -> StabilityReport:
-    """Exhaustive stability check over all grid pairs of the profile's
-    operator.
-
-    f(a,k) = u(a) + v(k)/N - c b_E(z) - v(z) and
-    g(k',k) = v(k') + v(k)/N' - b_L((1-t')k' + t'k)
-    must both be nonnegative (up to tolerance) at equilibrium, alongside
-    the node-wise wage bounds N/(N-1) (u - c b_E) >= v >= N'/(N'+1) b_L.
-    """
-    op = profile.operator
-    v, u = profile.v, profile.u
-    p = op.params
-
-    F, G = op.slacks(u, v)
-    min_f = float(F.min())
-    gi, gj = np.unravel_index(int(G.argmin()), G.shape)
-    min_g = float(G[gi, gj])
-    argmin_g = (int(gi), int(gj))
-
-    floor = op.lower_bound()
-    lower_worst = float((v - floor).min())
-
-    if p.N > 1.0:
-        cap = (p.N / (p.N - 1.0)) * (u - op.c * np.asarray(p.bE.value(op.grid.nodes)))
-        upper_worst = float((cap - v).min())
-    else:
-        upper_worst = np.inf  # the bound is vacuous when every adult teaches
-
-    tol = 1e-7
-    return StabilityReport(min_f=min_f, min_g=min_g, argmin_g=argmin_g,
-                           lower_bound_ok=lower_worst >= -tol, upper_bound_ok=upper_worst >= -tol)

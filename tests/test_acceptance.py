@@ -26,7 +26,6 @@ from pyramid_eq import (
     solve_lp,
     solve_wages,
     specialization_report,
-    stability_residuals,
     top_slopes,
 )
 from pyramid_eq.cli import main as cli_main

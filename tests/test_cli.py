@@ -462,7 +462,8 @@ def test_phase_rebuilds_the_solved_profile(tmp_path):
     cfg = load_scenario(write_config(tmp_path))
     solved = wages.solve_wages(cfg.params, cfg.alpha, cfg.grid, cfg.solver)
     assert cli.run_solve(cfg, quiet=True) == 0
-    rebuilt = cli._profile_from_wages_csv(cfg)
+    status, rebuilt = cli._profile_from_wages_csv(cfg)
+    assert status == 0 and rebuilt.converged
     for name in ("u", "v_w", "v_m", "v_t", "occupation"):
         assert np.array_equal(getattr(rebuilt, name), getattr(solved, name)), name
     assert rebuilt.objective == solved.objective
@@ -603,6 +604,26 @@ def test_nonconverged_solve_exits_two_with_artifacts(tmp_path, monkeypatch):
     duality = json.loads((tmp_path / "out" / "duality.json").read_text())
     assert duality["converged"] is False
     assert (tmp_path / "out" / "wages.csv").exists()
+
+
+def test_phase_exits_two_on_the_artifacts_of_a_failed_solve(tmp_path, monkeypatch):
+    # phase without --solve reads the solve's converged flag and LP status
+    # from duality.json, and exits as phase --solve would have
+    text = BASE.replace("[solver]\ndelta = 0.0", "[solver]\ndelta = 0.0\ntol = 1e-15")
+    cfg_path = write_config(tmp_path, text)
+    with monkeypatch.context() as m:
+        m.setattr(wages, "_POLISH_MAX_ITER", 1)
+        assert main(["solve", "--config", cfg_path, "--quiet"]) == 2
+    assert main(["phase", "--config", cfg_path, "--quiet"]) == 2
+    assert (tmp_path / "out" / "phase.json").exists()
+
+    assert main(["solve", "--config", cfg_path, "--quiet"]) == 0
+    assert main(["phase", "--config", cfg_path, "--quiet"]) == 0
+    path = tmp_path / "out" / "duality.json"
+    duality = json.loads(path.read_text())
+    duality["lp"]["status"] = "unbounded"
+    path.write_text(json.dumps(duality))
+    assert main(["phase", "--config", cfg_path, "--quiet"]) == 2
 
 
 def test_anneal_cut_short_exits_two(tmp_path, monkeypatch):

@@ -355,13 +355,23 @@ def test_the_lp_reads_the_wage_operators_tables():
         assert np.array_equal(lp.idx, idx) and lp.frac.tobytes() == frac.tobytes()
 
 
+def _dense_slacks(op, u, v):
+    """The stability slacks over all grid pairs as n x n tables, from
+    their definition: F[a, k] = u(a) + v(k)/N - c b_E(z(a,k)) - v(z(a,k))
+    and G[k', k] = v(k') + v(k)/N' - b_L((1-t')k' + t'k)."""
+    p = op.params
+    F = u[:, None] + v[None, :] / p.N - op.E - op.interp_at_z(v)
+    G = v[:, None] + v[None, :] / p.N_prime - op.BL
+    return F, G
+
+
 def _dense_duality_report(sol, profile):
     """eps(F), lam(G) and the LP's own slackness from the n x n slack
-    tables of WageOperator.slacks."""
+    tables of _dense_slacks."""
     op = profile.operator
 
     def integrals(u, v):
-        F, G = op.slacks(u, v)
+        F, G = _dense_slacks(op, u, v)
         return (float(np.sum(sol.eps.weights * F[sol.eps.rows, sol.eps.cols])),
                 float(np.sum(sol.lam.weights * G[sol.lam.rows, sol.lam.cols])))
 
@@ -380,6 +390,32 @@ def test_duality_report_reads_slackness_as_reduced_costs():
         assert abs(rep.eps_f - eps_f) <= 1e-15
         assert abs(rep.lam_g - lam_g) <= 1e-15
         assert abs(rep.lp_own_slackness - own) <= 1e-15
+
+
+@pytest.mark.parametrize("path, n, delta", [(os.path.join(CONFIGS, "demo_small.toml"), 32, None),
+                                            (C0_CONFIG, 32, None),
+                                            (os.path.join(CONFIGS, "demo_small.toml"), 16, 0.05),
+                                            (os.path.join(CONFIGS, "demo_small.toml"), 1, None),
+                                            (os.path.join(CONFIGS, "phase_supercritical.toml"), 64, None)],
+                         ids=["demo32", "c0", "delta16", "n1", "super64"])
+def test_duality_report_reads_the_least_slacks_as_reduced_costs(monkeypatch, path, n, delta):
+    # the stability check over all pairs is one pricing pass under the
+    # profile's (u, v): minus the largest education and labor reduced costs
+    cfg = cli.load_scenario(path, grid_n_override=n)
+    solver = cfg.solver if delta is None else replace(cfg.solver, delta=delta)
+    prof = solve_wages(cfg.params, cfg.alpha, cfg.grid, solver)
+    lp = assemble_primal(prof.operator, cfg.alpha, prof.delta)
+    sol = solve_lp(lp, prices=np.concatenate([prof.u, prof.v]))
+    calls = []
+    price_all = lp_mod._price_all
+    monkeypatch.setattr(lp_mod, "_price_all", lambda *a: calls.append(1) or price_all(*a))
+    rep = duality_report(lp, sol, prof)
+    assert len(calls) == 1
+    F, G = _dense_slacks(prof.operator, prof.u, prof.v)
+    assert abs(rep.min_f - float(F.min())) <= 1e-15
+    assert abs(rep.min_g - float(G.min())) <= 1e-15
+    assert abs(float(G[rep.argmin_g]) - rep.min_g) <= 1e-15
+    assert rep.lower_bound_ok and rep.upper_bound_ok
 
 
 def _assert_same_optimum(a, b):

@@ -16,7 +16,6 @@ from pyramid_eq import (
     duality_report,
     solve_lp,
     solve_wages,
-    stability_residuals,
 )
 from pyramid_eq.cli import load_scenario
 from pyramid_eq.model import split_positions
@@ -272,11 +271,12 @@ def test_converged_profile_structure():
         assert np.all(np.isfinite(arr))
         assert np.all(np.diff(arr) >= -1e-9)
         assert np.all(np.diff(arr, 2) >= -1e-9)
-    sr = stability_residuals(prof)
-    assert sr.min_f >= -1e-7
-    assert sr.min_g >= -1e-7
-    assert sr.lower_bound_ok
-    assert sr.upper_bound_ok
+    lp = assemble_primal(prof.operator, alpha)
+    rep = duality_report(lp, solve_lp(lp), prof)
+    assert rep.min_f >= -1e-7
+    assert rep.min_g >= -1e-7
+    assert rep.lower_bound_ok
+    assert rep.upper_bound_ok
 
 
 def test_gradient_lower_bound_when_supercritical():
@@ -1032,16 +1032,18 @@ def test_anneal_never_stalls_on_supercritical_config():
     assert prof.anneal.dual_evals <= 2 * prof.anneal.newton_steps
 
 
-def test_stability_residuals_flag_lowered_wage():
+def test_duality_report_flags_a_lowered_wage():
     params = make_params(N=10.0, N_prime=10.0, c=0.5)
     grid = SkillGrid(8, 1.0)
     alpha = uniform_alpha(grid)
     prof = solve_wages(params, alpha, grid, SolverConfig())
+    lp = assemble_primal(prof.operator, alpha)
+    sol = solve_lp(lp)
     prof.v = prof.v.copy()
     prof.v[4] -= 0.1
-    sr = stability_residuals(prof)
-    assert sr.min_g < -1e-3
-    assert 4 in sr.argmin_g
+    rep = duality_report(lp, sol, prof)
+    assert rep.min_g < -1e-3
+    assert 4 in rep.argmin_g
 
 
 # ---------------------------------------------------------------------------
@@ -1115,9 +1117,8 @@ def test_single_teacher_class_solve_takes_the_minimal_wage_level(N_prime, c, n):
     if c == 0.0:
         assert np.abs(prof.v - sol.v).max() <= 1e-9
     else:
-        sr = stability_residuals(prof)
-        assert -1e-9 <= sr.min_g <= 1e-12
         rep = duality_report(lp, sol, prof)
+        assert -1e-9 <= rep.min_g <= 1e-12
         assert rep.gap_rel <= 1e-6
         assert abs(rep.eps_f) <= 1e-6 and abs(rep.lam_g) <= 1e-6
 
@@ -1153,9 +1154,11 @@ def test_single_node_stability_binds_exactly():
     params = make_params(N=2.0, N_prime=1.0, c=0.0)
     grid = SkillGrid(1, 1.0)
     alpha = uniform_alpha(grid)
-    sr = stability_residuals(solve_wages(params, alpha, grid, SolverConfig()))
-    assert sr.min_f == pytest.approx(0.0, abs=1e-9)
-    assert sr.min_g == pytest.approx(0.0, abs=1e-9)
+    prof = solve_wages(params, alpha, grid, SolverConfig())
+    lp = assemble_primal(prof.operator, alpha)
+    rep = duality_report(lp, solve_lp(lp), prof)
+    assert rep.min_f == pytest.approx(0.0, abs=1e-9)
+    assert rep.min_g == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
